@@ -118,15 +118,7 @@ fn main() {
     let fast = qft_bench::has_flag("--fast");
     let reqs = qft_bench::serve_workload(fast);
     let service = Arc::new(CompileService::with_config(reqs.len() * 2, 4));
-    // A 1ms poll tick: the default 20ms is tuned for idle connections, but
-    // here every connection is saturated and the tick would dominate the
-    // round-trip numbers.
-    let config = qft_serve::ServerConfig {
-        tick: std::time::Duration::from_millis(1),
-        ..Default::default()
-    };
-    let server =
-        NetServer::bind_with("127.0.0.1:0", Arc::clone(&service), config).expect("bind server");
+    let server = NetServer::bind("127.0.0.1:0", Arc::clone(&service)).expect("bind server");
     let addr = server.local_addr();
     let mut violations = 0usize;
 

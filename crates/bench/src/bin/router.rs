@@ -36,13 +36,13 @@
 
 use qft_serve::{
     warmup, ClientConfig, CompileRequest, CompileService, NetServer, Router, RouterConfig,
-    ServeStats, ServerConfig,
+    ServeStats,
 };
 use serde::Serialize;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// How many producer threads push through the router in every leg.
 const PRODUCERS: usize = 4;
@@ -121,15 +121,7 @@ fn spawn_fleet(n: usize, cache_capacity: usize) -> Vec<NetServer> {
                     .workers(2)
                     .build(),
             );
-            NetServer::bind_with(
-                "127.0.0.1:0",
-                service,
-                ServerConfig {
-                    tick: Duration::from_millis(1),
-                    ..ServerConfig::default()
-                },
-            )
-            .expect("bind backend")
+            NetServer::bind("127.0.0.1:0", service).expect("bind backend")
         })
         .collect()
 }

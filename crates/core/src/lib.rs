@@ -15,7 +15,6 @@
 
 #![warn(missing_docs)]
 
-pub mod compiler;
 pub mod heavyhex;
 pub mod lattice;
 pub mod line;
@@ -27,8 +26,6 @@ pub mod sycamore;
 pub mod target;
 pub mod two_row;
 
-#[allow(deprecated)]
-pub use compiler::Backend;
 pub use heavyhex::compile_heavyhex;
 pub use lattice::{compile_lattice, compile_lattice_with, IeMode};
 pub use line::{line_qft_schedule, LineOp, LineSchedule};

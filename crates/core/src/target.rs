@@ -3,8 +3,8 @@
 //!
 //! Construction is fallible — invalid device parameters (odd Sycamore `m`,
 //! zero heavy-hex groups, degenerate lattices) are reported as descriptive
-//! [`CompileError::InvalidTarget`] values instead of the panics or garbage
-//! circuits the old `Backend` enum produced.
+//! [`CompileError::InvalidTarget`] values, never as panics or garbage
+//! circuits.
 
 use crate::pipeline::CompileError;
 use qft_arch::graph::CouplingGraph;
@@ -54,11 +54,10 @@ enum Device {
 
 /// A validated compilation target: coupling graph plus latency model.
 ///
-/// `Target` replaces the closed `Backend` enum: compilers receive a
-/// `&Target` and downcast to the device family they understand via
-/// [`Target::as_sycamore`] & co., while search-based compilers only need
-/// [`Target::graph`]. New device families extend this type (or use
-/// [`Target::custom`]) without touching any compiler.
+/// Compilers receive a `&Target` and downcast to the device family they
+/// understand via [`Target::as_sycamore`] & co., while search-based
+/// compilers only need [`Target::graph`]. New device families extend this
+/// type (or use [`Target::custom`]) without touching any compiler.
 #[derive(Debug, Clone)]
 pub struct Target {
     spec: TargetSpec,

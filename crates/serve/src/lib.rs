@@ -18,8 +18,9 @@
 //!   blocks the submitter or sheds with a descriptive `overloaded`
 //!   error per the [`Backpressure`] policy;
 //! * **Streaming + batch traffic** — [`CompileService::compile`] for
-//!   synchronous single requests, [`CompileService::submit`] /
-//!   [`CompileService::stream`] for pipelined submit/recv streams, and
+//!   synchronous single requests, [`CompileService::submit`] for
+//!   pipelined traffic (the caller's seq and reply channel, so one
+//!   thread can submit while another receives), and
 //!   [`CompileService::compile_batch`] for order-preserving batches;
 //! * [`ServeStats`] — lock-free admission metrics: hits, misses,
 //!   dedup joins, evictions, sheds, queue depth, in-flight compiles, and
@@ -95,7 +96,7 @@ pub use pool::PoolClient;
 pub use router::{BackendState, Routed, Router, RouterConfig};
 pub use server::{DrainSummary, NetServer, NetStats, ServerConfig};
 pub use service::{
-    Backpressure, CompileService, ServiceBuilder, StreamSession, Ticket, DEFAULT_CACHE_CAPACITY,
+    Backpressure, CompileService, Reply, ServiceBuilder, DEFAULT_CACHE_CAPACITY,
     DEFAULT_QUEUE_CAPACITY,
 };
 pub use types::{BackendStats, CompileRequest, CompileResponse, ServeError, ServeStats};

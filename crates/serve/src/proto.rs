@@ -19,25 +19,25 @@
 //! version byte. What it *is* careful about:
 //!
 //! * **Bounded allocation** — the length field is validated against
-//!   [`MAX_PAYLOAD`] *before* any buffer is sized from it, so a hostile
-//!   length prefix costs a 10-byte header read and a descriptive
-//!   [`ProtoError::Oversize`], never an allocation.
+//!   [`MAX_PAYLOAD`] *before* anything is read past the header, so a
+//!   hostile length prefix costs a 10-byte header read and a descriptive
+//!   [`ProtoError::Oversize`], never an allocation; and a payload buffer
+//!   grows with the bytes that actually arrive, so a header that declares
+//!   16 MiB and then stalls costs what was sent, not 16 MiB.
 //! * **Descriptive decode errors** — bad magic, unknown version/kind,
 //!   truncation, and malformed JSON each get their own [`ProtoError`]
 //!   variant whose message names what was expected; the server answers
 //!   with an error frame instead of a bare connection reset wherever the
 //!   stream is still framed.
-//! * **Timeout-tolerant incremental reads** — [`FrameReader`] accumulates
-//!   partial frames across socket read-timeout ticks and reports how long
-//!   the current frame has been incomplete, which is what the server's
-//!   slow-client (slowloris) deadline is built on.
+//! * **One reader for every peer** — [`read_frame`] serves clients,
+//!   tests and the server alike; the server enforces its per-frame
+//!   (slowloris) deadline in the `Read` it passes in.
 
 use crate::types::{BackendStats, CompileRequest, CompileResponse, ServeError, ServeStats};
 use crate::warmup::{OwnedPredicate, WarmupEntry};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::io::{self, Read, Write};
-use std::time::Instant;
 
 /// The four magic bytes opening every frame.
 pub const MAGIC: [u8; 4] = *b"QFTW";
@@ -529,64 +529,60 @@ fn is_timeout(e: &io::Error) -> bool {
     )
 }
 
-/// `read_exact` with protocol-shaped errors: EOF mid-read becomes
-/// [`ProtoError::Truncated`], a socket timeout becomes
-/// [`ProtoError::Timeout`].
-fn read_exact_framed<R: Read>(
-    r: &mut R,
-    buf: &mut [u8],
-    context: &str,
-    need: usize,
-) -> Result<(), ProtoError> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return Err(ProtoError::Truncated {
-                    context: context.to_string(),
-                    have: need - (buf.len() - filled),
-                    need,
-                })
-            }
-            Ok(k) => filled += k,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) if is_timeout(&e) => {
-                return Err(ProtoError::Timeout {
-                    context: context.to_string(),
-                })
-            }
-            Err(e) => {
-                return Err(ProtoError::Io {
-                    context: context.to_string(),
-                    detail: e.to_string(),
-                })
-            }
+/// A read failure as a protocol error: a socket timeout becomes
+/// [`ProtoError::Timeout`], anything else [`ProtoError::Io`].
+fn read_error(e: io::Error, context: &str) -> ProtoError {
+    if is_timeout(&e) {
+        ProtoError::Timeout {
+            context: context.to_string(),
+        }
+    } else {
+        ProtoError::Io {
+            context: context.to_string(),
+            detail: e.to_string(),
         }
     }
-    Ok(())
 }
 
-/// Blocking frame read (clients, tests, in-memory fuzzing). The payload
-/// buffer is allocated only after the length field passes the
-/// [`MAX_PAYLOAD`] check.
+/// Blocking frame read, shared by clients, the server, tests and
+/// in-memory fuzzing. Nothing past the header is read unless the length
+/// field passes the [`MAX_PAYLOAD`] check, and the payload buffer grows
+/// with the bytes received rather than being sized from the declared
+/// length. A clean close *between* frames is a [`ProtoError::Truncated`]
+/// with `have == 0`.
 pub fn read_frame<R: Read>(r: &mut R) -> Result<Frame, ProtoError> {
     let mut header = [0u8; HEADER_LEN];
-    read_exact_framed(r, &mut header, "frame header", HEADER_LEN)?;
+    let mut have = 0;
+    while have < HEADER_LEN {
+        match r.read(&mut header[have..]) {
+            Ok(0) => {
+                return Err(ProtoError::Truncated {
+                    context: "frame header".to_string(),
+                    have,
+                    need: HEADER_LEN,
+                })
+            }
+            Ok(k) => have += k,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(read_error(e, "frame header")),
+        }
+    }
     let (kind, len) = parse_header(&header)?;
-    let kind_name = match kind {
-        Ok(kind) => kind.to_string(),
-        Err(got) => format!("unknown-kind-{got}"),
-    };
-    let mut payload = vec![0u8; len];
-    read_exact_framed(r, &mut payload, "frame payload", len).map_err(|e| match e {
-        // Payload truncation should report whole-frame progress.
-        ProtoError::Truncated { have, .. } => ProtoError::Truncated {
-            context: format!("{kind_name} frame payload"),
-            have: HEADER_LEN + have,
+    let mut payload = Vec::new();
+    r.take(len as u64)
+        .read_to_end(&mut payload)
+        .map_err(|e| read_error(e, "frame payload"))?;
+    if payload.len() < len {
+        // Payload truncation reports whole-frame progress.
+        return Err(ProtoError::Truncated {
+            context: match kind {
+                Ok(kind) => format!("{kind} frame payload"),
+                Err(got) => format!("unknown-kind-{got} frame payload"),
+            },
+            have: HEADER_LEN + payload.len(),
             need: HEADER_LEN + len,
-        },
-        other => other,
-    })?;
+        });
+    }
     // An unknown kind is reported only now, with its payload consumed,
     // so the caller's stream is positioned at the next frame.
     let kind = kind.map_err(|got| ProtoError::UnknownKind { got })?;
@@ -612,135 +608,6 @@ pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> Result<(), ProtoError>
         context: "flushing the stream".to_string(),
         detail: e.to_string(),
     })
-}
-
-/// What one [`FrameReader::poll`] observed.
-#[derive(Debug)]
-pub enum FramePoll {
-    /// A complete, validated frame.
-    Frame(Frame),
-    /// No complete frame yet — the read timed out with the connection
-    /// still live. [`FrameReader::stalled_since`] says whether a partial
-    /// frame is pending and since when.
-    Pending,
-    /// The peer closed the stream cleanly, *between* frames. (A close
-    /// mid-frame is a [`ProtoError::Truncated`] error instead.)
-    Closed,
-}
-
-/// An incremental frame reader for sockets with a short read-timeout
-/// tick: partial frames accumulate across [`FrameReader::poll`] calls
-/// instead of being lost to the timeout, and the reader tracks how long
-/// the current frame has been incomplete so the caller can enforce a
-/// per-frame deadline (the slow-client defense).
-#[derive(Debug)]
-pub struct FrameReader<R> {
-    inner: R,
-    /// Accumulated bytes of the current frame (header first).
-    buf: Vec<u8>,
-    /// Total bytes the current frame needs ([`HEADER_LEN`] until the
-    /// header is parsed, then header + payload).
-    need: usize,
-    /// Parsed header, once available. An `Err` kind is an unknown wire
-    /// byte whose payload is still consumed (skippable frame).
-    header: Option<(Result<FrameKind, u8>, usize)>,
-    /// When the first byte of the current frame arrived.
-    started: Option<Instant>,
-}
-
-impl<R: Read> FrameReader<R> {
-    /// A reader over `inner` (typically a `&TcpStream` with a short read
-    /// timeout configured).
-    pub fn new(inner: R) -> Self {
-        FrameReader {
-            inner,
-            buf: Vec::with_capacity(HEADER_LEN),
-            need: HEADER_LEN,
-            header: None,
-            started: None,
-        }
-    }
-
-    /// When the current (incomplete) frame's first byte arrived, if a
-    /// partial frame is pending. `None` means the reader is idle between
-    /// frames — an idle connection is not a slow one.
-    pub fn stalled_since(&self) -> Option<Instant> {
-        self.started
-    }
-
-    /// Advances the reader by at most one socket read. Returns a frame
-    /// once complete, [`FramePoll::Pending`] on a timeout tick, or
-    /// [`FramePoll::Closed`] on a clean between-frames EOF. An
-    /// unknown-kind frame is fully consumed (its length field was
-    /// validated like any other) before [`ProtoError::UnknownKind`] is
-    /// returned, with the reader reset and positioned at the next
-    /// frame — the caller may keep polling.
-    pub fn poll(&mut self) -> Result<FramePoll, ProtoError> {
-        loop {
-            // Promote a complete header, then a complete frame.
-            if self.buf.len() == self.need {
-                match self.header {
-                    None if self.buf.len() == HEADER_LEN => {
-                        let header: [u8; HEADER_LEN] =
-                            self.buf[..].try_into().expect("header-sized buffer");
-                        let (kind, len) = parse_header(&header)?;
-                        self.header = Some((kind, len));
-                        self.need = HEADER_LEN + len;
-                        continue;
-                    }
-                    Some((kind, _)) => {
-                        let payload = self.buf.split_off(HEADER_LEN);
-                        self.buf.clear();
-                        self.need = HEADER_LEN;
-                        self.header = None;
-                        self.started = None;
-                        return match kind {
-                            Ok(kind) => Ok(FramePoll::Frame(Frame { kind, payload })),
-                            // The payload is consumed and the state
-                            // reset: the refusal is per-frame.
-                            Err(got) => Err(ProtoError::UnknownKind { got }),
-                        };
-                    }
-                    None => unreachable!("need is HEADER_LEN until the header parses"),
-                }
-            }
-            let mut chunk = [0u8; 4096];
-            let want = (self.need - self.buf.len()).min(chunk.len());
-            match self.inner.read(&mut chunk[..want]) {
-                Ok(0) => {
-                    return if self.buf.is_empty() {
-                        Ok(FramePoll::Closed)
-                    } else {
-                        Err(ProtoError::Truncated {
-                            context: match self.header {
-                                Some((Ok(kind), _)) => format!("{kind} frame payload"),
-                                Some((Err(got), _)) => {
-                                    format!("unknown-kind-{got} frame payload")
-                                }
-                                None => "frame header".to_string(),
-                            },
-                            have: self.buf.len(),
-                            need: self.need,
-                        })
-                    };
-                }
-                Ok(k) => {
-                    if self.started.is_none() {
-                        self.started = Some(Instant::now());
-                    }
-                    self.buf.extend_from_slice(&chunk[..k]);
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) if is_timeout(&e) => return Ok(FramePoll::Pending),
-                Err(e) => {
-                    return Err(ProtoError::Io {
-                        context: "reading a frame".to_string(),
-                        detail: e.to_string(),
-                    })
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -784,59 +651,53 @@ mod tests {
     }
 
     #[test]
-    fn incremental_reader_survives_byte_at_a_time_delivery() {
-        // A Read impl that yields one byte per call, with a timeout tick
-        // between every byte — the worst-case legitimate slow client.
-        struct Trickle {
+    fn payload_buffers_grow_with_the_bytes_received() {
+        // A peer that declares the largest legal payload, sends 100 bytes
+        // of it, then ends the stream. The reader records the largest
+        // buffer it was handed: the payload buffer must never have been
+        // sized from the declared 16 MiB.
+        struct Stall {
             bytes: Vec<u8>,
             at: usize,
-            tick: bool,
+            widest: usize,
         }
-        impl Read for Trickle {
+        impl Read for Stall {
             fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-                if self.tick {
-                    self.tick = false;
-                    return Err(io::Error::new(io::ErrorKind::WouldBlock, "tick"));
-                }
-                self.tick = true;
-                match self.bytes.get(self.at) {
-                    Some(&b) => {
-                        buf[0] = b;
-                        self.at += 1;
-                        Ok(1)
-                    }
-                    None => Ok(0),
-                }
+                self.widest = self.widest.max(buf.len());
+                let k = buf.len().min(self.bytes.len() - self.at);
+                buf[..k].copy_from_slice(&self.bytes[self.at..self.at + k]);
+                self.at += k;
+                Ok(k)
             }
         }
-        let frame = Frame::error(Some(4), &ServeError::bad_request("nope"));
-        let mut reader = FrameReader::new(Trickle {
-            bytes: frame.encode().unwrap(),
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&MAGIC);
+        bytes.push(VERSION);
+        bytes.push(FrameKind::Request as u8);
+        bytes.extend_from_slice(&(MAX_PAYLOAD as u32).to_be_bytes());
+        bytes.extend_from_slice(&[b' '; 100]);
+        let mut stall = Stall {
+            bytes,
             at: 0,
-            tick: false,
-        });
-        let mut pendings = 0;
-        loop {
-            match reader.poll().unwrap() {
-                FramePoll::Frame(f) => {
-                    assert_eq!(f, frame);
-                    break;
-                }
-                FramePoll::Pending => pendings += 1,
-                FramePoll::Closed => panic!("closed before the frame completed"),
+            widest: 0,
+        };
+        match read_frame(&mut stall).unwrap_err() {
+            ProtoError::Truncated { have, need, .. } => {
+                assert_eq!((have, need), (HEADER_LEN + 100, HEADER_LEN + MAX_PAYLOAD));
             }
+            other => panic!("expected Truncated, got {other}"),
         }
-        assert!(pendings > 0, "the trickle must have ticked");
-        // After the frame, the stream's EOF is a clean close (possibly
-        // behind one more timeout tick of the trickle).
-        loop {
-            match reader.poll().unwrap() {
-                FramePoll::Closed => break,
-                FramePoll::Pending => continue,
-                FramePoll::Frame(f) => panic!("no second frame exists, got {f:?}"),
-            }
-        }
-        assert!(reader.stalled_since().is_none());
+        assert!(
+            stall.widest <= 64 << 10,
+            "a {}-byte buffer was sized from the declared length",
+            stall.widest
+        );
+
+        // A complete payload of several megabytes still arrives byte-exact.
+        let payload: Vec<u8> = (0..(5 << 20) + 17).map(|i| i as u8).collect();
+        let frame = Frame::new(FrameKind::WarmupBatch, payload);
+        let back = read_frame(&mut Cursor::new(frame.encode().unwrap())).unwrap();
+        assert_eq!(back, frame);
     }
 
     proptest! {

@@ -1,49 +1,66 @@
 //! The TCP front end: a thread-per-connection accept loop in front of a
 //! shared [`CompileService`].
 //!
-//! Each accepted connection gets its own thread and its own
-//! [`StreamSession`][crate::StreamSession] on the service, so the wire
-//! surface inherits the in-process contracts verbatim: byte-deterministic
-//! cached artifacts, singleflight dedup across connections (two sockets
-//! asking for the same key still perform one compile), and the
+//! Each accepted connection submits its compiles to the service's one
+//! queued entry point ([`CompileService::submit`]), so the wire surface
+//! inherits the in-process contracts verbatim: byte-deterministic cached
+//! artifacts, singleflight dedup across connections (two sockets asking
+//! for the same key still perform one compile), and the
 //! [`Backpressure`][crate::Backpressure] policy — a shed submission comes
 //! back as a structured `overloaded` frame carrying queue depth and a
 //! retry-after hint, never a closed socket.
 //!
-//! The connection loop is a single thread interleaving three duties on a
-//! short read-timeout tick:
+//! A connection is a blocking frame reader plus completion-driven
+//! writes:
 //!
-//! 1. flush completed compile responses (completion order, seq-tagged);
-//! 2. honor the drain/goodbye state machine;
-//! 3. poll the socket for the next frame, enforcing the per-frame read
-//!    deadline (a half-written header that stalls past
-//!    [`ServerConfig::read_timeout`] is closed with a diagnosis, so a
-//!    slowloris client costs one connection thread for one deadline, not
-//!    a worker).
+//! 1. **The reader** — the connection's own thread — reads one frame at
+//!    a time with [`proto::read_frame`] under a per-frame deadline: a
+//!    frame whose first byte has arrived must complete within
+//!    [`ServerConfig::read_timeout`] or the connection is closed with a
+//!    diagnosis (so a slowloris client costs one connection thread for
+//!    one deadline, not a worker), while an idle connection waits as
+//!    long as it likes. The reader admits compiles and answers every
+//!    other frame (stats, warm-up, refusals) itself.
+//! 2. **The writer** — spawned when the connection admits its first
+//!    compile, never for a connection that only asks for stats — blocks
+//!    on the connection's reply channel and writes each compile outcome
+//!    as it completes (completion order, tagged with the client's seq).
+//!    The pool worker that served a compile encodes its frame and sends
+//!    the bytes on that channel; workers never touch a socket, so a peer
+//!    that stops reading stalls its own connection only.
+//!
+//! Reader and writer share one lock per connection, held across every
+//! frame write so frames never interleave, and with it the close state:
+//! compiles in flight, responses served, whether the client said
+//! goodbye. Whichever side sees the last admitted response delivered
+//! after a client goodbye or a drain writes the server goodbye; a reader
+//! blocked on an idle socket is woken by shutting down the socket's read
+//! half.
 //!
 //! **Graceful drain** ([`NetServer::shutdown`]): stop accepting (late
 //! connections get a goodbye frame, then the listener closes so further
-//! connects are refused outright), refuse new requests on live
-//! connections with a `draining` error, deliver every response already
-//! accepted, close each connection with a goodbye frame carrying its
-//! served count, and join every thread — accept loop and all connection
-//! threads — before returning. Nothing is detached.
+//! connects are refused outright), close idle connections with a goodbye
+//! at once, refuse new requests on busy connections with a `draining`
+//! error, deliver every response already accepted, close each busy
+//! connection with a goodbye frame carrying its served count, and join
+//! every thread — accept loop and all connection threads, each of which
+//! joins its writer — before returning. Nothing is detached. A
+//! connection whose peer vanished exits without waiting for the compiles
+//! it abandoned; their outcomes land in a closed connection and are
+//! dropped.
 
 use crate::metrics::{Metrics, NetCounters};
-use crate::proto::{
-    self, Frame, FrameKind, FramePoll, FrameReader, ProtoError, WireRequest, WireWarmupRequest,
-};
-use crate::service::{CompileService, StreamSession};
+use crate::proto::{self, Frame, FrameKind, ProtoError, WireRequest, WireWarmupRequest};
+use crate::service::{CompileService, Reply};
 use crate::types::ServeError;
 use crate::warmup;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{self, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, Weak};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Tuning for one [`NetServer`].
 #[derive(Debug, Clone)]
@@ -54,13 +71,9 @@ pub struct ServerConfig {
     /// *idle* connection — no partial frame pending — is never timed out.
     pub read_timeout: Duration,
     /// Socket write timeout: a client that stops reading while the
-    /// server flushes responses is disconnected instead of wedging the
-    /// connection thread.
+    /// server writes to it is disconnected instead of wedging its
+    /// connection.
     pub write_timeout: Duration,
-    /// Poll granularity of the connection loop — the socket read-timeout
-    /// tick. Bounds how stale the drain flag or a completed response can
-    /// get while the connection is idle.
-    pub tick: Duration,
     /// How this server identifies itself in wire-level stats answers
     /// (the [`BackendStats`][crate::types::BackendStats] envelope). Empty
     /// means "use the listen address" — resolved once at bind, so an
@@ -75,7 +88,6 @@ impl Default for ServerConfig {
         ServerConfig {
             read_timeout: Duration::from_secs(2),
             write_timeout: Duration::from_secs(5),
-            tick: Duration::from_millis(20),
             identity: String::new(),
         }
     }
@@ -135,7 +147,44 @@ struct Shared {
     draining: AtomicBool,
     wake: Mutex<WakeMark>,
     net: NetCounters,
-    conns: Mutex<Vec<JoinHandle<()>>>,
+    conns: Mutex<Vec<Connection>>,
+}
+
+/// One accepted connection, as the accept loop and the drain see it.
+/// The link is weak so that the socket closes as soon as the connection
+/// thread (its owner) exits.
+#[derive(Debug)]
+struct Connection {
+    link: Weak<Link>,
+    thread: JoinHandle<()>,
+}
+
+/// What a connection's reader, its writer and the drain share: the
+/// socket, and the close state behind the lock every frame write holds.
+#[derive(Debug)]
+struct Link {
+    stream: TcpStream,
+    state: Mutex<LinkState>,
+}
+
+#[derive(Debug, Default)]
+struct LinkState {
+    /// Compiles admitted on this connection whose outcome is not yet
+    /// written.
+    in_flight: u64,
+    /// Compile outcomes written (the goodbye frame's `served`).
+    served: u64,
+    /// The client sent goodbye: no further requests are admitted.
+    client_done: bool,
+    /// The conversation is over — a server goodbye or fatal error was
+    /// written, or the peer is gone. Nothing more is written.
+    closed: bool,
+}
+
+impl Link {
+    fn lock(&self) -> MutexGuard<'_, LinkState> {
+        self.state.lock().expect("connection state mutex")
+    }
 }
 
 impl Shared {
@@ -148,6 +197,55 @@ impl Shared {
             disconnects: self.net.disconnects.load(Ordering::Relaxed),
             goodbyes: self.net.goodbyes.load(Ordering::Relaxed),
         }
+    }
+
+    fn draining(&self) -> bool {
+        self.draining.load(Ordering::SeqCst)
+    }
+
+    /// Writes one frame. Taking the held state proves the caller holds
+    /// the connection's lock, which keeps the reader's and the writer's
+    /// frames whole.
+    fn send(&self, link: &Link, st: &mut LinkState, frame: &Frame) -> bool {
+        self.write(link, st, frame.encode())
+    }
+
+    /// Writes one encoded frame under the connection's lock. A failed
+    /// write means the peer is gone or stopped reading: the connection
+    /// is closed and counted as a disconnect.
+    fn write(&self, link: &Link, st: &mut LinkState, frame: Result<Vec<u8>, ProtoError>) -> bool {
+        if st.closed {
+            return false;
+        }
+        if let Ok(bytes) = frame {
+            if (&link.stream).write_all(&bytes).is_ok() {
+                return true;
+            }
+        }
+        st.closed = true;
+        Metrics::bump(&self.net.disconnects);
+        false
+    }
+
+    /// Closes the conversation with a server goodbye if it is over: no
+    /// compile in flight, and the client said goodbye or the server is
+    /// draining. Returns whether the connection is (now) closed.
+    fn close_if_done(&self, link: &Link, st: &mut LinkState) -> bool {
+        if st.closed || st.in_flight > 0 {
+            return st.closed;
+        }
+        let reason = if self.draining() {
+            "server draining: all accepted responses delivered"
+        } else if st.client_done {
+            "goodbye acknowledged: session complete"
+        } else {
+            return false;
+        };
+        if self.send(link, st, &Frame::goodbye(reason, st.served)) {
+            Metrics::bump(&self.net.goodbyes);
+        }
+        st.closed = true;
+        true
     }
 }
 
@@ -240,7 +338,7 @@ impl NetServer {
 
     /// Whether a graceful drain has begun.
     pub fn is_draining(&self) -> bool {
-        self.shared.draining.load(Ordering::SeqCst)
+        self.shared.draining()
     }
 
     /// Graceful drain: stop accepting, let every live connection deliver
@@ -271,11 +369,22 @@ impl NetServer {
             *self.shared.wake.lock().expect("wake mutex") = wake;
             let _ = accept.join();
         }
-        let conns: Vec<JoinHandle<()>> =
+        let conns: Vec<Connection> =
             std::mem::take(&mut *self.shared.conns.lock().expect("conns mutex"));
+        for link in conns.iter().filter_map(|c| c.link.upgrade()) {
+            // An idle connection closes now: waking its reader with an
+            // end-of-stream lets it write the goodbye. The check and the
+            // reader's admission share the lock, so a compile admitted
+            // before the flag was seen keeps its connection open until
+            // its writer delivers it and says goodbye.
+            let st = link.lock();
+            if !st.closed && st.in_flight == 0 {
+                let _ = link.stream.shutdown(Shutdown::Read);
+            }
+        }
         let connections_joined = conns.len();
-        for handle in conns {
-            let _ = handle.join();
+        for conn in conns {
+            let _ = conn.thread.join();
         }
         DrainSummary {
             connections_joined,
@@ -299,10 +408,10 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
     loop {
         let stream = match listener.accept() {
             Ok((stream, _peer)) => stream,
-            Err(_) if shared.draining.load(Ordering::SeqCst) => break,
+            Err(_) if shared.draining() => break,
             Err(_) => continue,
         };
-        if shared.draining.load(Ordering::SeqCst) {
+        if shared.draining() {
             // Either the drain's own wake-up connect or a real client
             // racing the drain. The drain publishes the wake's local
             // address right after connecting, so wait for the mark
@@ -338,274 +447,308 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
             break;
         }
         Metrics::bump(&shared.net.accepted);
+        let link = Arc::new(Link {
+            stream,
+            state: Mutex::new(LinkState::default()),
+        });
         let mut conns = shared.conns.lock().expect("conns mutex");
-        conns.retain(|h| !h.is_finished());
-        let conn_shared = Arc::clone(shared);
-        let handle = std::thread::Builder::new()
+        conns.retain(|c| !c.thread.is_finished());
+        let (conn_shared, weak) = (Arc::clone(shared), Arc::downgrade(&link));
+        let thread = std::thread::Builder::new()
             .name(format!("qft-net-conn-{conn_id}"))
-            .spawn(move || {
-                // Errors were already reported to the peer as frames where
-                // the stream allowed; the counters are the server-side
-                // record, so the accept loop has nothing left to do.
-                let _ = serve_connection(&conn_shared, &stream);
-            })
+            .spawn(move || serve_connection(&conn_shared, &link, conn_id))
             .expect("spawn qft-net connection thread");
-        conns.push(handle);
+        conns.push(Connection { link: weak, thread });
         drop(conns);
         conn_id += 1;
     }
     // Listener drops here: post-drain connects are refused by the OS.
 }
 
-/// One connection's whole life. Returns `Err` only for connection-fatal
-/// protocol violations (already reported to the peer as an error frame
-/// where possible); clean closes — goodbye handshakes, client
-/// disconnects — return `Ok`.
-fn serve_connection(shared: &Shared, stream: &TcpStream) -> Result<(), ProtoError> {
-    let io_err = |context: &'static str| {
-        move |e: io::Error| ProtoError::Io {
-            context: context.to_string(),
-            detail: e.to_string(),
+/// One frame's read side: the first read waits as long as the
+/// connection stays idle, and every later read of the same frame waits
+/// only for what is left of the per-frame deadline, counted from the
+/// frame's first byte.
+struct FrameDeadline<'a> {
+    stream: &'a TcpStream,
+    limit: Duration,
+    first_byte: Option<Instant>,
+}
+
+impl Read for FrameDeadline<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let wait = match self.first_byte {
+            None => None,
+            Some(t0) => match self.limit.checked_sub(t0.elapsed()) {
+                Some(left) if !left.is_zero() => Some(left),
+                _ => return Err(io::ErrorKind::TimedOut.into()),
+            },
+        };
+        self.stream.set_read_timeout(wait)?;
+        let mut stream = self.stream;
+        let n = stream.read(buf)?;
+        if n > 0 && self.first_byte.is_none() {
+            self.first_byte = Some(Instant::now());
         }
+        Ok(n)
+    }
+}
+
+/// A compile outcome as the frame bytes its connection's writer puts on
+/// the wire. The conversion runs on the pool worker that served the
+/// request (see [`CompileService::submit`]), so the writer only writes.
+struct Encoded(Result<Vec<u8>, ProtoError>);
+
+impl From<Reply> for Encoded {
+    fn from((seq, outcome): Reply) -> Self {
+        let frame = match &outcome {
+            Ok(resp) => Frame::response(seq, resp),
+            Err(e) => Frame::error(Some(seq), e),
+        };
+        Encoded(frame.encode())
+    }
+}
+
+/// One connection's whole life on its own thread: the frame reader.
+/// Returns once the conversation is over, having joined its writer.
+fn serve_connection(shared: &Arc<Shared>, link: &Arc<Link>, id: u64) {
+    link.stream.set_nodelay(true).ok();
+    let (replies, writer_rx) = mpsc::channel();
+    let mut conn = Conn {
+        shared,
+        link,
+        id,
+        replies,
+        writer_rx: Some(writer_rx),
+        writer: None,
     };
-    stream.set_nodelay(true).ok();
-    stream
-        .set_read_timeout(Some(shared.config.tick))
-        .map_err(io_err("configuring the read-timeout tick"))?;
-    stream
-        .set_write_timeout(Some(shared.config.write_timeout))
-        .map_err(io_err("configuring the write timeout"))?;
+    let configured = link
+        .stream
+        .set_write_timeout(Some(shared.config.write_timeout));
+    while configured.is_ok() && conn.step() {}
+    conn.link.lock().closed = true;
+    if let Some(writer) = conn.writer {
+        // Wake the writer if it still waits on compiles this connection
+        // abandoned. The message itself is dropped: the connection is
+        // closed, so the writer returns without writing it.
+        let _ = conn.replies.send(Encoded(Ok(Vec::new())));
+        let _ = writer.join();
+    }
+}
 
-    let mut reader = FrameReader::new(stream);
-    let mut session = shared.service.stream();
-    // The session numbers submissions itself; this maps its sequence
-    // numbers back to the seq the client chose.
-    let mut wire_seq: HashMap<u64, u64> = HashMap::new();
-    let mut served = 0u64;
-    let mut client_done = false;
+/// The reader's side of one connection.
+struct Conn<'a> {
+    shared: &'a Arc<Shared>,
+    link: &'a Arc<Link>,
+    id: u64,
+    /// Where the pool sends this connection's compile outcomes.
+    replies: mpsc::Sender<Encoded>,
+    /// The other end of `replies`, until the first admitted compile
+    /// hands it to the writer thread.
+    writer_rx: Option<mpsc::Receiver<Encoded>>,
+    writer: Option<JoinHandle<()>>,
+}
 
-    loop {
-        // Duty 1: flush completed responses, completion order, seq-tagged.
-        while let Some((session_seq, outcome)) = session.try_recv() {
-            let seq = wire_seq.remove(&session_seq).unwrap_or(session_seq);
-            let frame = match &outcome {
-                Ok(resp) => Frame::response(seq, resp),
-                Err(e) => Frame::error(Some(seq), e),
-            };
-            if proto::write_frame(&mut &*stream, &frame).is_err() {
-                // The peer stopped reading while we flushed: a disconnect,
-                // not a protocol violation.
-                Metrics::bump(&shared.net.disconnects);
-                return Ok(());
+impl Conn<'_> {
+    /// Reads and answers one frame; `false` once the connection closed.
+    fn step(&mut self) -> bool {
+        let mut deadline = FrameDeadline {
+            stream: &self.link.stream,
+            limit: self.shared.config.read_timeout,
+            first_byte: None,
+        };
+        let frame = match proto::read_frame(&mut deadline) {
+            Ok(frame) => frame,
+            Err(e) => return self.read_failed(e),
+        };
+        let shared = &**self.shared;
+        match frame.kind {
+            FrameKind::Request => self.admit(&frame),
+            FrameKind::StatsRequest => {
+                self.reply(&Frame::stats(&shared.identity, &shared.service.stats()));
             }
-            served += 1;
+            FrameKind::WarmupRequest => self.warm_up(&frame),
+            // The client is done submitting; responses in flight still
+            // arrive before the server's answering goodbye.
+            FrameKind::Goodbye => self.link.lock().client_done = true,
+            kind => {
+                self.protocol_error(&ProtoError::Unexpected {
+                    kind,
+                    context: "the server accepts request, stats-request, warmup-request, and \
+                              goodbye frames"
+                        .to_string(),
+                });
+                return false;
+            }
         }
+        !shared.close_if_done(self.link, &mut self.link.lock())
+    }
 
-        // Duty 2: the drain/goodbye state machine. Either side ending the
-        // conversation still waits for every accepted response first.
-        let draining = shared.draining.load(Ordering::SeqCst);
-        if (draining || client_done) && session.pending() == 0 {
-            let reason = if draining {
-                "server draining: all accepted responses delivered"
+    /// Writes one frame under the connection's lock.
+    fn reply(&self, frame: &Frame) {
+        self.shared.send(self.link, &mut self.link.lock(), frame);
+    }
+
+    /// Counts a protocol violation and tells the peer what it was.
+    fn protocol_error(&self, e: &ProtoError) {
+        Metrics::bump(&self.shared.net.proto_errors);
+        self.reply(&Frame::error(None, &ServeError::protocol(e)));
+    }
+
+    fn admit(&mut self, frame: &Frame) {
+        let wire: WireRequest = match frame.decode() {
+            Ok(wire) => wire,
+            // The stream is still framed (the header parsed), so a
+            // malformed payload is refused per frame, not fatally.
+            Err(e) => return self.protocol_error(&e),
+        };
+        let shared = &**self.shared;
+        {
+            // The flags are read under the lock the drain also takes, so
+            // a request that races the drain is either refused here or
+            // counted in flight before the drain looks.
+            let mut st = self.link.lock();
+            let refusal = if shared.draining() {
+                Some(ServeError::draining())
+            } else if st.client_done {
+                // A goodbye is a promise of "no further requests": a
+                // request pipelined behind one is refused, so a client
+                // cannot keep its connection open after announcing it
+                // was done.
+                Some(ServeError::after_goodbye())
             } else {
-                "goodbye acknowledged: session complete"
+                None
             };
-            if proto::write_frame(&mut &*stream, &Frame::goodbye(reason, served)).is_ok() {
-                Metrics::bump(&shared.net.goodbyes);
-            } else {
-                Metrics::bump(&shared.net.disconnects);
+            if let Some(e) = refusal {
+                shared.send(self.link, &mut st, &Frame::error(Some(wire.seq), &e));
+                return;
             }
-            return Ok(());
+            st.in_flight += 1;
         }
-
-        // Duty 3: the socket. One tick's worth of bytes at most.
-        match reader.poll() {
-            Ok(FramePoll::Frame(frame)) => handle_frame(
-                shared,
-                stream,
-                &mut session,
-                &mut wire_seq,
-                &mut client_done,
-                &frame,
-            )?,
-            Ok(FramePoll::Pending) => {
-                if let Some(since) = reader.stalled_since() {
-                    if since.elapsed() >= shared.config.read_timeout {
-                        // A partial frame outlived the deadline: the
-                        // slow-client defense. Closing costs this
-                        // connection thread, never a pool worker.
-                        Metrics::bump(&shared.net.slow_timeouts);
-                        let e = ProtoError::Timeout {
-                            context: format!(
-                                "the rest of a frame (first byte arrived {:?} ago; the \
-                                 per-frame deadline is {:?})",
-                                since.elapsed(),
-                                shared.config.read_timeout
-                            ),
-                        };
-                        let _ = proto::write_frame(
-                            &mut &*stream,
-                            &Frame::error(None, &ServeError::protocol(&e)),
-                        );
-                        return Err(e);
-                    }
-                }
-            }
-            Ok(FramePoll::Closed) => {
-                // The peer vanished between frames; responses still in
-                // flight are abandoned (their workers' sends land in a
-                // dropped channel, harmlessly).
-                Metrics::bump(&shared.net.disconnects);
-                return Ok(());
-            }
-            Err(e @ ProtoError::UnknownKind { .. }) => {
-                // Forward compatibility: a peer speaking a newer protocol
-                // revision sent a kind byte this build does not know. The
-                // reader consumed the payload (the length field parsed),
-                // so the stream is still framed — refuse the *frame* with
-                // a descriptive error and keep the connection, rather
-                // than dropping a peer whose other frames we understand.
-                Metrics::bump(&shared.net.proto_errors);
-                if proto::write_frame(
-                    &mut &*stream,
-                    &Frame::error(None, &ServeError::protocol(&e)),
-                )
-                .is_err()
-                {
-                    Metrics::bump(&shared.net.disconnects);
-                    return Ok(());
+        match shared.service.submit(wire.seq, wire.request, &self.replies) {
+            Ok(()) => {
+                if let Some(rx) = self.writer_rx.take() {
+                    let (shared, link) = (Arc::clone(self.shared), Arc::clone(self.link));
+                    let writer = std::thread::Builder::new()
+                        .name(format!("qft-net-write-{}", self.id))
+                        .spawn(move || write_replies(&shared, &link, rx))
+                        .expect("spawn qft-net writer thread");
+                    self.writer = Some(writer);
                 }
             }
             Err(e) => {
-                Metrics::bump(&shared.net.proto_errors);
-                if matches!(e, ProtoError::Truncated { .. }) {
-                    // A mid-frame EOF: the peer is gone, nothing to tell.
-                    Metrics::bump(&shared.net.disconnects);
+                // The shed contract over the wire: a structured frame
+                // with depth and a retry-after hint; the connection
+                // stays open for the retry.
+                let frame = if e.kind == "overloaded" {
+                    Frame::overloaded(wire.seq, &shared.service.stats(), &e)
                 } else {
-                    let _ = proto::write_frame(
-                        &mut &*stream,
-                        &Frame::error(None, &ServeError::protocol(&e)),
-                    );
+                    Frame::error(Some(wire.seq), &e)
+                };
+                let mut st = self.link.lock();
+                st.in_flight -= 1;
+                shared.send(self.link, &mut st, &frame);
+            }
+        }
+    }
+
+    /// Answers a warm-up request straight from the cache snapshot — the
+    /// worker pool is never touched, so a warm-up costs a donor no
+    /// compile capacity. Deliberately answered even while draining: the
+    /// hand-off *is* the leave path, and refusing it would turn every
+    /// graceful leave into a cold join elsewhere.
+    fn warm_up(&self, frame: &Frame) {
+        let wire: WireWarmupRequest = match frame.decode() {
+            Ok(wire) => wire,
+            Err(e) => return self.protocol_error(&e),
+        };
+        let entries = self.shared.service.export_warmup(&wire.predicate);
+        let chunks = warmup::chunk_entries(entries, warmup::WARMUP_CHUNK_BUDGET);
+        let last = chunks.len() - 1;
+        let mut st = self.link.lock();
+        for (index, chunk) in chunks.into_iter().enumerate() {
+            let batch = Frame::warmup_batch(wire.seq, index as u64, index == last, chunk);
+            if !self.shared.send(self.link, &mut st, &batch) {
+                return;
+            }
+        }
+    }
+
+    /// Ends the connection after a failed read, unless the failure was
+    /// one unknown frame kind.
+    fn read_failed(&self, e: ProtoError) -> bool {
+        let shared = &**self.shared;
+        match e {
+            // Forward compatibility: a peer speaking a newer protocol
+            // revision sent a kind byte this build does not know. The
+            // payload was consumed (the length field parsed), so the
+            // stream is still framed — refuse the *frame* and keep the
+            // connection.
+            ProtoError::UnknownKind { .. } => {
+                self.protocol_error(&e);
+                !self.link.lock().closed
+            }
+            ProtoError::Truncated { have, .. } => {
+                let mut st = self.link.lock();
+                // Woken by this server: the writer closed the
+                // conversation, or the drain found the connection idle.
+                if shared.close_if_done(self.link, &mut st) {
+                    return false;
                 }
-                return Err(e);
+                // The peer vanished; compiles in flight are abandoned.
+                if have > 0 {
+                    Metrics::bump(&shared.net.proto_errors);
+                }
+                Metrics::bump(&shared.net.disconnects);
+                st.closed = true;
+                false
+            }
+            ProtoError::Timeout { .. } => {
+                // A partial frame outlived the deadline: the slow-client
+                // defense. Closing costs this connection thread, never a
+                // pool worker.
+                Metrics::bump(&shared.net.slow_timeouts);
+                let e = ProtoError::Timeout {
+                    context: format!(
+                        "the rest of a frame (the per-frame deadline, counted from its first \
+                         byte, is {:?})",
+                        shared.config.read_timeout
+                    ),
+                };
+                self.reply(&Frame::error(None, &ServeError::protocol(&e)));
+                false
+            }
+            e => {
+                if !self.link.lock().closed {
+                    self.protocol_error(&e);
+                }
+                false
             }
         }
     }
 }
 
-fn handle_frame(
-    shared: &Shared,
-    stream: &TcpStream,
-    session: &mut StreamSession<'_>,
-    wire_seq: &mut HashMap<u64, u64>,
-    client_done: &mut bool,
-    frame: &Frame,
-) -> Result<(), ProtoError> {
-    match frame.kind {
-        FrameKind::Request => {
-            let wire: WireRequest = match frame.decode() {
-                Ok(wire) => wire,
-                Err(e) => {
-                    // The stream is still framed (the header parsed), so
-                    // a malformed payload is a request-shaped mistake,
-                    // not a connection-fatal one.
-                    Metrics::bump(&shared.net.proto_errors);
-                    proto::write_frame(
-                        &mut &*stream,
-                        &Frame::error(None, &ServeError::protocol(&e)),
-                    )?;
-                    return Ok(());
-                }
-            };
-            // The flag is loaded *here*, at admission time — not at the
-            // top of the connection loop — so a frame that raced one
-            // poll tick against the drain cannot be admitted stale: any
-            // request arriving after the listener closed observes the
-            // flag (the drain stores it before touching the listener).
-            if shared.draining.load(Ordering::SeqCst) {
-                return proto::write_frame(
-                    &mut &*stream,
-                    &Frame::error(Some(wire.seq), &ServeError::draining()),
-                );
-            }
-            // A goodbye is a promise of "no further requests": a request
-            // pipelined behind one is refused, not admitted — otherwise
-            // a misbehaving client could keep the session (and its
-            // connection thread) alive indefinitely after announcing it
-            // was done, because the close in duty 2 waits for pending
-            // responses that admission here would keep replenishing.
-            if *client_done {
-                return proto::write_frame(
-                    &mut &*stream,
-                    &Frame::error(Some(wire.seq), &ServeError::after_goodbye()),
-                );
-            }
-            match session.submit(wire.request) {
-                Ok(session_seq) => {
-                    wire_seq.insert(session_seq, wire.seq);
-                    Ok(())
-                }
-                Err(e) if e.kind == "overloaded" => {
-                    // The shed contract over the wire: a structured frame
-                    // with depth and a retry-after hint; the connection
-                    // stays open for the retry.
-                    let stats = shared.service.stats();
-                    proto::write_frame(&mut &*stream, &Frame::overloaded(wire.seq, &stats, &e))
-                }
-                Err(e) => proto::write_frame(&mut &*stream, &Frame::error(Some(wire.seq), &e)),
-            }
+/// The writer thread of one connection: writes each compile outcome as
+/// it completes, and the server goodbye once the last admitted response
+/// is delivered after a client goodbye or a drain.
+fn write_replies(shared: &Shared, link: &Link, replies: mpsc::Receiver<Encoded>) {
+    for Encoded(frame) in replies {
+        let mut st = link.lock();
+        if st.closed {
+            return;
         }
-        FrameKind::StatsRequest => proto::write_frame(
-            &mut &*stream,
-            &Frame::stats(&shared.identity, &shared.service.stats()),
-        ),
-        FrameKind::WarmupRequest => {
-            let wire: WireWarmupRequest = match frame.decode() {
-                Ok(wire) => wire,
-                Err(e) => {
-                    Metrics::bump(&shared.net.proto_errors);
-                    proto::write_frame(
-                        &mut &*stream,
-                        &Frame::error(None, &ServeError::protocol(&e)),
-                    )?;
-                    return Ok(());
-                }
-            };
-            // Served straight from the cache snapshot — the worker pool
-            // is never touched, so a warm-up costs a donor no compile
-            // capacity. Deliberately answered even while draining: the
-            // hand-off *is* the leave path, and refusing it would turn
-            // every graceful leave into a cold join elsewhere.
-            let entries = shared.service.export_warmup(&wire.predicate);
-            let chunks = warmup::chunk_entries(entries, warmup::WARMUP_CHUNK_BUDGET);
-            let last = chunks.len() - 1;
-            for (index, chunk) in chunks.into_iter().enumerate() {
-                proto::write_frame(
-                    &mut &*stream,
-                    &Frame::warmup_batch(wire.seq, index as u64, index == last, chunk),
-                )?;
-            }
-            Ok(())
+        st.in_flight -= 1;
+        if !shared.write(link, &mut st, frame) {
+            // The peer stopped reading: end the reader's wait too.
+            let _ = link.stream.shutdown(Shutdown::Both);
+            return;
         }
-        FrameKind::Goodbye => {
-            // The client is done submitting; pending responses still
-            // drain before the server's answering goodbye.
-            *client_done = true;
-            Ok(())
-        }
-        kind => {
-            Metrics::bump(&shared.net.proto_errors);
-            let e = ProtoError::Unexpected {
-                kind,
-                context: "the server accepts request, stats-request, warmup-request, and \
-                          goodbye frames"
-                    .to_string(),
-            };
-            let _ = proto::write_frame(
-                &mut &*stream,
-                &Frame::error(None, &ServeError::protocol(&e)),
-            );
-            Err(e)
+        st.served += 1;
+        if shared.close_if_done(link, &mut st) {
+            // Wake the reader, blocked on the socket, to end the
+            // connection.
+            let _ = link.stream.shutdown(Shutdown::Read);
+            return;
         }
     }
 }

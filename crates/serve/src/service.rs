@@ -8,6 +8,7 @@ use crate::queue::{BoundedQueue, PushError};
 use crate::types::{CompileRequest, CompileResponse, ServeError, ServeStats};
 use crate::warmup::{OwnedPredicate, WarmupEntry, WarmupImport};
 use qft_core::Registry;
+use std::fmt;
 use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
@@ -45,13 +46,42 @@ pub enum Backpressure {
     Shed,
 }
 
+/// One compile outcome on a reply channel, tagged with the seq its
+/// submitter chose (see [`CompileService::submit`]).
+pub type Reply = (u64, Result<CompileResponse, ServeError>);
+
 /// One queued compile job: the request, the submitter's sequence number,
-/// and the channel its response goes back on.
-#[derive(Debug)]
+/// and how its response goes back (a send on the submitter's channel).
 struct Job {
     req: CompileRequest,
     seq: u64,
-    reply: mpsc::Sender<(u64, Result<CompileResponse, ServeError>)>,
+    reply: Box<dyn FnOnce(Reply) + Send>,
+}
+
+impl Job {
+    /// A job whose outcome the serving worker converts into `T` and
+    /// sends on `reply`. A receiver that hung up stops caring about its
+    /// replies; that is not a worker error.
+    fn new<T>(req: CompileRequest, seq: u64, reply: &mpsc::Sender<T>) -> Job
+    where
+        T: From<Reply> + Send + 'static,
+    {
+        let reply = reply.clone();
+        Job {
+            req,
+            seq,
+            reply: Box::new(move |outcome| drop(reply.send(T::from(outcome)))),
+        }
+    }
+}
+
+impl fmt::Debug for Job {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Job")
+            .field("req", &self.req)
+            .field("seq", &self.seq)
+            .finish_non_exhaustive()
+    }
 }
 
 /// Everything the worker threads share with the service handle.
@@ -199,7 +229,7 @@ impl ServiceInner {
 ///    the in-flight slot and receive the same `Arc<CompileResult>`.
 /// 3. **Persistent worker pool** — `workers` threads spawned once at
 ///    construction (not per batch) drain a bounded admission queue fed
-///    by [`CompileService::submit`]/[`CompileService::stream`] and
+///    by [`CompileService::submit`] and
 ///    [`CompileService::compile_batch`]; a full queue either blocks the
 ///    submitter or sheds with `kind = "overloaded"` per the service's
 ///    [`Backpressure`] policy.
@@ -301,9 +331,7 @@ impl ServiceBuilder {
                     .spawn(move || {
                         while let Some(job) = queue.pop() {
                             let response = inner.serve(&job.req);
-                            // A dropped session stops caring about its
-                            // replies; that is not a worker error.
-                            let _ = job.reply.send((job.seq, response));
+                            (job.reply)((job.seq, response));
                         }
                     })
                     .expect("spawn qft-serve worker")
@@ -387,37 +415,45 @@ impl CompileService {
         self.inner.serve(req)
     }
 
-    /// Opens a streaming session: submit requests as they arrive, receive
-    /// responses as they complete (completion order, tagged with the
-    /// submission sequence number). Backpressure applies per the
-    /// service's policy at each [`StreamSession::submit`].
-    pub fn stream(&self) -> StreamSession<'_> {
-        let (reply_tx, reply_rx) = mpsc::channel();
-        StreamSession {
-            service: self,
-            reply_tx,
-            reply_rx,
-            submitted: 0,
-            received: 0,
-        }
+    /// Queues one request for the worker pool — the service's one queued
+    /// entry point. Its outcome is sent on `reply` tagged with `seq`, in
+    /// completion order, so one thread can submit while another
+    /// receives. The worker that served it converts the [`Reply`] into
+    /// the channel's type, so a receiver can have outcomes arrive
+    /// already in the form it ships (`T = Reply` sends them as they
+    /// are). Under [`Backpressure::Shed`] a full queue rejects with
+    /// `kind = "overloaded"` instead of blocking; nothing is sent on
+    /// `reply` for a rejected submission.
+    ///
+    /// ```
+    /// use qft_serve::{CompileRequest, CompileService, Reply};
+    /// use std::sync::mpsc;
+    ///
+    /// let service = CompileService::new();
+    /// let (tx, rx) = mpsc::channel::<Reply>();
+    /// for n in [4u64, 5, 6] {
+    ///     service.submit(n, CompileRequest::new("lnn", format!("lnn:{n}")), &tx).unwrap();
+    /// }
+    /// drop(tx);
+    /// for (seq, resp) in rx {
+    ///     assert_eq!(resp.unwrap().result.n as u64, seq);
+    /// }
+    /// ```
+    pub fn submit<T>(
+        &self,
+        seq: u64,
+        req: CompileRequest,
+        reply: &mpsc::Sender<T>,
+    ) -> Result<(), ServeError>
+    where
+        T: From<Reply> + Send + 'static,
+    {
+        self.enqueue(Job::new(req, seq, reply), self.backpressure)
     }
 
-    /// One-shot streaming submission: enqueues the request and returns a
-    /// [`Ticket`] to claim the response later. Equivalent to a
-    /// single-request [`CompileService::stream`] session.
-    pub fn submit(&self, req: CompileRequest) -> Result<Ticket, ServeError> {
-        let (reply_tx, reply_rx) = mpsc::channel();
-        self.enqueue(Job {
-            req,
-            seq: 0,
-            reply: reply_tx,
-        })?;
-        Ok(Ticket { reply_rx })
-    }
-
-    /// Applies the backpressure policy to one enqueue.
-    fn enqueue(&self, job: Job) -> Result<(), ServeError> {
-        match self.backpressure {
+    /// Applies a backpressure policy to one enqueue.
+    fn enqueue(&self, job: Job, policy: Backpressure) -> Result<(), ServeError> {
+        match policy {
             Backpressure::Block => self
                 .queue
                 .push(job)
@@ -446,28 +482,18 @@ impl CompileService {
         &self,
         reqs: &[CompileRequest],
     ) -> Vec<Result<CompileResponse, ServeError>> {
-        if reqs.is_empty() {
-            return Vec::new();
-        }
-        let (reply_tx, reply_rx) = mpsc::channel();
+        let mut out: Vec<Option<Result<CompileResponse, ServeError>>> =
+            (0..reqs.len()).map(|_| None).collect();
+        let (reply_tx, reply_rx) = mpsc::channel::<Reply>();
         for (seq, req) in reqs.iter().enumerate() {
-            let job = Job {
-                req: req.clone(),
-                seq: seq as u64,
-                reply: reply_tx.clone(),
-            };
-            if let Err(job) = self.queue.push(job) {
+            let job = Job::new(req.clone(), seq as u64, &reply_tx);
+            if let Err(e) = self.enqueue(job, Backpressure::Block) {
                 // Shutdown mid-batch: answer what we must, not panic.
-                let _ = job.reply.send((
-                    job.seq,
-                    Err(ServeError::bad_request("service is shutting down")),
-                ));
+                out[seq] = Some(Err(e));
             }
         }
         drop(reply_tx);
-        let mut out: Vec<Option<Result<CompileResponse, ServeError>>> =
-            (0..reqs.len()).map(|_| None).collect();
-        for (seq, response) in reply_rx.iter().take(reqs.len()) {
+        for (seq, response) in reply_rx {
             out[seq as usize] = Some(response);
         }
         out.into_iter()
@@ -584,103 +610,6 @@ impl Drop for CompileService {
     }
 }
 
-/// A claim on one [`CompileService::submit`] response.
-#[derive(Debug)]
-pub struct Ticket {
-    reply_rx: mpsc::Receiver<(u64, Result<CompileResponse, ServeError>)>,
-}
-
-impl Ticket {
-    /// Blocks until the response is ready.
-    pub fn recv(self) -> Result<CompileResponse, ServeError> {
-        match self.reply_rx.recv() {
-            Ok((_, response)) => response,
-            Err(_) => Err(ServeError::bad_request("service is shutting down")),
-        }
-    }
-}
-
-/// A streaming submit/recv session over one service.
-///
-/// Submissions are tagged with a session-local sequence number (returned
-/// by [`StreamSession::submit`]); responses arrive in **completion
-/// order** via [`StreamSession::recv`], each carrying its tag, so a
-/// client can pump requests and match responses without blocking on
-/// head-of-line latency.
-///
-/// ```
-/// use qft_serve::{CompileRequest, CompileService};
-///
-/// let service = CompileService::new();
-/// let mut session = service.stream();
-/// for n in [4usize, 5, 6] {
-///     session.submit(CompileRequest::new("lnn", format!("lnn:{n}"))).unwrap();
-/// }
-/// let mut ns = Vec::new();
-/// while let Some((_seq, resp)) = session.recv() {
-///     ns.push(resp.unwrap().result.n);
-/// }
-/// ns.sort();
-/// assert_eq!(ns, vec![4, 5, 6]);
-/// ```
-#[derive(Debug)]
-pub struct StreamSession<'s> {
-    service: &'s CompileService,
-    reply_tx: mpsc::Sender<(u64, Result<CompileResponse, ServeError>)>,
-    reply_rx: mpsc::Receiver<(u64, Result<CompileResponse, ServeError>)>,
-    submitted: u64,
-    received: u64,
-}
-
-impl StreamSession<'_> {
-    /// Enqueues a request under the service's backpressure policy and
-    /// returns its session-local sequence number. Under
-    /// [`Backpressure::Shed`] a full queue rejects with
-    /// `kind = "overloaded"` instead of blocking.
-    pub fn submit(&mut self, req: CompileRequest) -> Result<u64, ServeError> {
-        let seq = self.submitted;
-        self.service.enqueue(Job {
-            req,
-            seq,
-            reply: self.reply_tx.clone(),
-        })?;
-        self.submitted += 1;
-        Ok(seq)
-    }
-
-    /// Responses submitted but not yet received.
-    pub fn pending(&self) -> u64 {
-        self.submitted - self.received
-    }
-
-    /// The next completed response (blocking), tagged with its
-    /// submission sequence number; `None` once every submission has been
-    /// received.
-    pub fn recv(&mut self) -> Option<(u64, Result<CompileResponse, ServeError>)> {
-        if self.received == self.submitted {
-            return None;
-        }
-        let tagged = self.reply_rx.recv().ok()?;
-        self.received += 1;
-        Some(tagged)
-    }
-
-    /// The next completed response if one is already waiting
-    /// (non-blocking); `None` when nothing has completed yet *or* every
-    /// submission has been received — check [`StreamSession::pending`]
-    /// to tell the two apart. This is what lets a network connection
-    /// thread interleave socket reads with response flushing without
-    /// parking on either.
-    pub fn try_recv(&mut self) -> Option<(u64, Result<CompileResponse, ServeError>)> {
-        if self.received == self.submitted {
-            return None;
-        }
-        let tagged = self.reply_rx.try_recv().ok()?;
-        self.received += 1;
-        Some(tagged)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -790,35 +719,27 @@ mod tests {
     }
 
     #[test]
-    fn stream_session_tags_and_drains() {
+    fn submit_tags_replies_with_the_callers_seq_across_threads() {
         let service = CompileService::with_config(16, 2);
-        let mut session = service.stream();
-        let seqs: Vec<u64> = (4..10)
-            .map(|n| {
-                session
-                    .submit(CompileRequest::new("lnn", format!("lnn:{n}")))
-                    .unwrap()
-            })
-            .collect();
-        assert_eq!(seqs, vec![0, 1, 2, 3, 4, 5]);
-        assert_eq!(session.pending(), 6);
-        let mut ns = Vec::new();
-        while let Some((seq, resp)) = session.recv() {
-            // seq k carried lnn:(4+k).
-            assert_eq!(resp.unwrap().result.n, 4 + seq as usize);
-            ns.push(seq);
-        }
-        ns.sort_unstable();
-        assert_eq!(ns, seqs);
-        assert_eq!(session.pending(), 0);
-    }
-
-    #[test]
-    fn submit_ticket_roundtrip() {
-        let service = CompileService::new();
-        let ticket = service.submit(CompileRequest::new("lnn", "lnn:9")).unwrap();
-        let resp = ticket.recv().unwrap();
-        assert_eq!(resp.result.n, 9);
-        assert!(!resp.cached);
+        let (tx, rx) = mpsc::channel::<Reply>();
+        // One thread submits under caller-chosen seqs while this one
+        // receives: seq 100 + k carried lnn:(4 + k).
+        let mut seen: Vec<u64> = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for k in 0..6u64 {
+                    let req = CompileRequest::new("lnn", format!("lnn:{}", 4 + k));
+                    service.submit(100 + k, req, &tx).unwrap();
+                }
+                drop(tx);
+            });
+            rx.iter()
+                .map(|(seq, resp)| {
+                    assert_eq!(resp.unwrap().result.n as u64, 4 + seq - 100);
+                    seq
+                })
+                .collect()
+        });
+        seen.sort_unstable();
+        assert_eq!(seen, (100..106).collect::<Vec<u64>>());
     }
 }

@@ -10,7 +10,7 @@
 //!
 //! By default each request is compiled inline, in order. Under `--stream`
 //! the example instead submits every request to the service's persistent
-//! worker pool through a [`StreamSession`] and prints rows as they
+//! worker pool with [`CompileService::submit`] and prints rows as they
 //! complete — completion order, each row tagged with the submission
 //! sequence number (`seq`) so callers can re-correlate. Duplicate
 //! requests in a streamed batch are deduplicated in flight: one compile,
@@ -127,17 +127,22 @@ fn serve_inline(service: &CompileService, lines: &[String], full: bool) {
 /// drain completions as they land (completion order, `seq`-tagged).
 fn serve_stream(service: &CompileService, lines: &[String], full: bool) {
     let mut out = std::io::stdout().lock();
-    let mut session = service.stream();
+    let (replies, completions) = std::sync::mpsc::channel();
+    let mut seq = 0;
     for line in lines {
         match serde_json::from_str::<CompileRequest>(line).map_err(ServeError::bad_request) {
             Ok(req) => {
-                session.submit(req).expect("submit to worker pool");
+                service
+                    .submit(seq, req, &replies)
+                    .expect("submit to worker pool");
+                seq += 1;
             }
             // Malformed lines never reach the pool; report them inline.
             Err(e) => writeln!(out, "{}", render(&Err(e), full)).expect("write stdout"),
         }
     }
-    while let Some((seq, outcome)) = session.recv() {
+    drop(replies);
+    for (seq, outcome) in completions {
         let json = match &outcome {
             Ok(resp) if full => serde_json::to_string(resp).expect("responses always serialize"),
             Ok(resp) => serde_json::to_string(&StreamedRow {

@@ -72,7 +72,7 @@ pub use qft_ir::passes::{Pass, PassCtx, PassError, PassManager, PassReport};
 pub use qft_serve::{
     Backpressure, ClientConfig, CompileRequest, CompileResponse, CompileService, NetClient,
     NetServer, PoolClient, RetryPolicy, Routed, Router, RouterConfig, ServeError, ServeStats,
-    ServerConfig, StreamSession, Ticket,
+    ServerConfig,
 };
 
 /// The process-wide compiler registry: the paper's four analytical mappers

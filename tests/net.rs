@@ -14,10 +14,12 @@
 //!   requests (`draining` errors) and new connections, and joins every
 //!   thread before returning.
 //! * **Fault injection never takes the server down** — mid-stream
-//!   disconnects, garbage bytes, a slowloris half-written header, and a
-//!   hostile length prefix each cost one connection, answered with a
-//!   descriptive error frame where the stream is still framed; healthy
-//!   clients keep compiling throughout.
+//!   disconnects, garbage bytes, a slowloris half-written header, a
+//!   header that declares 16 MiB and stalls, a hostile length prefix and
+//!   a JSON nesting bomb each cost at most one connection, answered with
+//!   a descriptive error frame where the stream is still framed; a
+//!   request delivered one byte at a time inside the per-frame deadline
+//!   is served; healthy clients keep compiling throughout.
 //! * **Shed is a structured frame** — `Backpressure::Shed` surfaces as an
 //!   `overloaded` frame carrying queue depth and a retry-after hint, the
 //!   connection stays open, and `NetClient`'s retry policy honors the
@@ -39,7 +41,7 @@
 mod common;
 
 use common::serve_request;
-use qft_kernels::serve::proto::{self, Frame, WireFault, MAGIC, VERSION};
+use qft_kernels::serve::proto::{self, Frame, WireFault, HEADER_LEN, MAGIC, MAX_PAYLOAD, VERSION};
 use qft_kernels::serve::{shared_registry, ClientError, NetEvent, NetServer, ServerConfig};
 use qft_kernels::{
     Backpressure, ClientConfig, CompileOptions, CompileRequest, CompileService, NetClient,
@@ -415,10 +417,11 @@ fn graceful_drain_finishes_in_flight_and_refuses_new_work() {
 
 #[test]
 fn fault_injection_matrix_never_takes_the_server_down() {
-    // A short per-frame deadline so the slowloris case settles quickly;
+    // A short per-frame deadline so the slowloris cases settle quickly;
     // idle (between-frames) connections are unaffected by it.
+    let deadline = Duration::from_millis(250);
     let config = ServerConfig {
-        read_timeout: Duration::from_millis(250),
+        read_timeout: deadline,
         ..ServerConfig::default()
     };
     let server =
@@ -472,25 +475,70 @@ fn fault_injection_matrix_never_takes_the_server_down() {
     }
     healthy("after garbage bytes");
 
-    // (c) Slowloris: half a header, then silence. The per-frame deadline
-    // closes the connection with a timeout diagnosis — without costing a
-    // worker, so the healthy client below is served instantly.
-    {
+    // (c) Slowloris: half a header, then silence — and (c') a header
+    // that declares the largest legal payload (16 MiB), then silence.
+    // The per-frame deadline closes each connection with a timeout
+    // diagnosis — without costing a worker, so the healthy client below
+    // is served instantly.
+    let mut stalled_16_mib = Vec::new();
+    stalled_16_mib.extend_from_slice(&MAGIC);
+    stalled_16_mib.push(VERSION);
+    stalled_16_mib.push(1); // request kind
+    stalled_16_mib.extend_from_slice(&(MAX_PAYLOAD as u32).to_be_bytes());
+    stalled_16_mib.extend_from_slice(b"{\"seq\":");
+    for (label, opening) in [
+        ("slowloris", &MAGIC[..2]),
+        ("stalled 16 MiB payload", &stalled_16_mib[..]),
+    ] {
+        let slow_before = server.net_stats().slow_timeouts;
         let mut stream = TcpStream::connect(addr).unwrap();
-        stream.write_all(&MAGIC[..2]).unwrap();
+        let started = Instant::now();
+        stream.write_all(opening).unwrap();
         stream.flush().unwrap();
         let frame = raw_read_frame(&stream).expect("a timeout error frame");
+        assert!(
+            started.elapsed() >= deadline,
+            "{label}: closed after {:?}, before the {deadline:?} deadline",
+            started.elapsed()
+        );
         let fault: WireFault = frame.decode().unwrap();
         assert_eq!(fault.error.kind, "protocol");
         assert!(
-            fault.error.error.contains("timed out") || fault.error.error.contains("deadline"),
-            "the diagnosis must name the deadline: {}",
+            fault.error.error.contains("timed out") && fault.error.error.contains("deadline"),
+            "{label}: the diagnosis must name the deadline: {}",
             fault.error.error
         );
         assert!(raw_read_frame(&stream).is_err());
-        assert!(server.net_stats().slow_timeouts >= 1);
+        assert_eq!(server.net_stats().slow_timeouts, slow_before + 1, "{label}");
+        healthy(&format!("after {label}"));
     }
-    healthy("after slowloris");
+
+    // (c'') The legitimate slow client: a valid request written one byte
+    // at a time, pausing inside the header, at its end and mid-payload,
+    // but finishing inside the per-frame deadline, is served.
+    {
+        let bytes = Frame::request(9, &healthy_req).encode().unwrap();
+        let pauses = [2, HEADER_LEN, HEADER_LEN + (bytes.len() - HEADER_LEN) / 2];
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.set_nodelay(true).unwrap();
+        let started = Instant::now();
+        for (at, byte) in bytes.iter().enumerate() {
+            if pauses.contains(&at) {
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            stream.write_all(std::slice::from_ref(byte)).unwrap();
+        }
+        assert!(
+            started.elapsed() < deadline,
+            "the trickle took {:?}, past the deadline it was meant to beat",
+            started.elapsed()
+        );
+        let frame = raw_read_frame(&stream).expect("the trickled request's response");
+        assert_eq!(frame.kind, proto::FrameKind::Response);
+        let wire: proto::WireResponse = frame.decode().unwrap();
+        assert_eq!((wire.seq, wire.response.result.n), (9, 5));
+    }
+    healthy("after a byte-at-a-time request");
 
     // (d) A hostile length prefix (4 GiB) is refused at header-parse time
     // — before any allocation — with the cap named.
@@ -552,13 +600,32 @@ fn fault_injection_matrix_never_takes_the_server_down() {
     }
     healthy("after an unknown frame kind");
 
+    // (f) A nesting bomb: one request frame of 20,000 `[` once overflowed
+    // the JSON parser's recursion and aborted the whole process. Now it
+    // is a malformed payload like any other: refused per frame with the
+    // nesting cap named.
+    {
+        let stream = TcpStream::connect(addr).unwrap();
+        let bomb = Frame::new(proto::FrameKind::Request, vec![b'['; 20_000]);
+        proto::write_frame(&mut &stream, &bomb).unwrap();
+        let frame = raw_read_frame(&stream).expect("a malformed-payload error frame");
+        let fault: WireFault = frame.decode().unwrap();
+        assert_eq!(fault.error.kind, "protocol");
+        assert!(
+            fault.error.error.contains("nest deeper than 128 levels"),
+            "the diagnosis must name the nesting cap: {}",
+            fault.error.error
+        );
+    }
+    healthy("after a JSON nesting bomb");
+
     // The server recorded every fault class and is still fully alive.
     let net = server.net_stats();
     assert!(net.disconnects >= 1, "net stats: {net:?}");
-    assert!(net.proto_errors >= 2, "net stats: {net:?}");
-    assert!(net.slow_timeouts >= 1, "net stats: {net:?}");
+    assert!(net.proto_errors >= 3, "net stats: {net:?}");
+    assert!(net.slow_timeouts >= 2, "net stats: {net:?}");
     let summary = server.shutdown();
-    assert!(summary.net.accepted >= 8, "net stats: {:?}", summary.net);
+    assert!(summary.net.accepted >= 16, "net stats: {:?}", summary.net);
 }
 
 // ---------------------------------------------------------------------------

@@ -246,9 +246,15 @@ fn killing_one_backend_mid_traffic_loses_zero_accepted_requests() {
             .collect();
 
         // Kill the victim mid-traffic: after roughly one round's worth
-        // of aggregate completions, while requests are in flight.
-        wait_until("the first wave of traffic", || {
+        // of aggregate completions, while requests are in flight. The
+        // ring follows the backends' ephemeral ports, so the victim's
+        // first key can come late in a round; wait for its first
+        // connection too rather than racing it.
+        wait_until("the first wave of traffic to reach the victim", || {
             completed.load(Ordering::SeqCst) >= requests.len()
+                && fleet[victim]
+                    .as_ref()
+                    .is_some_and(|victim| victim.net_stats().accepted > 0)
         });
         let summary = fleet[victim].take().unwrap().shutdown();
         assert!(summary.net.accepted > 0, "the victim saw traffic first");

@@ -28,7 +28,7 @@ use qft_kernels::{
     Registry, ServeError, ServeStats, Target,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier, Condvar, Mutex, OnceLock};
+use std::sync::{mpsc, Arc, Barrier, Condvar, Mutex, OnceLock};
 
 /// The request the concurrency tests hammer: a stochastic search compiler
 /// (so determinism is a property of the pipeline, not just of analytical
@@ -207,21 +207,23 @@ fn batched_duplicates_are_deduplicated_across_the_pool() {
 #[test]
 fn streaming_submit_recv_serves_mixed_traffic() {
     let service = CompileService::builder().workers(2).build();
-    let mut session = service.stream();
+    let (replies, completions) = mpsc::channel();
     // Interleave distinct and duplicate requests, streamed not batched.
     let mut seqs = Vec::new();
-    for n in [6usize, 7, 6, 8, 7, 6] {
-        let seq = session
-            .submit(serve_request(
-                "lnn",
-                &format!("lnn:{n}"),
-                CompileOptions::default(),
-            ))
+    for (seq, n) in [6usize, 7, 6, 8, 7, 6].into_iter().enumerate() {
+        let seq = seq as u64;
+        service
+            .submit(
+                seq,
+                serve_request("lnn", &format!("lnn:{n}"), CompileOptions::default()),
+                &replies,
+            )
             .expect("stream submit");
         seqs.push((seq, n));
     }
+    drop(replies);
     let mut received = Vec::new();
-    while let Some((seq, resp)) = session.recv() {
+    for (seq, resp) in completions {
         let resp = resp.expect("streamed compile");
         received.push((seq, resp.result.n));
     }
@@ -292,21 +294,22 @@ fn full_bounded_queue_sheds_with_a_descriptive_error_not_a_hang() {
     assert_eq!(service.backpressure(), Backpressure::Shed);
 
     // Park the single worker inside the gated compile…
-    let ticket_a = service
-        .submit(CompileRequest::new("gate", "lnn:4"))
+    let (replies, completions) = mpsc::channel();
+    service
+        .submit(0, CompileRequest::new("gate", "lnn:4"), &replies)
         .expect("first submission is admitted");
     while GATE_ENTERED.load(Ordering::SeqCst) == 0 {
         std::thread::sleep(std::time::Duration::from_millis(1));
     }
     // …fill the queue behind it…
-    let ticket_b = service
-        .submit(CompileRequest::new("gate", "lnn:5"))
+    service
+        .submit(1, CompileRequest::new("gate", "lnn:5"), &replies)
         .expect("second submission fills the queue");
     assert_eq!(service.stats().queue_depth, 1);
 
     // …and the next submission must shed, descriptively.
     let err = service
-        .submit(CompileRequest::new("gate", "lnn:6"))
+        .submit(2, CompileRequest::new("gate", "lnn:6"), &replies)
         .expect_err("a full queue under Shed must reject");
     assert_eq!(err.kind, "overloaded");
     for fragment in ["admission queue is full", "1/1", "Shed", "retry"] {
@@ -322,8 +325,17 @@ fn full_bounded_queue_sheds_with_a_descriptive_error_not_a_hang() {
     // Release the gate: the admitted jobs drain normally.
     *GATE_OPEN.lock().unwrap() = true;
     GATE_CV.notify_all();
-    assert_eq!(ticket_a.recv().expect("gated compile A").result.n, 4);
-    assert_eq!(ticket_b.recv().expect("gated compile B").result.n, 5);
+    drop(replies);
+    let mut drained: Vec<(u64, usize)> = completions
+        .iter()
+        .map(|(seq, resp)| (seq, resp.expect("gated compile").result.n))
+        .collect();
+    drained.sort_unstable();
+    assert_eq!(
+        drained,
+        vec![(0, 4), (1, 5)],
+        "the shed seq 2 is never answered"
+    );
     assert_eq!(service.stats().shed, 1, "draining never sheds");
 }
 
