@@ -23,21 +23,12 @@
 //!
 //! `--fast` shrinks the target sizes (used by CI).
 
+use qft_bench::PhaseStats;
 use qft_serve::{CompileService, NetClient, NetServer, NetStats, ServeStats};
 use serde::Serialize;
 use std::net::TcpStream;
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
-
-/// Latency distribution of one pass over the workload, round-trip over
-/// the wire.
-#[derive(Debug, Serialize)]
-struct PhaseStats {
-    p50_ms: f64,
-    p95_ms: f64,
-    total_s: f64,
-    throughput_rps: f64,
-}
 
 /// The duplicate-storm leg: `clients` concurrent connections all asking
 /// for the same uncached artifact.
@@ -60,25 +51,6 @@ struct NetBench {
     stats: ServeStats,
     net: NetStats,
     connections_joined: usize,
-}
-
-/// Percentile (0..=100) of an unsorted latency sample, in the sample unit.
-fn percentile(samples: &[f64], p: f64) -> f64 {
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    match sorted.len() {
-        0 => 0.0,
-        len => sorted[((p / 100.0) * (len - 1) as f64).round() as usize],
-    }
-}
-
-fn phase_stats(walls_s: &[f64], total_s: f64) -> PhaseStats {
-    PhaseStats {
-        p50_ms: percentile(walls_s, 50.0) * 1e3,
-        p95_ms: percentile(walls_s, 95.0) * 1e3,
-        total_s,
-        throughput_rps: walls_s.len() as f64 / total_s,
-    }
 }
 
 /// One pass over the workload on a fresh connection; returns per-request
@@ -235,8 +207,8 @@ fn main() {
     let bench = NetBench {
         requests: reqs.len(),
         workers: service.workers(),
-        cold: phase_stats(&cold_walls, cold_total),
-        warm: phase_stats(&warm_walls, warm_total),
+        cold: PhaseStats::from_walls(&cold_walls, cold_total),
+        warm: PhaseStats::from_walls(&warm_walls, warm_total),
         storm,
         stats: local,
         net: summary.net,

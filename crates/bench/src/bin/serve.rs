@@ -18,18 +18,10 @@
 //!
 //! `--fast` shrinks the target sizes (used by CI).
 
+use qft_bench::{percentile, PhaseStats};
 use qft_serve::{CompileService, ServeStats};
 use serde::Serialize;
 use std::time::Instant;
-
-/// Latency distribution of one pass over the workload.
-#[derive(Debug, Serialize)]
-struct PhaseStats {
-    p50_ms: f64,
-    p95_ms: f64,
-    total_s: f64,
-    throughput_rps: f64,
-}
 
 /// One workload request's cold-vs-cached comparison.
 #[derive(Debug, Serialize)]
@@ -53,27 +45,6 @@ struct ServeBench {
     speedup_p50: f64,
     stats: ServeStats,
     rows: Vec<RequestRow>,
-}
-
-/// Percentile (0..=100) of an unsorted latency sample, in the sample unit.
-/// An empty sample (every request failed) reports 0 — the per-request
-/// failures have already been counted as violations by then.
-fn percentile(samples: &[f64], p: f64) -> f64 {
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    match sorted.len() {
-        0 => 0.0,
-        len => sorted[((p / 100.0) * (len - 1) as f64).round() as usize],
-    }
-}
-
-fn phase_stats(walls_s: &[f64], total_s: f64) -> PhaseStats {
-    PhaseStats {
-        p50_ms: percentile(walls_s, 50.0) * 1e3,
-        p95_ms: percentile(walls_s, 95.0) * 1e3,
-        total_s,
-        throughput_rps: walls_s.len() as f64 / total_s,
-    }
 }
 
 fn main() {
@@ -154,8 +125,8 @@ fn main() {
     let bench = ServeBench {
         requests: reqs.len(),
         workers: service.workers(),
-        cold: phase_stats(&cold_walls, cold_total_s),
-        cached: phase_stats(&cached_walls, cached_total_s),
+        cold: PhaseStats::from_walls(&cold_walls, cold_total_s),
+        cached: PhaseStats::from_walls(&cached_walls, cached_total_s),
         speedup_p50: percentile(&cold_walls, 50.0)
             / percentile(&cached_walls, 50.0).max(f64::EPSILON),
         stats: service.stats(),

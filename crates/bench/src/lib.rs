@@ -131,6 +131,46 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (out, t0.elapsed().as_secs_f64())
 }
 
+/// Latency distribution of one pass over a workload, as the `serve` and
+/// `net` bins report it.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+pub struct PhaseStats {
+    /// Median request time (milliseconds).
+    pub p50_ms: f64,
+    /// 95th-percentile request time (milliseconds).
+    pub p95_ms: f64,
+    /// Wall-clock seconds for the whole pass.
+    pub total_s: f64,
+    /// Requests completed per second of the pass.
+    pub throughput_rps: f64,
+}
+
+impl PhaseStats {
+    /// The stats of one pass: per-request walls (seconds, any order)
+    /// and the pass's total wall time.
+    pub fn from_walls(walls_s: &[f64], total_s: f64) -> PhaseStats {
+        PhaseStats {
+            p50_ms: percentile(walls_s, 50.0) * 1e3,
+            p95_ms: percentile(walls_s, 95.0) * 1e3,
+            total_s,
+            throughput_rps: walls_s.len() as f64 / total_s,
+        }
+    }
+}
+
+/// Percentile (0..=100) of an unsorted sample, in the sample's unit: the
+/// value at rank `p / 100 × (len − 1)`, rounded to the nearest rank. An
+/// empty sample (every request failed) reports 0; the bins count such
+/// failures as violations on their own.
+pub fn percentile(samples: &[f64], p: f64) -> f64 {
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
+    match sorted.len() {
+        0 => 0.0,
+        len => sorted[((p / 100.0) * (len - 1) as f64).round() as usize],
+    }
+}
+
 /// Parses a `--flag` style argument from the command line.
 pub fn has_flag(flag: &str) -> bool {
     std::env::args().any(|a| a == flag)
@@ -198,6 +238,28 @@ mod tests {
         let (v, s) = timed(|| 41 + 1);
         assert_eq!(v, 42);
         assert!(s >= 0.0);
+    }
+
+    #[test]
+    fn percentile_rounds_to_the_nearest_rank_and_empty_is_zero() {
+        assert_eq!(percentile(&[], 50.0), 0.0);
+        let sample = [4.0, 1.0, 5.0, 2.0, 3.0];
+        // Ranks over 5 values: p × 4 / 100, rounded.
+        assert_eq!(percentile(&sample, 0.0), 1.0);
+        assert_eq!(percentile(&sample, 30.0), 2.0); // rank 1.2 → 1
+        assert_eq!(percentile(&sample, 40.0), 3.0); // rank 1.6 → 2
+        assert_eq!(percentile(&sample, 50.0), 3.0);
+        assert_eq!(percentile(&sample, 95.0), 5.0); // rank 3.8 → 4
+        assert_eq!(percentile(&sample, 100.0), 5.0);
+        let stats = PhaseStats::from_walls(&[0.002, 0.001, 0.003, 0.004], 2.0);
+        assert_eq!(stats.p50_ms, 3.0); // rank 1.5 → 2
+        assert_eq!(stats.p95_ms, 4.0);
+        assert_eq!(stats.throughput_rps, 2.0);
+        let empty = PhaseStats::from_walls(&[], 1.0);
+        assert_eq!(
+            (empty.p50_ms, empty.p95_ms, empty.throughput_rps),
+            (0.0, 0.0, 0.0)
+        );
     }
 
     #[test]

@@ -218,7 +218,7 @@ impl LruShard {
 /// The shard count adapts to the requested capacity (small caches stay
 /// single-shard, so their global LRU order is exact — pinned by the
 /// capacity/recency tests); the default serving capacity of 256 entries
-/// spreads over [`ShardedCache::DEFAULT_SHARDS`] shards. Total capacity
+/// spreads over [`ShardedCache::MAX_SHARDS`] shards. Total capacity
 /// is distributed exactly: the per-shard capacities sum to the requested
 /// capacity.
 #[derive(Debug)]
@@ -230,18 +230,17 @@ pub(crate) struct ShardedCache {
 impl ShardedCache {
     /// Upper bound on the shard count (a power of two, so the shard pick
     /// is a mask over the digest's high bits).
-    pub const DEFAULT_SHARDS: usize = 16;
+    pub const MAX_SHARDS: usize = 16;
 
-    /// A cache of `capacity >= 1` total entries over `shards` shards
-    /// (clamped so every shard holds at least 4 entries — tiny caches
-    /// degenerate to a single shard with exact global LRU order).
-    pub fn new(capacity: usize, shards: usize) -> Self {
+    /// A cache of `capacity >= 1` total entries over up to
+    /// [`ShardedCache::MAX_SHARDS`] shards (fewer so every shard holds at
+    /// least 4 entries — tiny caches degenerate to a single shard with
+    /// exact global LRU order).
+    pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         // At least 4 entries per shard, rounded down to a power of two so
         // the shard pick is a mask; tiny caches degrade to one shard.
-        let shards = shards
-            .clamp(1, Self::DEFAULT_SHARDS)
-            .min((capacity / 4).max(1));
+        let shards = (capacity / 4).clamp(1, Self::MAX_SHARDS);
         let shards = 1 << (usize::BITS - 1 - shards.leading_zeros());
         let base = capacity / shards;
         let extra = capacity % shards;
@@ -394,7 +393,7 @@ mod tests {
     #[test]
     fn tiny_capacities_stay_single_shard_and_exact() {
         for capacity in 1..8 {
-            let cache = ShardedCache::new(capacity, ShardedCache::DEFAULT_SHARDS);
+            let cache = ShardedCache::new(capacity);
             assert_eq!(cache.shard_count(), 1, "capacity {capacity}");
             assert_eq!(cache.capacity(), capacity);
         }
@@ -403,9 +402,9 @@ mod tests {
     #[test]
     fn shard_capacities_sum_to_the_requested_capacity() {
         for capacity in [16usize, 64, 100, 256, 1000] {
-            let cache = ShardedCache::new(capacity, ShardedCache::DEFAULT_SHARDS);
+            let cache = ShardedCache::new(capacity);
             assert!(cache.shard_count().is_power_of_two());
-            assert!(cache.shard_count() <= ShardedCache::DEFAULT_SHARDS);
+            assert!(cache.shard_count() <= ShardedCache::MAX_SHARDS);
             let total: usize = cache
                 .shards
                 .iter()
@@ -414,14 +413,14 @@ mod tests {
             assert_eq!(total, capacity, "capacity {capacity}");
         }
         assert_eq!(
-            ShardedCache::new(256, ShardedCache::DEFAULT_SHARDS).shard_count(),
-            ShardedCache::DEFAULT_SHARDS
+            ShardedCache::new(256).shard_count(),
+            ShardedCache::MAX_SHARDS
         );
     }
 
     #[test]
     fn sharded_cache_total_occupancy_never_exceeds_capacity() {
-        let cache = ShardedCache::new(32, ShardedCache::DEFAULT_SHARDS);
+        let cache = ShardedCache::new(32);
         let mut evicted = 0;
         for k in 0..200u32 {
             let json = format!("req-{k}");

@@ -6,15 +6,10 @@
 //! [`NetClient::next_event`] reads whatever the server sends next
 //! (responses arrive in *completion* order, so the seq is how a caller
 //! re-correlates). [`NetClient::request`] wraps the two into the common
-//! call-and-wait shape, including the retry contract for an overloaded
-//! server: an `overloaded` frame is not an error to give up on — the
-//! client sleeps the server's `retry_after_ms` hint (capped by
-//! [`RetryPolicy::backoff_cap`]) and resubmits, up to
-//! [`RetryPolicy::max_attempts`] attempts.
+//! call-and-wait shape.
 
 use crate::proto::{
-    self, Frame, FrameKind, ProtoError, WireFault, WireGoodbye, WireOverloaded, WireResponse,
-    WireWarmupBatch,
+    self, Frame, FrameKind, ProtoError, WireFault, WireGoodbye, WireResponse, WireWarmupBatch,
 };
 use crate::types::{BackendStats, CompileRequest, CompileResponse, ServeError, ServeStats};
 use crate::warmup::{OwnedPredicate, WarmupEntry};
@@ -23,46 +18,6 @@ use std::fmt;
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
-
-/// How [`NetClient::request`] reacts to an `overloaded` frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total submission attempts before giving up with
-    /// [`ClientError::Overloaded`] (1 = never retry). A request must be
-    /// submitted at least once to learn anything, so 0 is normalized to
-    /// 1 at client construction — see [`RetryPolicy::normalized`].
-    pub max_attempts: u32,
-    /// Upper bound on one backoff sleep. The server's `retry_after_ms`
-    /// hint is honored up to this cap, so a pathological hint cannot
-    /// stall the client for half a minute.
-    pub backoff_cap: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 3,
-            backoff_cap: Duration::from_secs(2),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The policy with `max_attempts` clamped to at least 1. Zero
-    /// attempts is not a thing a submit-and-wait call can honor — it
-    /// must submit once to learn anything — so [`NetClient::connect_with`]
-    /// normalizes the policy up front. That keeps the
-    /// [`ClientError::Overloaded`] contract honest: its `attempts` field
-    /// always equals the *effective* policy's `max_attempts`, with no
-    /// scattered `.max(1)` fudging at the use sites.
-    #[must_use]
-    pub fn normalized(self) -> Self {
-        RetryPolicy {
-            max_attempts: self.max_attempts.max(1),
-            backoff_cap: self.backoff_cap,
-        }
-    }
-}
 
 /// Tuning for one [`NetClient`].
 #[derive(Debug, Clone)]
@@ -74,8 +29,6 @@ pub struct ClientConfig {
     pub read_timeout: Duration,
     /// Socket write timeout for outgoing frames.
     pub write_timeout: Duration,
-    /// The overload retry contract for [`NetClient::request`].
-    pub retry: RetryPolicy,
 }
 
 impl Default for ClientConfig {
@@ -83,7 +36,6 @@ impl Default for ClientConfig {
         ClientConfig {
             read_timeout: Duration::from_secs(30),
             write_timeout: Duration::from_secs(5),
-            retry: RetryPolicy::default(),
         }
     }
 }
@@ -104,15 +56,6 @@ pub enum ClientError {
     /// The server answered the request with a [`ServeError`]
     /// (unknown compiler, invalid target, `draining`, …).
     Server(ServeError),
-    /// Every attempt was shed by an overloaded server; carries the
-    /// server's final shed notice.
-    Overloaded {
-        /// Submission attempts made — equal to the effective (normalized)
-        /// policy's `max_attempts`, which the client guarantees is ≥ 1.
-        attempts: u32,
-        /// The last `overloaded` frame received.
-        last: WireOverloaded,
-    },
     /// The server closed the conversation with a goodbye frame while a
     /// response was still awaited.
     Closed {
@@ -129,12 +72,6 @@ impl fmt::Display for ClientError {
             }
             ClientError::Proto(e) => write!(f, "protocol failure: {e}"),
             ClientError::Server(e) => write!(f, "server error: {e}"),
-            ClientError::Overloaded { attempts, last } => write!(
-                f,
-                "server overloaded after {attempts} attempts (queue {}/{}, last retry-after hint \
-                 {} ms)",
-                last.queue_depth, last.queue_capacity, last.retry_after_ms
-            ),
             ClientError::Closed { reason } => {
                 write!(f, "server closed the connection: {reason}")
             }
@@ -169,9 +106,6 @@ pub enum NetEvent {
         /// The error.
         error: ServeError,
     },
-    /// The submission was shed by a full admission queue; the connection
-    /// is still open and the notice carries a retry-after hint.
-    Overloaded(WireOverloaded),
     /// A stats snapshot (answering [`NetClient::submit_stats`]), tagged
     /// with the answering server's identity.
     Stats(BackendStats),
@@ -189,7 +123,6 @@ pub enum NetEvent {
 #[derive(Debug)]
 pub struct NetClient {
     stream: TcpStream,
-    config: ClientConfig,
     next_seq: u64,
     /// Events read past while waiting for something specific (e.g.
     /// responses that completed while [`NetClient::stats`] waited for its
@@ -210,7 +143,7 @@ impl NetClient {
         NetClient::connect_with(addr, ClientConfig::default())
     }
 
-    /// Connects with explicit timeouts and retry policy.
+    /// Connects with explicit timeouts.
     pub fn connect_with(
         addr: impl ToSocketAddrs,
         config: ClientConfig,
@@ -229,13 +162,8 @@ impl NetClient {
         stream
             .set_write_timeout(Some(config.write_timeout))
             .map_err(io_err("configuring the write timeout"))?;
-        let config = ClientConfig {
-            retry: config.retry.normalized(),
-            ..config
-        };
         Ok(NetClient {
             stream,
-            config,
             next_seq: 0,
             backlog: VecDeque::new(),
             stats_inflight: 0,
@@ -257,13 +185,6 @@ impl NetClient {
         proto::write_frame(&mut &self.stream, &Frame::stats_request())?;
         self.stats_inflight += 1;
         Ok(())
-    }
-
-    /// The effective [`ClientConfig`] — retry policy already normalized
-    /// (`max_attempts >= 1`), so this is exactly what
-    /// [`NetClient::request`] will do.
-    pub fn config(&self) -> &ClientConfig {
-        &self.config
     }
 
     /// The next server event: the backlog first, then one blocking frame
@@ -293,7 +214,6 @@ impl NetClient {
                     error: wire.error,
                 })
             }
-            FrameKind::Overloaded => Ok(NetEvent::Overloaded(frame.decode()?)),
             FrameKind::Stats => {
                 self.stats_inflight = self.stats_inflight.saturating_sub(1);
                 Ok(NetEvent::Stats(frame.decode()?))
@@ -302,53 +222,28 @@ impl NetClient {
             FrameKind::WarmupBatch => Ok(NetEvent::WarmupBatch(frame.decode()?)),
             kind => Err(ClientError::Proto(ProtoError::Unexpected {
                 kind,
-                context: "a client receives response, error, overloaded, stats, warmup-batch, \
-                          and goodbye frames"
+                context: "a client receives response, error, stats, warmup-batch, and goodbye \
+                          frames"
                     .to_string(),
             })),
         }
     }
 
-    /// Submit-and-wait with the overload retry contract: an `overloaded`
-    /// answer sleeps the server's retry-after hint (capped by the
-    /// policy's `backoff_cap`) and resubmits, up to `max_attempts`
-    /// attempts. Responses for *other* pipelined seqs observed while
+    /// Submit-and-wait: writes the request, then reads until its answer
+    /// arrives. Responses for *other* pipelined seqs observed while
     /// waiting are preserved for later [`NetClient::next_event`] calls.
     pub fn request(&mut self, req: &CompileRequest) -> Result<CompileResponse, ClientError> {
-        let policy = self.config.retry;
+        let seq = self.submit(req)?;
         let mut deferred: Vec<NetEvent> = Vec::new();
-        let mut attempts = 0u32;
-        let outcome = 'attempts: loop {
-            attempts += 1;
-            let seq = match self.submit(req) {
-                Ok(seq) => seq,
-                Err(e) => break 'attempts Err(e),
-            };
-            loop {
-                let event = match self.next_event() {
-                    Ok(event) => event,
-                    Err(e) => break 'attempts Err(e),
-                };
-                match event {
-                    NetEvent::Response { seq: s, response } if s == seq => {
-                        break 'attempts Ok(response)
-                    }
-                    NetEvent::Fail { seq: s, error } if s == Some(seq) || s.is_none() => {
-                        break 'attempts Err(ClientError::Server(error))
-                    }
-                    NetEvent::Overloaded(o) if o.seq == seq => {
-                        if attempts >= policy.max_attempts {
-                            break 'attempts Err(ClientError::Overloaded { attempts, last: o });
-                        }
-                        let wait = Duration::from_millis(o.retry_after_ms).min(policy.backoff_cap);
-                        std::thread::sleep(wait);
-                        break; // resubmit under a fresh seq
-                    }
-                    NetEvent::Goodbye(g) => {
-                        break 'attempts Err(ClientError::Closed { reason: g.reason })
-                    }
-                    other => deferred.push(other),
+        let outcome = loop {
+            match self.next_event() {
+                Ok(NetEvent::Response { seq: s, response }) if s == seq => break Ok(response),
+                Ok(NetEvent::Fail { seq: s, error }) if s == Some(seq) || s.is_none() => {
+                    break Err(ClientError::Server(error));
                 }
+                Ok(NetEvent::Goodbye(g)) => break Err(ClientError::Closed { reason: g.reason }),
+                Ok(other) => deferred.push(other),
+                Err(e) => break Err(e),
             }
         };
         self.backlog.extend(deferred);
@@ -380,12 +275,6 @@ impl NetClient {
                 }
                 Ok(NetEvent::Fail { seq: s, error }) if s == Some(seq) || s.is_none() => {
                     break Err(ClientError::Server(error));
-                }
-                Ok(NetEvent::Overloaded(o)) if o.seq == seq => {
-                    break Err(ClientError::Overloaded {
-                        attempts: 1,
-                        last: o,
-                    });
                 }
                 Ok(NetEvent::Goodbye(g)) => break Err(ClientError::Closed { reason: g.reason }),
                 Ok(other) => deferred.push(other),

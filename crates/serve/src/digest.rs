@@ -4,8 +4,8 @@
 //! strings per lookup; shards and map entries are now keyed by a 128-bit
 //! FNV-1a digest of that JSON instead, so a probe hashes and compares 16
 //! bytes regardless of how large the option set grows. The JSON pre-image
-//! is retained in the cache entry only for a debug-build collision audit
-//! ([`crate::cache`]) — at 128 bits an accidental collision over any
+//! is retained in the cache entry only for the cache's debug-build
+//! collision audit — at 128 bits an accidental collision over any
 //! realistic key population is beyond astronomically unlikely, but a
 //! digest is still not an injection, so debug builds verify every hit.
 

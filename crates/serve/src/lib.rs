@@ -5,35 +5,32 @@
 //! request/response types so the whole surface speaks JSON, and built to
 //! stay fast when many threads pile on at once:
 //!
-//! * **Sharded result cache** ([`crate::cache`]) — N independently-locked
-//!   LRU shards with O(1) recency, keyed by a 128-bit digest of the
-//!   canonical request JSON ([`crate::digest`]), so cached hits scale
-//!   with threads instead of convoying on one global mutex;
-//! * **Singleflight miss dedup** ([`crate::flight`]) — a duplicate storm
+//! * **Sharded result cache** — N independently-locked LRU shards with
+//!   O(1) recency, keyed by a 128-bit digest of the canonical request
+//!   JSON ([`crate::digest`]), so cached hits scale with threads instead
+//!   of convoying on one global mutex;
+//! * **Singleflight miss dedup** — a duplicate storm
 //!   of N identical concurrent requests performs exactly **one** compile;
 //!   the other N−1 block on the in-flight entry and share the same
 //!   `Arc<CompileResult>`;
 //! * **Persistent worker pool** — `workers` threads spawned once at
 //!   service construction drain a bounded admission queue; a full queue
-//!   blocks the submitter or sheds with a descriptive `overloaded`
-//!   error per the [`Backpressure`] policy;
+//!   blocks the submitter until a worker frees a slot;
 //! * **Streaming + batch traffic** — [`CompileService::compile`] for
 //!   synchronous single requests, [`CompileService::submit`] for
 //!   pipelined traffic (the caller's seq and reply channel, so one
 //!   thread can submit while another receives), and
 //!   [`CompileService::compile_batch`] for order-preserving batches;
 //! * [`ServeStats`] — lock-free admission metrics: hits, misses,
-//!   dedup joins, evictions, sheds, queue depth, in-flight compiles, and
+//!   dedup joins, evictions, queue depth, in-flight compiles, and
 //!   a p50/p99 latency window, serde-able for dashboards, plus a
 //!   [`ServeStats::hit_rate`] helper;
 //! * **Network front end** ([`crate::proto`]/[`crate::server`]/
 //!   [`crate::client`]) — a std-only TCP layer speaking length-prefixed
 //!   JSON frames (spec in `crates/serve/PROTOCOL.md`): [`NetServer`]
 //!   runs a thread-per-connection accept loop over one shared service
-//!   with graceful drain, a wire-level `stats` kind, and shed
-//!   backpressure surfaced as a structured `overloaded` frame with a
-//!   retry-after hint; [`NetClient`] is the blocking client with a
-//!   retry-after-honoring [`RetryPolicy`];
+//!   with graceful drain and a wire-level `stats` kind; [`NetClient`] is
+//!   the blocking client;
 //! * **Front-tier router** ([`crate::router`]/[`crate::pool`]) —
 //!   horizontal scale-out: a [`Router`] consistent-hashes
 //!   [`CompileRequest::key_digest`] across N backend [`NetServer`]
@@ -91,14 +88,11 @@ pub mod service;
 pub mod types;
 pub mod warmup;
 
-pub use client::{ClientConfig, ClientError, NetClient, NetEvent, RetryPolicy};
+pub use client::{ClientConfig, ClientError, NetClient, NetEvent};
 pub use pool::PoolClient;
 pub use router::{BackendState, Routed, Router, RouterConfig};
 pub use server::{DrainSummary, NetServer, NetStats, ServerConfig};
-pub use service::{
-    Backpressure, CompileService, Reply, ServiceBuilder, DEFAULT_CACHE_CAPACITY,
-    DEFAULT_QUEUE_CAPACITY,
-};
+pub use service::{CompileService, Reply, ServiceBuilder, DEFAULT_CACHE_CAPACITY, QUEUE_CAPACITY};
 pub use types::{BackendStats, CompileRequest, CompileResponse, ServeError, ServeStats};
 pub use warmup::{DonorOutcome, OwnedPredicate, WarmupEntry, WarmupImport, WarmupReport};
 

@@ -1,7 +1,7 @@
 //! Lock-free admission metrics.
 //!
 //! Every counter the service maintains lives here as an `AtomicU64`, so
-//! recording a hit, miss, dedup join, eviction, shed, or error never
+//! recording a hit, miss, dedup join, eviction, or error never
 //! takes a lock — and reading [`crate::ServeStats`] never contends with
 //! the hit path. (The old service already kept its counters atomic, but
 //! eviction counts were derived under the cache lock and stats reads
@@ -21,8 +21,7 @@
 //! Unwritten slots hold a NaN sentinel ([`EMPTY_SLOT`]) that no finite
 //! latency ever bit-matches, and `percentiles` skips them — an
 //! in-progress write is simply absent from the sample instead of
-//! appearing as a phantom `0.0` that drags p50 (and with it the
-//! `retry_after_hint_ms` overload hint) toward the floor.
+//! appearing as a phantom `0.0` that drags p50 toward the floor.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
@@ -102,7 +101,6 @@ pub(crate) struct Metrics {
     pub misses: AtomicU64,
     pub dedup_joins: AtomicU64,
     pub evictions: AtomicU64,
-    pub shed: AtomicU64,
     pub errors: AtomicU64,
     pub latency: LatencyReservoir,
 }
@@ -115,7 +113,6 @@ impl Metrics {
             misses: AtomicU64::new(0),
             dedup_joins: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
             errors: AtomicU64::new(0),
             latency: LatencyReservoir::new(),
         }
@@ -190,8 +187,8 @@ mod tests {
         // snapshot can land between a writer's two steps. Simulate eleven
         // in-progress writers (slots claimed, values not yet stored)
         // around ten committed 1.0 s samples: the unwritten slots must be
-        // invisible, not sampled as 0.0 (which would drag p50 — and the
-        // retry-after hint derived from it — to the floor).
+        // invisible, not sampled as 0.0 (which would drag p50 to the
+        // floor).
         let r = LatencyReservoir::new();
         for _ in 0..10 {
             r.record(1.0);

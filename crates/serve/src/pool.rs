@@ -14,8 +14,8 @@
 //!   (the same discipline a backend's admission queue applies to work,
 //!   applied here to sockets);
 //! * **health-aware recycling** — a connection that answered cleanly
-//!   (including server-side request errors and overload sheds, which
-//!   leave the stream perfectly framed) goes back to the idle set; a
+//!   (including server-side request errors, which leave the stream
+//!   perfectly framed) goes back to the idle set; a
 //!   connection that failed at the transport or framing layer is
 //!   discarded, never handed to the next caller;
 //! * **probing** — [`PoolClient::probe`] dials a *fresh* connection and
@@ -145,16 +145,14 @@ impl PoolClient {
     }
 
     /// Checkout → [`NetClient::request`] → recycle. Server-level answers
-    /// (success, request errors, overload sheds) leave the stream framed
-    /// and recycle the connection; transport/framing failures and server
-    /// goodbyes discard it.
+    /// (success, request errors) leave the stream framed and recycle the
+    /// connection; transport/framing failures and server goodbyes
+    /// discard it.
     pub fn request(&self, req: &CompileRequest) -> Result<CompileResponse, ClientError> {
         let mut client = self.checkout()?;
         let outcome = client.request(req);
         match &outcome {
-            Ok(_) | Err(ClientError::Server(_)) | Err(ClientError::Overloaded { .. }) => {
-                self.checkin(client)
-            }
+            Ok(_) | Err(ClientError::Server(_)) => self.checkin(client),
             Err(ClientError::Io { .. })
             | Err(ClientError::Proto(_))
             | Err(ClientError::Closed { .. }) => self.discard(),

@@ -52,7 +52,9 @@ pub const HEADER_LEN: usize = 10;
 /// field before any allocation is sized from it.
 pub const MAX_PAYLOAD: usize = 16 << 20;
 
-/// What a frame carries. The numeric value is the wire byte.
+/// What a frame carries. The numeric value is the wire byte. Byte 4 is
+/// reserved: it carried a withdrawn `overloaded` kind and is never
+/// reused, so a peer that sends it gets the unknown-kind refusal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum FrameKind {
@@ -64,10 +66,6 @@ pub enum FrameKind {
     /// [`ServeError`] (tagged with the request's seq) or a
     /// connection-level protocol diagnosis (seq absent).
     Error = 3,
-    /// Server → client: one [`WireOverloaded`] — the submission was shed
-    /// by a full admission queue; carries queue depth/capacity and a
-    /// retry-after hint. The connection stays open.
-    Overloaded = 4,
     /// Client → server: ask for a [`ServeStats`] snapshot (payload `{}`).
     StatsRequest = 5,
     /// Server → client: the snapshot wrapped in a [`BackendStats`]
@@ -93,11 +91,10 @@ pub enum FrameKind {
 
 impl FrameKind {
     /// Every kind, in wire-byte order (fuzz harnesses iterate this).
-    pub const ALL: [FrameKind; 9] = [
+    pub const ALL: [FrameKind; 8] = [
         FrameKind::Request,
         FrameKind::Response,
         FrameKind::Error,
-        FrameKind::Overloaded,
         FrameKind::StatsRequest,
         FrameKind::Stats,
         FrameKind::Goodbye,
@@ -117,7 +114,6 @@ impl fmt::Display for FrameKind {
             FrameKind::Request => "request",
             FrameKind::Response => "response",
             FrameKind::Error => "error",
-            FrameKind::Overloaded => "overloaded",
             FrameKind::StatsRequest => "stats-request",
             FrameKind::Stats => "stats",
             FrameKind::Goodbye => "goodbye",
@@ -210,15 +206,21 @@ impl fmt::Display for ProtoError {
                 f,
                 "unsupported protocol version {got}: this build speaks version {VERSION}"
             ),
-            ProtoError::UnknownKind { got } => write!(
-                f,
-                "unknown frame kind {got}: valid kinds in protocol version {VERSION} are 1..={} \
-                 (request/response/error/overloaded/stats-request/stats/goodbye/\
-                 warmup-request/warmup-batch) — a newer-revision peer should treat this \
-                 refusal as per-frame, not fatal: the frame was consumed and the stream \
-                 is still framed",
-                FrameKind::ALL.len()
-            ),
+            ProtoError::UnknownKind { got } => {
+                write!(
+                    f,
+                    "unknown frame kind {got}: valid kinds in protocol version {VERSION} are"
+                )?;
+                for (i, kind) in FrameKind::ALL.iter().enumerate() {
+                    let sep = if i == 0 { " " } else { ", " };
+                    write!(f, "{sep}{} ({kind})", *kind as u8)?;
+                }
+                write!(
+                    f,
+                    " — a newer-revision peer should treat this refusal as per-frame, not \
+                     fatal: the frame was consumed and the stream is still framed"
+                )
+            }
             ProtoError::Oversize { len, max } => write!(
                 f,
                 "frame payload length {len} exceeds the {max}-byte cap: the length field is \
@@ -290,26 +292,6 @@ pub struct WireFault {
     /// one request.
     pub seq: Option<u64>,
     /// The error, exactly the in-process serde type.
-    pub error: ServeError,
-}
-
-/// A server → client shed notice: the admission queue was full under
-/// [`crate::Backpressure::Shed`]. The request was **not** queued and the
-/// connection stays open; the client should wait `retry_after_ms` and
-/// resubmit.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct WireOverloaded {
-    /// The seq of the shed request.
-    pub seq: u64,
-    /// Jobs waiting in the admission queue when the shed happened.
-    pub queue_depth: u64,
-    /// The admission queue's capacity.
-    pub queue_capacity: u64,
-    /// The server's estimate of when queue space will free up
-    /// (milliseconds; derived from queue depth, worker count, and the
-    /// p50 service latency — see [`ServeStats::retry_after_hint_ms`]).
-    pub retry_after_ms: u64,
-    /// The underlying `overloaded` [`ServeError`] (kind + diagnosis).
     pub error: ServeError,
 }
 
@@ -391,21 +373,6 @@ impl Frame {
             FrameKind::Error,
             &WireFault {
                 seq,
-                error: error.clone(),
-            },
-        )
-    }
-
-    /// A [`FrameKind::Overloaded`] frame built from the stats snapshot
-    /// that witnessed the shed.
-    pub fn overloaded(seq: u64, stats: &ServeStats, error: &ServeError) -> Frame {
-        Frame::json(
-            FrameKind::Overloaded,
-            &WireOverloaded {
-                seq,
-                queue_depth: stats.queue_depth,
-                queue_capacity: stats.queue_capacity as u64,
-                retry_after_ms: stats.retry_after_hint_ms(),
                 error: error.clone(),
             },
         )
@@ -707,7 +674,7 @@ mod tests {
         /// survive the wire byte-exactly.
         #[test]
         fn arbitrary_payloads_roundtrip(
-            kind_idx in 0usize..9,
+            kind_idx in 0..FrameKind::ALL.len(),
             raw in collection::vec(0u16..256, 0..512),
         ) {
             let payload: Vec<u8> = raw.iter().map(|&b| b as u8).collect();
@@ -722,7 +689,7 @@ mod tests {
         /// `Truncated` error naming the progress — never a panic.
         #[test]
         fn truncation_anywhere_is_a_descriptive_error(
-            kind_idx in 0usize..9,
+            kind_idx in 0..FrameKind::ALL.len(),
             raw in collection::vec(0u16..256, 1..256),
             cut_at in 0usize..10_000,
         ) {
@@ -790,7 +757,7 @@ mod tests {
         /// at header-parse time, so no payload-sized buffer exists.
         #[test]
         fn oversize_lengths_are_always_refused(
-            kind_idx in 0usize..9,
+            kind_idx in 0..FrameKind::ALL.len(),
             over in 1u64..1_000_000,
             tail_len in 0usize..64,
         ) {

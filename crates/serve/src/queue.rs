@@ -4,22 +4,12 @@
 //! condvars — because the jobs it carries are compiles that cost
 //! microseconds to milliseconds each: queue overhead is noise, but the
 //! *bound* is load-bearing. A full queue is the service's backpressure
-//! signal; whether a submitter blocks on `not_full` or is shed with a
-//! descriptive error is the service's [`crate::Backpressure`] policy,
-//! expressed here as the choice between [`BoundedQueue::push`] and
-//! [`BoundedQueue::try_push`].
+//! signal: a submitter blocks on `not_full` in [`BoundedQueue::push`]
+//! until a worker frees a slot, so overload pushes back on whoever is
+//! submitting.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
-
-/// Why a [`BoundedQueue::try_push`] did not enqueue.
-#[derive(Debug, PartialEq, Eq)]
-pub(crate) enum PushError<T> {
-    /// The queue is at capacity (shed policy: reject, don't wait).
-    Full(T),
-    /// The queue is closed (the service is shutting down).
-    Closed(T),
-}
 
 #[derive(Debug)]
 struct QueueState<T> {
@@ -77,21 +67,6 @@ impl<T> BoundedQueue<T> {
         Ok(())
     }
 
-    /// Non-blocking enqueue: a full queue sheds immediately.
-    pub fn try_push(&self, item: T) -> Result<(), PushError<T>> {
-        let mut state = self.state.lock().expect("queue mutex");
-        if state.closed {
-            return Err(PushError::Closed(item));
-        }
-        if state.items.len() >= self.capacity {
-            return Err(PushError::Full(item));
-        }
-        state.items.push_back(item);
-        drop(state);
-        self.not_empty.notify_one();
-        Ok(())
-    }
-
     /// Blocking dequeue: waits for an item; `None` once the queue is
     /// closed *and* drained (workers exit on `None`).
     pub fn pop(&self) -> Option<T> {
@@ -124,24 +99,7 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn try_push_sheds_at_capacity_and_recovers_after_pop() {
-        let q = BoundedQueue::new(2);
-        assert_eq!(q.try_push(1), Ok(()));
-        assert_eq!(q.try_push(2), Ok(()));
-        assert_eq!(q.try_push(3), Err(PushError::Full(3)));
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.try_push(3), Ok(()));
-        q.close();
-        assert_eq!(q.try_push(4), Err(PushError::Closed(4)));
-        // Close drains before ending the consumers.
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), Some(3));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn blocking_push_waits_for_space_instead_of_shedding() {
+    fn blocking_push_waits_for_space() {
         let q = Arc::new(BoundedQueue::new(1));
         q.push(1).unwrap();
         let q2 = Arc::clone(&q);
@@ -162,5 +120,10 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(10));
         q.close();
         assert_eq!(producer.join().unwrap(), Err(2));
+        assert_eq!(q.push(3), Err(3), "a closed queue refuses pushes");
+        // Close drains pending items before ending the consumers.
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop(), Some(1));
+        assert_eq!(q.pop(), None);
     }
 }

@@ -25,8 +25,7 @@
 //! stats round-trip) at most once per [`RouterConfig::probe_interval`],
 //! and rejoins the ring the moment a probe answers.
 //!
-//! Request-level failures — unknown compiler, invalid target, an
-//! `overloaded` shed that survived the client's retry policy — are *not*
+//! Request-level failures — unknown compiler, invalid target — are *not*
 //! failover events: every backend would answer the same, so they pass
 //! through verbatim.
 //!
@@ -59,30 +58,32 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
+/// Virtual points per backend on the hash ring. More points smooth the
+/// key distribution; 64 keeps the largest/smallest backend share within
+/// a few tens of percent even at small fleet sizes.
+const RING_REPLICAS: usize = 64;
+
+/// How long [`Router::remove_backend`] waits for the removed backend's
+/// in-flight requests to finish before dropping its pool anyway. The
+/// node leaves the ring immediately either way; this bounds only the
+/// tail of the drain.
+const DRAIN_TIMEOUT: Duration = Duration::from_secs(10);
+
 /// Tuning for one [`Router`].
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
     /// The client configuration every pooled connection dials with
-    /// (timeouts and the per-backend overload retry policy).
+    /// (its socket timeouts).
     pub client: ClientConfig,
     /// Connections each backend's [`PoolClient`] may have checked out at
     /// once.
     pub connections_per_backend: usize,
-    /// Virtual points per backend on the hash ring. More points smooth
-    /// the key distribution; 64 keeps the largest/smallest backend share
-    /// within a few tens of percent even at small fleet sizes.
-    pub replicas: usize,
     /// Minimum time between liveness probes of a downed backend. The
     /// probe runs inline on the first request to consider that backend
     /// after the interval elapses (connect-refused fails in
     /// microseconds on a dead local backend, so the inline cost is
     /// negligible next to a compile).
     pub probe_interval: Duration,
-    /// How long [`Router::remove_backend`] waits for the removed
-    /// backend's in-flight requests to finish before dropping its pool
-    /// anyway. The node leaves the ring immediately either way; this
-    /// bounds only the tail of the drain.
-    pub drain_timeout: Duration,
 }
 
 impl Default for RouterConfig {
@@ -90,9 +91,7 @@ impl Default for RouterConfig {
         RouterConfig {
             client: ClientConfig::default(),
             connections_per_backend: 4,
-            replicas: 64,
             probe_interval: Duration::from_secs(1),
-            drain_timeout: Duration::from_secs(10),
         }
     }
 }
@@ -175,13 +174,13 @@ struct RingState {
 
 impl RingState {
     /// Rebuilds the ring from the current member set.
-    fn rebuild(&mut self, replicas: usize) {
+    fn rebuild(&mut self) {
         self.ring.clear();
         for (index, backend) in self.backends.iter().enumerate() {
             if !backend.member.load(Ordering::Relaxed) {
                 continue;
             }
-            for point in ring_points(backend.addr, replicas) {
+            for point in ring_points(backend.addr) {
                 self.ring.push((point, index));
             }
         }
@@ -243,7 +242,7 @@ impl Router {
             ring: Vec::new(),
             version: 0,
         };
-        state.rebuild(config.replicas);
+        state.rebuild();
         Ok(Router {
             state: RwLock::new(state),
             config,
@@ -302,13 +301,13 @@ impl Router {
             }
         };
         state.version += 1;
-        state.rebuild(self.config.replicas);
+        state.rebuild();
         Ok(index)
     }
 
     /// Removes `addr` from the ring on the live router, draining it:
     /// the node stops receiving new keys immediately, requests already
-    /// in flight are given up to [`RouterConfig::drain_timeout`] to
+    /// in flight are given up to ten seconds (`DRAIN_TIMEOUT`) to
     /// finish, and only then are its pooled connections dropped. The
     /// registry slot is retained (indices stay stable) and the address
     /// may be re-added later.
@@ -331,12 +330,12 @@ impl Router {
             }
             state.backends[index].member.store(false, Ordering::Relaxed);
             state.version += 1;
-            state.rebuild(self.config.replicas);
+            state.rebuild();
             Arc::clone(&state.backends[index])
         };
         // Drain outside the lock: new requests already cannot pick this
         // backend (it left the ring above); wait for in-flight ones.
-        let deadline = Instant::now() + self.config.drain_timeout;
+        let deadline = Instant::now() + DRAIN_TIMEOUT;
         while backend.inflight.load(Ordering::Acquire) > 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(1));
         }
@@ -353,11 +352,11 @@ impl Router {
     /// excluded from the "others" side.
     pub fn warmup_predicate(&self, addr: SocketAddr) -> OwnedPredicate {
         let state = self.read();
-        let member_points = ring_points(addr, self.config.replicas);
+        let member_points = ring_points(addr);
         let mut other_points = Vec::new();
         for backend in &state.backends {
             if backend.addr != addr && backend.member.load(Ordering::Relaxed) {
-                other_points.extend(ring_points(backend.addr, self.config.replicas));
+                other_points.extend(ring_points(backend.addr));
             }
         }
         OwnedPredicate {
@@ -541,12 +540,13 @@ fn invalid_config(reason: impl std::fmt::Display) -> ClientError {
     ClientError::Server(ServeError::invalid_config(reason))
 }
 
-/// The virtual ring points one backend address owns: `replicas` folds
-/// of `fnv1a_128("{addr}#{replica}")`. Shared between ring construction
-/// and [`Router::warmup_predicate`], so the predicate a joiner ships is
-/// by construction the same geometry the router will route by.
-pub(crate) fn ring_points(addr: SocketAddr, replicas: usize) -> Vec<u64> {
-    (0..replicas)
+/// The virtual ring points one backend address owns: `RING_REPLICAS`
+/// folds of `fnv1a_128("{addr}#{replica}")`. Shared between ring
+/// construction and [`Router::warmup_predicate`], so the predicate a
+/// joiner ships is by construction the same geometry the router will
+/// route by.
+pub(crate) fn ring_points(addr: SocketAddr) -> Vec<u64> {
+    (0..RING_REPLICAS)
         .map(|replica| fold(fnv1a_128(format!("{addr}#{replica}").as_bytes())))
         .collect()
 }
@@ -577,7 +577,6 @@ fn failover_worthy(e: &ClientError) -> bool {
     match e {
         ClientError::Io { .. } | ClientError::Proto(_) | ClientError::Closed { .. } => true,
         ClientError::Server(serve) => serve.kind == "draining",
-        ClientError::Overloaded { .. } => false,
     }
 }
 

@@ -5,10 +5,9 @@
 //! queued entry point ([`CompileService::submit`]), so the wire surface
 //! inherits the in-process contracts verbatim: byte-deterministic cached
 //! artifacts, singleflight dedup across connections (two sockets asking
-//! for the same key still perform one compile), and the
-//! [`Backpressure`][crate::Backpressure] policy — a shed submission comes
-//! back as a structured `overloaded` frame carrying queue depth and a
-//! retry-after hint, never a closed socket.
+//! for the same key still perform one compile), and admission
+//! backpressure — a full queue blocks the connection's reader, so a
+//! client that outruns the workers is slowed through TCP.
 //!
 //! A connection is a blocking frame reader plus completion-driven
 //! writes:
@@ -637,17 +636,9 @@ impl Conn<'_> {
                 }
             }
             Err(e) => {
-                // The shed contract over the wire: a structured frame
-                // with depth and a retry-after hint; the connection
-                // stays open for the retry.
-                let frame = if e.kind == "overloaded" {
-                    Frame::overloaded(wire.seq, &shared.service.stats(), &e)
-                } else {
-                    Frame::error(Some(wire.seq), &e)
-                };
                 let mut st = self.link.lock();
                 st.in_flight -= 1;
-                shared.send(self.link, &mut st, &frame);
+                shared.send(self.link, &mut st, &Frame::error(Some(wire.seq), &e));
             }
         }
     }

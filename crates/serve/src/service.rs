@@ -4,7 +4,7 @@
 use crate::cache::{self, CacheEntry, ShardedCache};
 use crate::flight::{FlightRole, Singleflight};
 use crate::metrics::Metrics;
-use crate::queue::{BoundedQueue, PushError};
+use crate::queue::BoundedQueue;
 use crate::types::{CompileRequest, CompileResponse, ServeError, ServeStats};
 use crate::warmup::{OwnedPredicate, WarmupEntry, WarmupImport};
 use qft_core::Registry;
@@ -17,8 +17,9 @@ use std::time::Instant;
 /// Default result-cache capacity (entries, summed across shards).
 pub const DEFAULT_CACHE_CAPACITY: usize = 256;
 
-/// Default admission-queue capacity (jobs waiting for a worker).
-pub const DEFAULT_QUEUE_CAPACITY: usize = 64;
+/// Admission-queue capacity (jobs waiting for a worker). A full queue
+/// blocks the submitter until a worker frees a slot.
+pub const QUEUE_CAPACITY: usize = 64;
 
 /// Worker threads a fresh service owns: the machine's parallelism,
 /// capped so a service never monopolizes a large host.
@@ -27,23 +28,6 @@ fn default_workers() -> usize {
         .map(|n| n.get())
         .unwrap_or(4)
         .clamp(1, 8)
-}
-
-/// What the service does when a submission finds the admission queue
-/// full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Backpressure {
-    /// The submitter's thread blocks until a worker frees queue space —
-    /// backpressure propagates upstream. The default, and always the
-    /// policy for [`CompileService::compile_batch`] (a batch is one
-    /// explicit unit of work; shedding half of it helps nobody).
-    #[default]
-    Block,
-    /// The submission is rejected immediately with a descriptive
-    /// [`ServeError::overloaded`] (`kind = "overloaded"`) and counted in
-    /// [`ServeStats::shed`]. For latency-sensitive front ends that would
-    /// rather fail fast and retry elsewhere than queue behind a spike.
-    Shed,
 }
 
 /// One compile outcome on a reply channel, tagged with the seq its
@@ -230,21 +214,19 @@ impl ServiceInner {
 /// 3. **Persistent worker pool** — `workers` threads spawned once at
 ///    construction (not per batch) drain a bounded admission queue fed
 ///    by [`CompileService::submit`] and
-///    [`CompileService::compile_batch`]; a full queue either blocks the
-///    submitter or sheds with `kind = "overloaded"` per the service's
-///    [`Backpressure`] policy.
+///    [`CompileService::compile_batch`]; a full queue blocks the
+///    submitter until a worker frees a slot.
 ///
 /// Artifacts are byte-deterministic: wall times are stripped before an
 /// entry is cached, so every response for a given request — cold miss,
 /// cache hit, or singleflight join, on any thread, from any service —
 /// serializes identically. [`ServeStats`] surfaces the admission
-/// metrics (hits/misses/dedup-joins/evictions/shed, queue depth, p50/p99
+/// metrics (hits/misses/dedup-joins/evictions, queue depth, p50/p99
 /// latency) from lock-free counters.
 #[derive(Debug)]
 pub struct CompileService {
     inner: Arc<ServiceInner>,
     queue: Arc<BoundedQueue<Job>>,
-    backpressure: Backpressure,
     workers: usize,
     handles: Vec<JoinHandle<()>>,
 }
@@ -252,13 +234,11 @@ pub struct CompileService {
 /// Configures and builds a [`CompileService`].
 ///
 /// ```
-/// use qft_serve::{Backpressure, CompileService};
+/// use qft_serve::CompileService;
 ///
 /// let service = CompileService::builder()
 ///     .cache_capacity(512)
 ///     .workers(4)
-///     .queue_capacity(128)
-///     .backpressure(Backpressure::Shed)
 ///     .build();
 /// assert_eq!(service.workers(), 4);
 /// ```
@@ -266,10 +246,7 @@ pub struct CompileService {
 pub struct ServiceBuilder {
     registry: &'static Registry,
     cache_capacity: usize,
-    cache_shards: usize,
     workers: usize,
-    queue_capacity: usize,
-    backpressure: Backpressure,
 }
 
 impl ServiceBuilder {
@@ -287,29 +264,9 @@ impl ServiceBuilder {
         self
     }
 
-    /// Upper bound on cache shards (clamped to a power of two ≤ 16 and
-    /// to one shard per 4 entries of capacity, so small caches keep one
-    /// shard and exact global LRU order).
-    pub fn cache_shards(mut self, shards: usize) -> Self {
-        self.cache_shards = shards.max(1);
-        self
-    }
-
     /// Persistent worker threads (clamped to ≥ 1).
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
-        self
-    }
-
-    /// Admission-queue capacity (clamped to ≥ 1).
-    pub fn queue_capacity(mut self, capacity: usize) -> Self {
-        self.queue_capacity = capacity.max(1);
-        self
-    }
-
-    /// What a submission does when the admission queue is full.
-    pub fn backpressure(mut self, policy: Backpressure) -> Self {
-        self.backpressure = policy;
         self
     }
 
@@ -317,11 +274,11 @@ impl ServiceBuilder {
     pub fn build(self) -> CompileService {
         let inner = Arc::new(ServiceInner {
             registry: self.registry,
-            cache: ShardedCache::new(self.cache_capacity, self.cache_shards),
+            cache: ShardedCache::new(self.cache_capacity),
             flights: Singleflight::new(),
             metrics: Metrics::new(),
         });
-        let queue = Arc::new(BoundedQueue::<Job>::new(self.queue_capacity));
+        let queue = Arc::new(BoundedQueue::<Job>::new(QUEUE_CAPACITY));
         let handles = (0..self.workers)
             .map(|i| {
                 let inner = Arc::clone(&inner);
@@ -340,7 +297,6 @@ impl ServiceBuilder {
         CompileService {
             inner,
             queue,
-            backpressure: self.backpressure,
             workers: self.workers,
             handles,
         }
@@ -349,16 +305,12 @@ impl ServiceBuilder {
 
 impl CompileService {
     /// A builder with the defaults: shared registry, capacity
-    /// [`DEFAULT_CACHE_CAPACITY`], machine-sized workers, queue capacity
-    /// [`DEFAULT_QUEUE_CAPACITY`], [`Backpressure::Block`].
+    /// [`DEFAULT_CACHE_CAPACITY`], machine-sized workers.
     pub fn builder() -> ServiceBuilder {
         ServiceBuilder {
             registry: crate::shared_registry(),
             cache_capacity: DEFAULT_CACHE_CAPACITY,
-            cache_shards: ShardedCache::DEFAULT_SHARDS,
             workers: default_workers(),
-            queue_capacity: DEFAULT_QUEUE_CAPACITY,
-            backpressure: Backpressure::Block,
         }
     }
 
@@ -377,20 +329,6 @@ impl CompileService {
             .build()
     }
 
-    /// A service over a caller-supplied registry (e.g. one extended with
-    /// custom compilers).
-    pub fn with_registry(
-        registry: &'static Registry,
-        cache_capacity: usize,
-        workers: usize,
-    ) -> Self {
-        Self::builder()
-            .registry(registry)
-            .cache_capacity(cache_capacity)
-            .workers(workers)
-            .build()
-    }
-
     /// The registry this service resolves compiler names through.
     pub fn registry(&self) -> &'static Registry {
         self.inner.registry
@@ -399,11 +337,6 @@ impl CompileService {
     /// Persistent worker threads draining the admission queue.
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// The service's backpressure policy for queued submissions.
-    pub fn backpressure(&self) -> Backpressure {
-        self.backpressure
     }
 
     /// Serves one request synchronously **on the caller's thread** —
@@ -421,9 +354,8 @@ impl CompileService {
     /// receives. The worker that served it converts the [`Reply`] into
     /// the channel's type, so a receiver can have outcomes arrive
     /// already in the form it ships (`T = Reply` sends them as they
-    /// are). Under [`Backpressure::Shed`] a full queue rejects with
-    /// `kind = "overloaded"` instead of blocking; nothing is sent on
-    /// `reply` for a rejected submission.
+    /// are). A full admission queue blocks the caller until a worker
+    /// frees a slot.
     ///
     /// ```
     /// use qft_serve::{CompileRequest, CompileService, Reply};
@@ -448,36 +380,19 @@ impl CompileService {
     where
         T: From<Reply> + Send + 'static,
     {
-        self.enqueue(Job::new(req, seq, reply), self.backpressure)
+        self.enqueue(Job::new(req, seq, reply))
     }
 
-    /// Applies a backpressure policy to one enqueue.
-    fn enqueue(&self, job: Job, policy: Backpressure) -> Result<(), ServeError> {
-        match policy {
-            Backpressure::Block => self
-                .queue
-                .push(job)
-                .map_err(|_| ServeError::bad_request("service is shutting down")),
-            Backpressure::Shed => match self.queue.try_push(job) {
-                Ok(()) => Ok(()),
-                Err(PushError::Full(_)) => {
-                    Metrics::bump(&self.inner.metrics.shed);
-                    Err(ServeError::overloaded(
-                        self.queue.len(),
-                        self.queue.capacity(),
-                    ))
-                }
-                Err(PushError::Closed(_)) => {
-                    Err(ServeError::bad_request("service is shutting down"))
-                }
-            },
-        }
+    /// Queues one job, blocking while the admission queue is full.
+    fn enqueue(&self, job: Job) -> Result<(), ServeError> {
+        self.queue
+            .push(job)
+            .map_err(|_| ServeError::bad_request("service is shutting down"))
     }
 
     /// Serves a batch through the persistent pool: every request is
-    /// enqueued (blocking for space regardless of the shed policy — a
-    /// batch is one explicit unit of work) and the responses come back
-    /// in request order; per-request errors stay per-request.
+    /// enqueued and the responses come back in request order;
+    /// per-request errors stay per-request.
     pub fn compile_batch(
         &self,
         reqs: &[CompileRequest],
@@ -487,7 +402,7 @@ impl CompileService {
         let (reply_tx, reply_rx) = mpsc::channel::<Reply>();
         for (seq, req) in reqs.iter().enumerate() {
             let job = Job::new(req.clone(), seq as u64, &reply_tx);
-            if let Err(e) = self.enqueue(job, Backpressure::Block) {
+            if let Err(e) = self.enqueue(job) {
                 // Shutdown mid-batch: answer what we must, not panic.
                 out[seq] = Some(Err(e));
             }
@@ -579,7 +494,6 @@ impl CompileService {
             misses: m.misses.load(Ordering::Relaxed),
             dedup_joins: m.dedup_joins.load(Ordering::Relaxed),
             evictions: m.evictions.load(Ordering::Relaxed),
-            shed: m.shed.load(Ordering::Relaxed),
             errors: m.errors.load(Ordering::Relaxed),
             p50_ms: p50_s * 1e3,
             p99_ms: p99_s * 1e3,

@@ -118,7 +118,6 @@ pub struct ServeError {
     /// (`unknown-compiler`, `invalid-target`, `unsupported-option`,
     /// `unsupported-target`, `timeout`, `pass`, `verification`),
     /// `bad-request` for input that never parsed into a request,
-    /// `overloaded` for a submission shed by a full admission queue,
     /// `draining` for a request that arrived after the server began a
     /// graceful shutdown, `after-goodbye` for a request pipelined behind
     /// the client's own goodbye frame, `unavailable` for a routed request
@@ -138,22 +137,6 @@ impl ServeError {
         ServeError {
             kind: "bad-request".to_string(),
             error: reason.to_string(),
-        }
-    }
-
-    /// The backpressure shed: the admission queue is full and the
-    /// service's policy is [`crate::Backpressure::Shed`]. The request was
-    /// not compiled and not queued; the client should retry after a
-    /// backoff (queue depth and shed counts are visible in
-    /// [`ServeStats`]).
-    pub fn overloaded(queue_depth: usize, queue_capacity: usize) -> Self {
-        ServeError {
-            kind: "overloaded".to_string(),
-            error: format!(
-                "admission queue is full ({queue_depth}/{queue_capacity} jobs queued) and the \
-                 backpressure policy is Shed: the request was rejected without compiling — retry \
-                 after a backoff, or configure Backpressure::Block to wait for queue space"
-            ),
         }
     }
 
@@ -269,8 +252,7 @@ pub struct ServeStats {
     pub queue_depth: u64,
     /// Distinct keys being compiled right now (singleflight leaders).
     pub in_flight: u64,
-    /// Requests accepted (`hits + misses + dedup_joins`; sheds are *not*
-    /// requests — they were rejected at admission).
+    /// Requests accepted (`hits + misses + dedup_joins`).
     pub requests: u64,
     /// Requests answered from the cache.
     pub hits: u64,
@@ -281,9 +263,6 @@ pub struct ServeStats {
     pub dedup_joins: u64,
     /// Entries dropped by LRU eviction.
     pub evictions: u64,
-    /// Submissions rejected by a full admission queue under
-    /// [`crate::Backpressure::Shed`].
-    pub shed: u64,
     /// Requests that ended in a [`ServeError`].
     pub errors: u64,
     /// Median service-side wall time over the most recent ~4096 requests
@@ -303,19 +282,6 @@ impl ServeStats {
             return 0.0;
         }
         (self.hits + self.dedup_joins) as f64 / self.requests as f64
-    }
-
-    /// How long a shed client should wait before resubmitting, in
-    /// milliseconds: the snapshot's queue depth (plus the shed request
-    /// itself) drained at roughly one p50 service latency per job per
-    /// worker. Clamped to `[1, 30_000]` so the hint is always actionable
-    /// — never zero, never an hour. This is the value the network layer
-    /// puts in its `overloaded` frame.
-    pub fn retry_after_hint_ms(&self) -> u64 {
-        let per_job_ms = if self.p50_ms > 0.0 { self.p50_ms } else { 1.0 };
-        let jobs_ahead = self.queue_depth.saturating_add(1) as f64;
-        let workers = self.workers.max(1) as f64;
-        ((jobs_ahead * per_job_ms / workers).ceil() as u64).clamp(1, 30_000)
     }
 }
 

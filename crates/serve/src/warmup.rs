@@ -23,11 +23,10 @@
 //! * **Idempotent import** — entries land via insert-if-absent: a
 //!   double-import is a no-op and the importer's own (fresher) entry
 //!   always wins over a replayed one.
-//! * **Graceful degradation** — a donor that dies mid-transfer, refuses,
-//!   or stalls costs retries with capped backoff (`overloaded` hints are
-//!   honored like the request path), and on final failure the joiner
-//!   just runs cold for those keys: correctness never depends on the
-//!   transfer succeeding.
+//! * **Graceful degradation** — a donor that dies mid-transfer or stalls
+//!   costs three attempts with doubling backoff, and on
+//!   final failure the joiner just runs cold for those keys: correctness
+//!   never depends on the transfer succeeding.
 
 use crate::cache::{key_digest, CacheEntry};
 use crate::client::{ClientConfig, ClientError, NetClient};
@@ -46,12 +45,13 @@ use std::time::Duration;
 /// oversized single entry still travels alone rather than being dropped.
 pub const WARMUP_CHUNK_BUDGET: usize = 2 << 20;
 
+/// Fetch attempts against one donor before its keys are left cold.
+const WARMUP_ATTEMPTS: u32 = 3;
+
 /// First backoff sleep after a transport-shaped warm-up failure; doubles
-/// per retry up to the client's [`RetryPolicy::backoff_cap`]
-/// (capped there, so a flapping donor cannot stall a join indefinitely).
-///
-/// [`RetryPolicy::backoff_cap`]: crate::RetryPolicy::backoff_cap
-const WARMUP_BACKOFF_FLOOR: Duration = Duration::from_millis(50);
+/// per retry, so a donor that keeps failing costs 50 + 100 ms of sleep
+/// across its three attempts.
+const WARMUP_BACKOFF: Duration = Duration::from_millis(50);
 
 /// The joiner's owned-key predicate, in ring geometry: its own virtual
 /// points and everyone else's. A digest is *owned* iff its nearest ring
@@ -239,39 +239,30 @@ pub fn chunk_entries(entries: Vec<WarmupEntry>, budget: usize) -> Vec<Vec<Warmup
     chunks
 }
 
-/// Fetches the predicate's entries from one donor with the full retry
-/// contract: a fresh connection per attempt, `overloaded` hints honored
-/// (sleep the donor's `retry_after_ms`, capped by the policy's
-/// `backoff_cap`), transport-shaped failures retried with capped
-/// exponential backoff, request-shaped refusals returned immediately
-/// (every retry would answer the same). Returns the attempt count
-/// alongside the outcome so reports stay honest about the cost.
+/// Fetches the predicate's entries from one donor: a fresh connection
+/// per attempt, transport-shaped failures tried three times in all with
+/// a 50 ms backoff that doubles, request-shaped refusals returned
+/// immediately (every retry would answer the same). Returns the attempt
+/// count alongside the outcome so reports stay honest about the cost.
 pub fn fetch_from_donor(
     addr: SocketAddr,
     config: &ClientConfig,
     predicate: &OwnedPredicate,
 ) -> (u32, Result<Vec<WarmupEntry>, ClientError>) {
-    let policy = config.retry.normalized();
     let mut attempts = 0u32;
-    let mut backoff = WARMUP_BACKOFF_FLOOR;
+    let mut backoff = WARMUP_BACKOFF;
     loop {
         attempts += 1;
         let outcome = NetClient::connect_with(addr, config.clone())
             .and_then(|mut client| client.warm_up(predicate));
         match outcome {
             Ok(entries) => return (attempts, Ok(entries)),
-            Err(e) if attempts >= policy.max_attempts => return (attempts, Err(e)),
-            Err(ClientError::Overloaded { last, .. }) => {
-                let wait = Duration::from_millis(last.retry_after_ms).min(policy.backoff_cap);
-                std::thread::sleep(wait);
-            }
-            Err(ClientError::Io { .. })
-            | Err(ClientError::Proto(_))
-            | Err(ClientError::Closed { .. }) => {
-                std::thread::sleep(backoff.min(policy.backoff_cap));
-                backoff = backoff.saturating_mul(2).min(policy.backoff_cap);
-            }
             Err(e @ ClientError::Server(_)) => return (attempts, Err(e)),
+            Err(e) if attempts >= WARMUP_ATTEMPTS => return (attempts, Err(e)),
+            Err(_) => {
+                std::thread::sleep(backoff);
+                backoff *= 2;
+            }
         }
     }
 }

@@ -19,11 +19,11 @@
 //!   dense multiply pass when a non-diagonal gate (or the stream end)
 //!   arrives. A QFT-shaped stream collapses from `O(n²)` diagonal sweeps
 //!   to `n` flush passes.
-//! * **Lazy SWAPs.** The batch shares the [`QubitLayout`] bookkeeping of
+//! * **Lazy SWAPs.** The batch shares the qubit-layout bookkeeping of
 //!   the single-state engine: one O(1) relabel serves every state.
 //!
-//! Above [`crate::state::kernels::PAR_MIN_ELEMENTS`] elements per plane a
-//! kernel fans its block sweep across up to [`StateBatch::workers`]
+//! Above a fixed element count per plane (the dense kernels' parallel
+//! threshold) a kernel fans its block sweep across up to [`StateBatch::workers`]
 //! scoped threads (contiguous row chunks per worker — the `qft-serve`
 //! pool idiom without the queue, since the partition is static).
 
@@ -782,7 +782,8 @@ impl StateBatch {
     }
 
     /// Streams a gate sequence through the batch with diagonal-run fusion
-    /// and radix-4 segment fusion (see [`Self::apply_sim_ops`]).
+    /// and radix-4 segment fusion (the same path as
+    /// [`StateBatch::apply_phys_ops`]).
     pub fn apply_gates(&mut self, gates: impl IntoIterator<Item = Gate>) {
         self.apply_sim_ops(gates.into_iter().map(|g| {
             let a = g.a.index();

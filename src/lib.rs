@@ -70,9 +70,8 @@ pub use qft_core::{
 };
 pub use qft_ir::passes::{Pass, PassCtx, PassError, PassManager, PassReport};
 pub use qft_serve::{
-    Backpressure, ClientConfig, CompileRequest, CompileResponse, CompileService, NetClient,
-    NetServer, PoolClient, RetryPolicy, Routed, Router, RouterConfig, ServeError, ServeStats,
-    ServerConfig,
+    ClientConfig, CompileRequest, CompileResponse, CompileService, NetClient, NetServer,
+    PoolClient, Routed, Router, RouterConfig, ServeError, ServeStats, ServerConfig,
 };
 
 /// The process-wide compiler registry: the paper's four analytical mappers

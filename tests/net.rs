@@ -20,32 +20,36 @@
 //!   a descriptive error frame where the stream is still framed; a
 //!   request delivered one byte at a time inside the per-frame deadline
 //!   is served; healthy clients keep compiling throughout.
-//! * **Shed is a structured frame** — `Backpressure::Shed` surfaces as an
-//!   `overloaded` frame carrying queue depth and a retry-after hint, the
-//!   connection stays open, and `NetClient`'s retry policy honors the
-//!   hint.
+//! * **Payloads never panic the decoder** — arbitrary Unicode strings
+//!   (stray quotes, backslashes and `\u` fragments included) and
+//!   byte-level mutations of real encoded payloads decode through
+//!   `Frame::decode` as a value or a `ProtoError::Json`, never a panic.
 //!
-//! Plus the ISSUE 9 serve-layer regression pins: a clean shutdown counts
+//! Plus the serve-layer regression pins: a clean shutdown counts
 //! zero denied connections (the drain's self-wake is not a client), a
 //! request pipelined behind the client's goodbye is refused instead of
-//! admitted, `NetClient::stats` correlates its round-trip (no stale
-//! snapshot returned, no spurious one left queued), and
-//! `RetryPolicy::max_attempts == 0` is normalized to 1 at construction so
-//! `ClientError::Overloaded.attempts` means what it says.
+//! admitted, and `NetClient::stats` correlates its round-trip (no stale
+//! snapshot returned, no spurious one left queued).
 //!
-//! And the ISSUE 10 forward-compatibility pin: a frame with an *unknown
-//! kind byte* (a future protocol revision) is refused per-frame with a
-//! descriptive error naming the byte — the payload is consumed, the
-//! stream stays framed, and the same connection keeps serving.
+//! And the forward-compatibility pin: a frame with an *unknown
+//! kind byte* (a future protocol revision, or the reserved byte 4) is
+//! refused per-frame with a descriptive error naming the byte — the
+//! payload is consumed, the stream stays framed, and the same connection
+//! keeps serving.
 
 mod common;
 
 use common::serve_request;
-use qft_kernels::serve::proto::{self, Frame, WireFault, HEADER_LEN, MAGIC, MAX_PAYLOAD, VERSION};
-use qft_kernels::serve::{shared_registry, ClientError, NetEvent, NetServer, ServerConfig};
+use proptest::prelude::*;
+use qft_kernels::serve::proto::{
+    self, Frame, FrameKind, ProtoError, WireFault, WireRequest, WireResponse, WireWarmupBatch,
+    HEADER_LEN, MAGIC, MAX_PAYLOAD, VERSION,
+};
+use qft_kernels::serve::warmup::OwnedPredicate;
+use qft_kernels::serve::{shared_registry, NetEvent, NetServer, ServerConfig};
 use qft_kernels::{
-    Backpressure, ClientConfig, CompileOptions, CompileRequest, CompileService, NetClient,
-    QftCompiler, Registry, RetryPolicy, Target,
+    ClientConfig, CompileOptions, CompileRequest, CompileService, NetClient, QftCompiler, Registry,
+    Target,
 };
 use std::io::Write;
 use std::net::TcpStream;
@@ -201,8 +205,8 @@ fn wire_stats_keep_the_invariant_and_match_in_process_stats() {
         (local.requests, local.hits, local.misses, local.dedup_joins),
     );
     assert_eq!(
-        (wire.evictions, wire.shed, wire.errors, wire.queue_depth),
-        (local.evictions, local.shed, local.errors, local.queue_depth),
+        (wire.evictions, wire.errors, wire.queue_depth),
+        (local.evictions, local.errors, local.queue_depth),
     );
     assert_eq!(
         (wire.workers, wire.cache_capacity, wire.cache_entries),
@@ -305,24 +309,6 @@ fn drain_registry() -> &'static Registry {
             open: &DRAIN_OPEN,
             cv: &DRAIN_CV,
             entered: &DRAIN_ENTERED,
-        }));
-        Box::leak(Box::new(r))
-    })
-}
-
-static SHED_OPEN: Mutex<bool> = Mutex::new(false);
-static SHED_CV: Condvar = Condvar::new();
-static SHED_ENTERED: AtomicUsize = AtomicUsize::new(0);
-
-fn shed_registry() -> &'static Registry {
-    static GATED: OnceLock<&'static Registry> = OnceLock::new();
-    GATED.get_or_init(|| {
-        let mut r = Registry::with_core();
-        r.register(Box::new(GateCompiler {
-            name: "gate-shed",
-            open: &SHED_OPEN,
-            cv: &SHED_CV,
-            entered: &SHED_ENTERED,
         }));
         Box::leak(Box::new(r))
     })
@@ -563,23 +549,24 @@ fn fault_injection_matrix_never_takes_the_server_down() {
     }
     healthy("after oversize length prefix");
 
-    // (e) An unknown frame kind (here: 200, a hypothetical future
-    // protocol revision) is refused *per frame*, not per connection: the
-    // server names the byte in a structured error, skips the payload,
-    // and keeps serving the same socket — proven by pipelining a valid
-    // request behind the alien frame and reading its response after the
-    // refusal.
-    {
+    // (e) An unknown frame kind is refused *per frame*, not per
+    // connection: the server names the byte in a structured error, skips
+    // the payload, and keeps serving the same socket — proven by
+    // pipelining a valid request behind the alien frame and reading its
+    // response after the refusal. Byte 200 stands for a hypothetical
+    // future protocol revision; byte 4 is reserved (it carried the
+    // withdrawn `overloaded` kind) and is refused the same way.
+    for (seq, kind) in [(3u64, 200u8), (4, 4)] {
         let mut stream = TcpStream::connect(addr).unwrap();
         let mut alien = Vec::new();
         alien.extend_from_slice(&MAGIC);
         alien.push(VERSION);
-        alien.push(200); // unknown kind byte
+        alien.push(kind);
         let payload = br#"{"future":"frame"}"#;
         alien.extend_from_slice(&(payload.len() as u32).to_be_bytes());
         alien.extend_from_slice(payload);
         stream.write_all(&alien).unwrap();
-        proto::write_frame(&mut &stream, &Frame::request(3, &healthy_req)).unwrap();
+        proto::write_frame(&mut &stream, &Frame::request(seq, &healthy_req)).unwrap();
         stream.flush().unwrap();
 
         let frame = raw_read_frame(&stream).expect("an unknown-kind error frame");
@@ -587,7 +574,10 @@ fn fault_injection_matrix_never_takes_the_server_down() {
         assert_eq!(fault.seq, None, "an unframeable kind has no seq");
         assert_eq!(fault.error.kind, "protocol");
         assert!(
-            fault.error.error.contains("unknown frame kind 200"),
+            fault
+                .error
+                .error
+                .contains(&format!("unknown frame kind {kind}:")),
             "the refusal must name the alien byte: {}",
             fault.error.error
         );
@@ -595,7 +585,7 @@ fn fault_injection_matrix_never_takes_the_server_down() {
         let frame = raw_read_frame(&stream).expect("the pipelined response");
         assert_eq!(frame.kind, proto::FrameKind::Response);
         let wire: proto::WireResponse = frame.decode().unwrap();
-        assert_eq!(wire.seq, 3);
+        assert_eq!(wire.seq, seq);
         assert_eq!(wire.response.result.n, 5);
     }
     healthy("after an unknown frame kind");
@@ -629,7 +619,149 @@ fn fault_injection_matrix_never_takes_the_server_down() {
 }
 
 // ---------------------------------------------------------------------------
-// Regression pins for the ISSUE 9 serve-layer bug sweep.
+// Payload fuzzing: whatever a peer puts in a frame's JSON, decoding it
+// yields a value or a `ProtoError::Json`, never a panic.
+// ---------------------------------------------------------------------------
+
+/// Real encoded payloads of the three kinds a peer's JSON reaches the
+/// decoder through: a request, a response and a warm-up batch.
+fn real_payloads() -> &'static [(FrameKind, Vec<u8>)] {
+    static PAYLOADS: OnceLock<Vec<(FrameKind, Vec<u8>)>> = OnceLock::new();
+    PAYLOADS.get_or_init(|| {
+        let service = CompileService::builder().workers(1).build();
+        let req = serve_request("lnn", "lnn:4", CompileOptions::default());
+        let response = service.compile(&req).expect("compile lnn:4");
+        let entries = service.export_warmup(&OwnedPredicate {
+            member_points: vec![0],
+            other_points: Vec::new(),
+        });
+        assert_eq!(entries.len(), 1, "the compiled entry is exported");
+        [
+            Frame::request(7, &req),
+            Frame::response(7, &response),
+            Frame::warmup_batch(7, 0, true, entries),
+        ]
+        .into_iter()
+        .map(|frame| (frame.kind, frame.payload))
+        .collect()
+    })
+}
+
+/// What the fuzzer splices into payloads besides random characters: the
+/// bytes the string scanner stops at, escape heads (complete, truncated
+/// and invalid), structural JSON, and multi-byte text.
+const FRAGMENTS: [&str; 21] = [
+    "\"",
+    "\\",
+    "\\u",
+    "\\u00e9",
+    "\\ud83d",
+    "\\ude00",
+    "\\ud83d\\ude00",
+    "\\u12",
+    "\\x",
+    "\\n",
+    "{",
+    "}",
+    "[",
+    "]",
+    ":",
+    ",",
+    "null",
+    "-1e999",
+    "\u{e9}",
+    "\u{1F600}",
+    "\u{4E2D}",
+];
+
+/// Text from fuzzer tokens: a fragment, any Unicode scalar value, or a
+/// printable ASCII character.
+fn fuzz_text(tokens: &[(u8, u32)]) -> String {
+    tokens
+        .iter()
+        .map(|&(pick, raw)| match pick % 3 {
+            0 => FRAGMENTS[raw as usize % FRAGMENTS.len()].to_string(),
+            1 => char::from_u32(raw % 0x11_0000)
+                .unwrap_or('\u{FFFD}')
+                .to_string(),
+            _ => char::from(b' ' + (raw % 95) as u8).to_string(),
+        })
+        .collect()
+}
+
+/// Decodes `payload` as every payload type a peer can send; each must be
+/// a value or a JSON refusal.
+fn decodes_or_refuses(kind: FrameKind, payload: &[u8]) -> Result<(), TestCaseError> {
+    let frame = Frame::new(kind, payload.to_vec());
+    let outcomes = [
+        frame.decode::<WireRequest>().map(drop),
+        frame.decode::<WireResponse>().map(drop),
+        frame.decode::<WireWarmupBatch>().map(drop),
+    ];
+    for outcome in outcomes {
+        match outcome {
+            Ok(()) | Err(ProtoError::Json { .. }) => {}
+            Err(other) => {
+                return Err(TestCaseError::Fail(format!(
+                    "payload {:?} decoded to a non-JSON error: {other}",
+                    String::from_utf8_lossy(payload)
+                )))
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Arbitrary Unicode text as a whole payload, as a JSON string, and
+    /// spliced into each real payload at any byte.
+    #[test]
+    fn arbitrary_text_payloads_decode_or_refuse(
+        tokens in collection::vec((0u8..3, 0u32..0x11_0000), 0..48),
+        at in 0usize..1_000_000,
+    ) {
+        let text = fuzz_text(&tokens);
+        decodes_or_refuses(FrameKind::Request, text.as_bytes())?;
+        decodes_or_refuses(FrameKind::Request, format!("\"{text}\"").as_bytes())?;
+        for (kind, real) in real_payloads() {
+            let mut spliced = real.clone();
+            let at = at % (spliced.len() + 1);
+            spliced.splice(at..at, text.bytes());
+            decodes_or_refuses(*kind, &spliced)?;
+        }
+    }
+
+    /// Byte-level mutations of real payloads: flips, insertions,
+    /// deletions and truncations, up to four per case.
+    #[test]
+    fn mutated_real_payloads_decode_or_refuse(
+        which in 0usize..3,
+        edits in collection::vec((0u8..4, 0usize..1_000_000, 1u16..256), 1..5),
+    ) {
+        let (kind, real) = &real_payloads()[which];
+        let mut bytes = real.clone();
+        for &(op, at, value) in &edits {
+            if bytes.is_empty() {
+                break;
+            }
+            let i = at % bytes.len();
+            match op {
+                0 => bytes[i] ^= value as u8,
+                1 => bytes.insert(i, value as u8),
+                2 => {
+                    bytes.remove(i);
+                }
+                _ => bytes.truncate(i),
+            }
+        }
+        decodes_or_refuses(*kind, &bytes)?;
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Regression pins for the serve-layer bug sweep.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -783,199 +915,4 @@ fn stats_round_trips_correlate_after_a_bare_submit_stats() {
     drop(observer);
     drop(worker);
     server.shutdown();
-}
-
-static RETRY_OPEN: Mutex<bool> = Mutex::new(false);
-static RETRY_CV: Condvar = Condvar::new();
-static RETRY_ENTERED: AtomicUsize = AtomicUsize::new(0);
-
-fn retry_registry() -> &'static Registry {
-    static GATED: OnceLock<&'static Registry> = OnceLock::new();
-    GATED.get_or_init(|| {
-        let mut r = Registry::with_core();
-        r.register(Box::new(GateCompiler {
-            name: "gate-retry",
-            open: &RETRY_OPEN,
-            cv: &RETRY_CV,
-            entered: &RETRY_ENTERED,
-        }));
-        Box::leak(Box::new(r))
-    })
-}
-
-#[test]
-fn retry_policy_attempt_boundaries_hold_against_a_shedding_server() {
-    // Pre-fix, `max_attempts: 0` silently behaved as 1 via a `.max(1)`
-    // buried in the request loop, while the constructed policy still
-    // read 0 — so `ClientError::Overloaded.attempts` "equals the
-    // policy's max_attempts" was a lie at the boundary. Normalization
-    // now happens once, at construction, where it is observable.
-    let service = CompileService::builder()
-        .registry(retry_registry())
-        .workers(1)
-        .queue_capacity(1)
-        .backpressure(Backpressure::Shed)
-        .build();
-    let server = NetServer::bind("127.0.0.1:0", Arc::new(service)).unwrap();
-    let addr = server.local_addr();
-
-    // Park the worker, fill the one-slot queue: every further submission
-    // sheds until the gate opens.
-    let mut filler = NetClient::connect(addr).unwrap();
-    filler
-        .submit(&CompileRequest::new("gate-retry", "lnn:4"))
-        .unwrap();
-    wait_until("the gated compile to start", || {
-        RETRY_ENTERED.load(Ordering::SeqCst) > 0
-    });
-    filler
-        .submit(&CompileRequest::new("gate-retry", "lnn:5"))
-        .unwrap();
-    wait_until("the queue to fill", || {
-        server.service().stats().queue_depth >= 1
-    });
-
-    for (configured, effective) in [(0u32, 1u32), (1, 1), (3, 3)] {
-        let mut client = NetClient::connect_with(
-            addr,
-            ClientConfig {
-                retry: RetryPolicy {
-                    max_attempts: configured,
-                    backoff_cap: Duration::from_millis(10),
-                },
-                ..ClientConfig::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(
-            client.config().retry.max_attempts,
-            effective,
-            "max_attempts: {configured} must normalize at construction"
-        );
-        match client.request(&CompileRequest::new("gate-retry", "lnn:6")) {
-            Err(ClientError::Overloaded { attempts, last }) => {
-                assert_eq!(
-                    attempts, effective,
-                    "attempts must equal the effective policy for max_attempts: {configured}"
-                );
-                assert_eq!(last.error.kind, "overloaded");
-            }
-            other => panic!("expected ClientError::Overloaded, got {other:?}"),
-        }
-    }
-
-    // Release the gate and drain the filler's two parked compiles.
-    *RETRY_OPEN.lock().unwrap() = true;
-    RETRY_CV.notify_all();
-    for _ in 0..2 {
-        match filler.next_event().unwrap() {
-            NetEvent::Response { .. } => {}
-            other => panic!("expected a response, got {other:?}"),
-        }
-    }
-    drop(filler);
-    server.shutdown();
-}
-
-// ---------------------------------------------------------------------------
-// Shed over the wire: a structured overloaded frame, never a closed socket.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn shed_surfaces_as_a_structured_overloaded_frame_with_retry_hint() {
-    let service = CompileService::builder()
-        .registry(shed_registry())
-        .workers(1)
-        .queue_capacity(1)
-        .backpressure(Backpressure::Shed)
-        .build();
-    let server = NetServer::bind("127.0.0.1:0", Arc::new(service)).unwrap();
-    let addr = server.local_addr();
-
-    // Park the worker, fill the one-slot queue.
-    let mut filler = NetClient::connect(addr).unwrap();
-    filler
-        .submit(&CompileRequest::new("gate-shed", "lnn:4"))
-        .unwrap();
-    wait_until("the gated compile to start", || {
-        SHED_ENTERED.load(Ordering::SeqCst) > 0
-    });
-    filler
-        .submit(&CompileRequest::new("gate-shed", "lnn:5"))
-        .unwrap();
-    wait_until("the queue to fill", || {
-        server.service().stats().queue_depth >= 1
-    });
-
-    // The next submission is shed — and arrives as a structured frame on
-    // a connection that stays open, never as a reset.
-    let mut shed_client = NetClient::connect(addr).unwrap();
-    let seq = shed_client
-        .submit(&CompileRequest::new("gate-shed", "lnn:6"))
-        .unwrap();
-    let overloaded = match shed_client.next_event().unwrap() {
-        NetEvent::Overloaded(o) => o,
-        other => panic!("expected an overloaded frame, got {other:?}"),
-    };
-    assert_eq!(overloaded.seq, seq);
-    assert_eq!(overloaded.queue_depth, 1);
-    assert_eq!(overloaded.queue_capacity, 1);
-    assert!(
-        (1..=30_000).contains(&overloaded.retry_after_ms),
-        "the retry-after hint must be actionable: {}",
-        overloaded.retry_after_ms
-    );
-    assert_eq!(overloaded.error.kind, "overloaded");
-    // The connection survived the shed: it can still talk to the server.
-    let stats = shed_client.stats().unwrap();
-    assert!(stats.shed >= 1, "the shed must be counted: {stats:?}");
-
-    // NetClient::request honors the hint: with the queue still full it
-    // retries `max_attempts` times, sleeping the hinted backoff between
-    // attempts, then reports the overload with the final notice attached.
-    let mut retrier = NetClient::connect_with(
-        addr,
-        ClientConfig {
-            retry: RetryPolicy {
-                max_attempts: 3,
-                backoff_cap: Duration::from_millis(20),
-            },
-            ..ClientConfig::default()
-        },
-    )
-    .unwrap();
-    match retrier.request(&CompileRequest::new("gate-shed", "lnn:7")) {
-        Err(ClientError::Overloaded { attempts, last }) => {
-            assert_eq!(attempts, 3, "every attempt must have been made");
-            assert_eq!(last.error.kind, "overloaded");
-        }
-        other => panic!("expected ClientError::Overloaded, got {other:?}"),
-    }
-
-    // Release the gate: the admitted jobs drain, the shed clients retry
-    // successfully, and the server closes clean.
-    *SHED_OPEN.lock().unwrap() = true;
-    SHED_CV.notify_all();
-    let resp = retrier
-        .request(&CompileRequest::new("gate-shed", "lnn:7"))
-        .expect("a retry after the gate opens must succeed");
-    assert_eq!(resp.result.n, 7);
-
-    // The filler's two parked compiles arrive tagged correctly.
-    let mut ns = Vec::new();
-    for _ in 0..2 {
-        match filler.next_event().unwrap() {
-            NetEvent::Response { seq, response } => {
-                assert_eq!(response.result.n, 4 + seq as usize);
-                ns.push(response.result.n);
-            }
-            other => panic!("expected a response, got {other:?}"),
-        }
-    }
-    ns.sort_unstable();
-    assert_eq!(ns, vec![4, 5]);
-    drop(filler);
-    drop(shed_client);
-    let summary = server.shutdown();
-    assert!(summary.net.accepted >= 3);
 }

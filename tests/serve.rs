@@ -1,7 +1,5 @@
 //! The serving suite: concurrency determinism, sharded-cache semantics,
-//! singleflight dedup, backpressure, and the negative paths of the
-//! compile service (ISSUE 4, rebuilt for production concurrency in
-//! ISSUE 7).
+//! singleflight dedup, and the negative paths of the compile service.
 //!
 //! The determinism contract under test: because the service caches
 //! results and hands them across threads, compiling the same
@@ -14,9 +12,7 @@
 //!
 //! The concurrency contract: a duplicate storm of N identical concurrent
 //! requests performs **exactly one** compile (`stats.misses == 1`), with
-//! every response sharing one `Arc`; and a full bounded admission queue
-//! under [`Backpressure::Shed`] surfaces a descriptive `overloaded`
-//! error instead of hanging.
+//! every response sharing one `Arc`.
 
 mod common;
 
@@ -24,11 +20,9 @@ use common::{serve_request, serve_request_from_fields, SERVE_COMPILERS};
 use proptest::prelude::*;
 use qft_kernels::serve::shared_registry;
 use qft_kernels::{
-    registry, Backpressure, CompileOptions, CompileRequest, CompileService, IeMode, QftCompiler,
-    Registry, ServeError, ServeStats, Target,
+    registry, CompileOptions, CompileRequest, CompileService, IeMode, ServeError, ServeStats,
 };
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Barrier, Condvar, Mutex, OnceLock};
+use std::sync::{mpsc, Arc, Barrier};
 
 /// The request the concurrency tests hammer: a stochastic search compiler
 /// (so determinism is a property of the pipeline, not just of analytical
@@ -237,106 +231,6 @@ fn streaming_submit_recv_serves_mixed_traffic() {
     assert_eq!(stats.requests, 6);
     assert_eq!(stats.misses, 3);
     assert_eq!(stats.hits + stats.dedup_joins, 3);
-}
-
-/// A test-only compiler that parks inside `compile` until the gate opens:
-/// the deterministic way to hold a worker busy and fill the admission
-/// queue. Delegates to the real LNN mapper once released.
-struct GateCompiler;
-
-static GATE_OPEN: Mutex<bool> = Mutex::new(false);
-static GATE_CV: Condvar = Condvar::new();
-static GATE_ENTERED: AtomicUsize = AtomicUsize::new(0);
-
-impl QftCompiler for GateCompiler {
-    fn name(&self) -> &'static str {
-        "gate"
-    }
-    fn description(&self) -> &'static str {
-        "test compiler that blocks until the gate opens"
-    }
-    fn compile(
-        &self,
-        target: &Target,
-        opts: &CompileOptions,
-    ) -> Result<qft_kernels::CompileResult, qft_kernels::CompileError> {
-        GATE_ENTERED.fetch_add(1, Ordering::SeqCst);
-        let mut open = GATE_OPEN.lock().expect("gate mutex");
-        while !*open {
-            open = GATE_CV.wait(open).expect("gate condvar");
-        }
-        drop(open);
-        shared_registry().resolve("lnn")?.compile(target, opts)
-    }
-}
-
-fn gate_registry() -> &'static Registry {
-    static GATED: OnceLock<&'static Registry> = OnceLock::new();
-    GATED.get_or_init(|| {
-        let mut r = Registry::with_core();
-        r.register(Box::new(GateCompiler));
-        Box::leak(Box::new(r))
-    })
-}
-
-/// The backpressure negative path: with one worker parked on the gate and
-/// a capacity-1 queue already holding a job, a shed-policy submission
-/// must come back as a descriptive `overloaded` error — immediately, not
-/// after a hang — and be counted in `stats.shed`.
-#[test]
-fn full_bounded_queue_sheds_with_a_descriptive_error_not_a_hang() {
-    let service = CompileService::builder()
-        .registry(gate_registry())
-        .workers(1)
-        .queue_capacity(1)
-        .backpressure(Backpressure::Shed)
-        .build();
-    assert_eq!(service.backpressure(), Backpressure::Shed);
-
-    // Park the single worker inside the gated compile…
-    let (replies, completions) = mpsc::channel();
-    service
-        .submit(0, CompileRequest::new("gate", "lnn:4"), &replies)
-        .expect("first submission is admitted");
-    while GATE_ENTERED.load(Ordering::SeqCst) == 0 {
-        std::thread::sleep(std::time::Duration::from_millis(1));
-    }
-    // …fill the queue behind it…
-    service
-        .submit(1, CompileRequest::new("gate", "lnn:5"), &replies)
-        .expect("second submission fills the queue");
-    assert_eq!(service.stats().queue_depth, 1);
-
-    // …and the next submission must shed, descriptively.
-    let err = service
-        .submit(2, CompileRequest::new("gate", "lnn:6"), &replies)
-        .expect_err("a full queue under Shed must reject");
-    assert_eq!(err.kind, "overloaded");
-    for fragment in ["admission queue is full", "1/1", "Shed", "retry"] {
-        assert!(err.error.contains(fragment), "missing {fragment:?}: {err}");
-    }
-    let stats = service.stats();
-    assert_eq!(stats.shed, 1);
-    assert_eq!(
-        stats.requests, 1,
-        "a shed submission never became a request"
-    );
-
-    // Release the gate: the admitted jobs drain normally.
-    *GATE_OPEN.lock().unwrap() = true;
-    GATE_CV.notify_all();
-    drop(replies);
-    let mut drained: Vec<(u64, usize)> = completions
-        .iter()
-        .map(|(seq, resp)| (seq, resp.expect("gated compile").result.n))
-        .collect();
-    drained.sort_unstable();
-    assert_eq!(
-        drained,
-        vec![(0, 4), (1, 5)],
-        "the shed seq 2 is never answered"
-    );
-    assert_eq!(service.stats().shed, 1, "draining never sheds");
 }
 
 #[test]
@@ -566,9 +460,9 @@ proptest! {
         let capacity = 6;
         let service = CompileService::builder()
             .cache_capacity(capacity)
-            .cache_shards(1)
             .workers(1)
             .build();
+        prop_assert_eq!(service.stats().cache_shards, 1);
         let req_for =
             |k: usize| serve_request("lnn", &format!("lnn:{}", 4 + k), CompileOptions::default());
         let total_ops: usize = per_thread.iter().map(Vec::len).sum();

@@ -8,7 +8,8 @@
 //!   (the `warmup-request`/`warmup-batch` protocol) and answers them as
 //!   cache hits, byte-identical to the donors' artifacts.
 //! * **Donor killed mid-transfer** — a donor that dies partway through a
-//!   batch costs capped-backoff retries and then a *cold* joiner: every
+//!   batch costs three attempts with doubling backoff and then a *cold*
+//!   joiner: every
 //!   owned key still compiles correctly, nothing hangs, and no partial
 //!   artifact is ever served.
 //! * **Corruption containment** — tampered or truncated entries are
@@ -18,9 +19,6 @@
 //! * **Resize under traffic** — growing and shrinking the ring while 4
 //!   threads hammer it loses zero accepted requests and never changes a
 //!   key's bytes; the ring version records both membership changes.
-//! * **Overload hints** — a donor shedding the warm-up request is
-//!   retried after its `retry_after_ms` hint, capped by the client's
-//!   backoff cap (a pathological hint cannot stall a join).
 //! * **Export/import round-trip** (property) — random cache populations
 //!   survive export → chunked wire frames → bulk import byte-identically
 //!   and idempotently, with resident entries winning over replays.
@@ -29,10 +27,10 @@ mod common;
 
 use common::serve_request;
 use proptest::prelude::*;
-use qft_kernels::serve::proto::{self, Frame, FrameKind, WireOverloaded, WireWarmupBatch};
+use qft_kernels::serve::proto::{self, Frame, WireWarmupBatch};
 use qft_kernels::serve::router::RouterConfig;
 use qft_kernels::serve::warmup::{self, OwnedPredicate, WarmupEntry};
-use qft_kernels::serve::{ClientConfig, NetServer, RetryPolicy, Router, ServeError};
+use qft_kernels::serve::{ClientConfig, NetServer, Router};
 use qft_kernels::{CompileOptions, CompileRequest, CompileService};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -84,17 +82,13 @@ fn own_everything() -> OwnedPredicate {
     }
 }
 
-/// The warm-up retry contract the fault-injection tests use: 3 attempts,
-/// backoff capped at 100 ms, short socket timeouts — a test donor that
-/// misbehaves costs milliseconds, not the default 30 s read timeout.
+/// The client timeouts the fault-injection tests use: short, so a test
+/// donor that misbehaves costs milliseconds, not the default 30 s read
+/// timeout.
 fn chaos_client_config() -> ClientConfig {
     ClientConfig {
         read_timeout: Duration::from_secs(2),
         write_timeout: Duration::from_secs(2),
-        retry: RetryPolicy {
-            max_attempts: 3,
-            backoff_cap: Duration::from_millis(100),
-        },
     }
 }
 
@@ -252,7 +246,7 @@ fn donor_killed_mid_transfer_leaves_joiner_cold_but_correct() {
         &own_everything(),
         &chaos_client_config(),
     );
-    // All three attempts were made (capped backoff between them), the
+    // All three attempts were made (doubling backoff between them), the
     // failure is descriptive, and nothing partial was imported.
     assert_eq!(report.donors.len(), 1);
     assert_eq!(report.donors[0].attempts, 3, "{report:?}");
@@ -484,53 +478,6 @@ fn ring_resize_under_concurrent_traffic_loses_zero_requests() {
     for server in fleet {
         server.shutdown();
     }
-}
-
-// ---------------------------------------------------------------------------
-// Overload hints: honored, but capped — a lying donor cannot stall a join.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn overloaded_donor_hint_is_honored_with_capped_backoff() {
-    // First connection: shed with a pathological 60-second hint.
-    // Second connection: serve the batch honestly.
-    let entries = honest_entries(3);
-    let donor_addr = fake_donor(move |conn, mut stream| {
-        read_one_frame(&mut stream);
-        if conn == 0 {
-            let shed = WireOverloaded {
-                seq: 0,
-                queue_depth: 64,
-                queue_capacity: 64,
-                retry_after_ms: 60_000,
-                error: ServeError::overloaded(64, 64),
-            };
-            let payload = serde_json::to_string(&shed).expect("sheds serialize");
-            proto::write_frame(
-                &mut &stream,
-                &Frame::new(FrameKind::Overloaded, payload.into_bytes()),
-            )
-            .expect("write the shed");
-            return;
-        }
-        proto::write_frame(
-            &mut &stream,
-            &Frame::warmup_batch(0, 0, true, entries.clone()),
-        )
-        .expect("write the batch");
-    });
-
-    let t0 = Instant::now();
-    let (attempts, outcome) =
-        warmup::fetch_from_donor(donor_addr, &chaos_client_config(), &own_everything());
-    let fetched = outcome.expect("the retry after the shed succeeds");
-    assert_eq!(attempts, 2, "one shed, one success");
-    assert_eq!(fetched.len(), 3);
-    assert!(
-        t0.elapsed() < Duration::from_secs(5),
-        "the 60 s hint must be capped by the 100 ms backoff cap, not slept: {:?}",
-        t0.elapsed()
-    );
 }
 
 // ---------------------------------------------------------------------------
