@@ -1,6 +1,6 @@
 //! Exact SWAP-count-optimal mapping by A* search — the in-repo substitute
-//! for SATMAP \[29\] (MaxSAT + external solver; see DESIGN.md §2's
-//! substitution table).
+//! for SATMAP \[29\] (MaxSAT plus an external solver, which a pure-Rust
+//! offline build cannot ship).
 //!
 //! The contract matches the paper's observations in Table 1: exact optima
 //! on tiny instances (Sycamore 2×2), and a *timeout* beyond roughly ten

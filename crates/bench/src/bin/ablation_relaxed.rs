@@ -1,4 +1,4 @@
-//! Ablations of the design choices DESIGN.md §5 calls out:
+//! Ablations of three design choices the paper leaves to the implementer:
 //!
 //! 1. relaxed vs strict inter-unit ordering on lattice surgery (§3.3's
 //!    "2× speedup in QFT-IE") — via `CompileOptions::ie_mode`;

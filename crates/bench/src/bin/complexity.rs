@@ -6,7 +6,7 @@
 //! * heavy-hex any:  ≤ 6N + O(1);
 //! * Sycamore:       7N + O(√N);
 //! * lattice:        c·N (ours is row-granular; the paper's fused variant
-//!   reaches c = 5 — see DESIGN.md §5).
+//!   reaches c = 5 — see the `qft_core::lattice` module docs).
 
 use qft_bench::{print_table, write_json, Row};
 use qft_kernels::{registry, CompileOptions, Target};

@@ -1,14 +1,16 @@
 //! # qft-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper (see DESIGN.md §4):
+//! One binary per table, figure or complexity claim of the paper:
 //! `table1`, `fig17`, `fig18`, `fig19`, `fig27`, `complexity`,
 //! `ablation_relaxed`, `synth_patterns`. Each prints the paper's
 //! rows/series and writes machine-readable JSON under
-//! `target/experiments/`. Three pipeline-health binaries ride along:
-//! `passes` (per-pass timing, writes `BENCH_passes.json`), `aqft`
-//! (the AQFT degree sweep, writes `BENCH_aqft.json`), and `serve`
-//! (the cold-vs-cached serving workload through the
-//! `qft_serve::CompileService` pool, writes `BENCH_serve.json`).
+//! `target/experiments/`. Five health binaries ride along, each writing
+//! a committed report in the working directory: `passes` (per-pass
+//! timing, `BENCH_passes.json`), `aqft` (the AQFT degree sweep,
+//! `BENCH_aqft.json`), `sim` (the fast simulation engine against the
+//! naive oracle, `BENCH_sim.json`), `sparse` (the large-n sparse tier,
+//! `BENCH_sparse.json`) and `stack` (the serving stack in-process, over
+//! one socket and through the router, `BENCH_stack.json`).
 //!
 //! Every binary drives compilers through the pipeline API: targets are
 //! validated [`qft_core::Target`]s, compilers are resolved by name from
@@ -131,8 +133,8 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (out, t0.elapsed().as_secs_f64())
 }
 
-/// Latency distribution of one pass over a workload, as the `serve` and
-/// `net` bins report it.
+/// Latency distribution of one pass over a workload, as the `stack` bin
+/// reports it.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct PhaseStats {
     /// Median request time (milliseconds).
@@ -176,8 +178,8 @@ pub fn has_flag(flag: &str) -> bool {
     std::env::args().any(|a| a == flag)
 }
 
-/// The serving benches' mixed workload, shared by the `serve` (cold vs
-/// cached latency) and `serve_scale` (multi-producer scaling) legs:
+/// The serving benches' mixed workload, replayed by every leg of the
+/// `stack` bin and read by `perfbench`'s wire workloads:
 /// every compiler on its representative targets, crossed with
 /// `opt_level` ∈ {1, 2} and degree ∈ {exact, 3, 2}; the lattice mapper
 /// additionally sweeps both IE modes. All requests are distinct, so a

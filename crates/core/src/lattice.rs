@@ -17,8 +17,8 @@
 //!
 //! Depth is linear in `N = m²` (see tests). Our row-granular composition is
 //! a constant factor above the paper's 5N headline because we do not fuse
-//! IA(2k) + IE(2k,2k+1) + IA(2k+1) into the 2×N pattern of \[43\]; the fused
-//! variant is tracked in DESIGN.md §5 as an ablation.
+//! IA(2k) + IE(2k,2k+1) + IA(2k+1) into the 2×N pattern of \[43\]; that
+//! fusion is left out on purpose, and the `complexity` bench reports c.
 //!
 //! This module is a *construct* stage of the pass pipeline: it emits the
 //! raw analytical schedule, and the shared `qft_ir::passes` tail (chosen

@@ -6,7 +6,7 @@
 //! schedule along it. This costs `4·(2L)−6` two-qubit cycles — the paper's
 //! hand-tuned interleaving (Fig. 16) reaches `≈ 3·(2L)`; the path-based
 //! variant is the simpler building block we ship, and the gap is confined
-//! to this stage (see DESIGN.md §5).
+//! to this stage (a deliberate deviation from the paper's Fig. 16).
 //!
 //! This module is a *construct* stage of the pass pipeline: it emits the
 //! raw analytical schedule, and the shared `qft_ir::passes` tail (chosen

@@ -275,8 +275,8 @@ impl MappedCircuit {
 /// Incremental builder for [`MappedCircuit`] that tracks the live layout.
 ///
 /// All compiler back-ends and baselines emit through this builder, which
-/// guarantees the layout bookkeeping (invariant 4 in DESIGN.md) by
-/// construction.
+/// guarantees the layout bookkeeping (each op's logical labels follow the
+/// layout replayed through every SWAP before it) by construction.
 #[derive(Debug, Clone)]
 pub struct MappedCircuitBuilder {
     n_logical: usize,

@@ -9,7 +9,7 @@
 //! requester that arrives while the slot is live becomes a **follower**
 //! and blocks on the slot's condvar instead of compiling, receiving the
 //! same `Arc<CompileResult>` (pointer-shared, not re-serialized). The
-//! contract the tests and the `serve_scale` bench pin down: a storm of N
+//! contract the tests and the `stack` bench pin down: a storm of N
 //! identical concurrent requests performs exactly 1 compile.
 //!
 //! Failures broadcast too: if the leader's compile errors, every

@@ -1,5 +1,5 @@
 //! Small-N unitary equivalence: the redundant, state-vector cross-check of
-//! the symbolic verifier (DESIGN.md invariant 5).
+//! the symbolic verifier (every kernel must implement the QFT or AQFT).
 //!
 //! Both checkers ([`mapped_equals_qft`] / [`mapped_equals_aqft`]) build
 //! their reference circuit **once**, pack the probe states into a

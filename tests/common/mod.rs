@@ -1,5 +1,6 @@
 //! Shared helpers for the integration suites: the cross-compiler AQFT
-//! equivalence harness.
+//! equivalence harness, and the serving suites' requests, fleets and
+//! waits.
 //!
 //! Every (compiler × degree × n) cell funnels through [`check_cell`]:
 //! compile through the registry, then prove the mapped kernel
@@ -15,9 +16,16 @@
 #![allow(dead_code)]
 
 use qft_kernels::baselines::pipeline::logical_qft;
+use qft_kernels::serve::NetServer;
 use qft_kernels::sim::equiv::{self, ReferenceChecker, SparseChecker, FIDELITY_EPS};
 use qft_kernels::sim::state::StateVector;
-use qft_kernels::{registry, CompileOptions, CompileRequest, CompileResult, IeMode, Target};
+use qft_kernels::{
+    registry, CompileOptions, CompileRequest, CompileResponse, CompileResult, CompileService,
+    IeMode, Target,
+};
+use std::net::SocketAddr;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Random probe states per equivalence check (plus `|0…0⟩` and `|1…1⟩`).
 pub const N_RANDOM_STATES: u64 = 3;
@@ -41,6 +49,61 @@ pub const SERVE_COMPILERS: [&str; 7] = [
 /// given options.
 pub fn serve_request(compiler: &str, target: &str, opts: CompileOptions) -> CompileRequest {
     CompileRequest::new(compiler, target).with_options(opts)
+}
+
+/// The request the concurrency and byte-identity tests hammer: a
+/// stochastic search compiler (so determinism is a property of the
+/// pipeline, not just of analytical construction) with truncation and the
+/// aggressive pass tail switched on.
+pub fn contended_request() -> CompileRequest {
+    serve_request(
+        "sabre",
+        "lattice:4",
+        CompileOptions::default()
+            .with_seed(7)
+            .with_opt_level(2)
+            .with_approximation(3),
+    )
+}
+
+/// Distinct cheap requests: `lnn` on sizes 4..4+n (every size is its own
+/// cache key and its own digest, so they spread across the ring).
+pub fn distinct_requests(n: usize) -> Vec<CompileRequest> {
+    (0..n)
+        .map(|i| serve_request("lnn", &format!("lnn:{}", 4 + i), CompileOptions::default()))
+        .collect()
+}
+
+/// The serialized artifact of a response: the bytes the determinism
+/// contract compares.
+pub fn artifact_bytes(resp: &CompileResponse) -> String {
+    serde_json::to_string(&resp.result).expect("serialize artifact")
+}
+
+/// Backends for one test fleet: small worker pools (the suites run many
+/// fleets under `--test-threads=8`), each service independent — shared
+/// state between backends would hide affinity bugs.
+pub fn spawn_fleet(n: usize) -> Vec<NetServer> {
+    (0..n)
+        .map(|_| {
+            let service = CompileService::builder().workers(2).build();
+            NetServer::bind("127.0.0.1:0", Arc::new(service)).expect("bind backend")
+        })
+        .collect()
+}
+
+pub fn fleet_addrs(fleet: &[NetServer]) -> Vec<SocketAddr> {
+    fleet.iter().map(|s| s.local_addr()).collect()
+}
+
+/// Spins until `check` passes or the deadline expires — for counters that
+/// are bumped by server threads asynchronously to what a client observed.
+pub fn wait_until(what: &str, mut check: impl FnMut() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !check() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
 }
 
 /// Request builder for the property suites: deterministically maps

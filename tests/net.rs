@@ -39,7 +39,7 @@
 
 mod common;
 
-use common::serve_request;
+use common::{artifact_bytes, contended_request, serve_request, wait_until};
 use proptest::prelude::*;
 use qft_kernels::serve::proto::{
     self, Frame, FrameKind, ProtoError, WireFault, WireRequest, WireResponse, WireWarmupBatch,
@@ -56,35 +56,6 @@ use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
-
-/// The request the byte-identity tests hammer: a stochastic search
-/// compiler with truncation and the aggressive pass tail on, so wire
-/// determinism is a pipeline property, not an analytical-construction
-/// artifact.
-fn contended_request() -> CompileRequest {
-    serve_request(
-        "sabre",
-        "lattice:4",
-        CompileOptions::default()
-            .with_seed(7)
-            .with_opt_level(2)
-            .with_approximation(3),
-    )
-}
-
-fn artifact_bytes(resp: &qft_kernels::CompileResponse) -> String {
-    serde_json::to_string(&resp.result).expect("serialize artifact")
-}
-
-/// Spins until `check` passes or the deadline expires — for counters that
-/// are bumped by server threads asynchronously to what a client observed.
-fn wait_until(what: &str, mut check: impl FnMut() -> bool) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while !check() {
-        assert!(Instant::now() < deadline, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(5));
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Byte identity: across connections, cache states, and a server restart.

@@ -1,4 +1,7 @@
-//! Property-based tests (proptest) over the core invariants of DESIGN.md §3.
+//! Property-based tests (proptest) over the core invariants: every kernel
+//! verifies as a QFT or AQFT, any contiguous partition is a valid gate
+//! order (§3.2), layouts stay consistent under SWAP replay, DAG frontiers
+//! drain, and AQFT truncation is monotone and idempotent.
 
 mod common;
 

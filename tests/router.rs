@@ -27,51 +27,16 @@
 
 mod common;
 
-use common::serve_request;
+use common::{
+    artifact_bytes, distinct_requests, fleet_addrs, serve_request, spawn_fleet, wait_until,
+};
 use qft_kernels::serve::router::RouterConfig;
 use qft_kernels::serve::{ClientConfig, ClientError, NetServer, PoolClient, Router};
 use qft_kernels::{CompileOptions, CompileRequest, CompileService};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
-use std::time::{Duration, Instant};
-
-/// Backends for one test fleet: small worker pools (the suite runs many
-/// fleets under `--test-threads=8`), each service independent — shared
-/// state between backends would hide affinity bugs.
-fn spawn_fleet(n: usize) -> Vec<NetServer> {
-    (0..n)
-        .map(|_| {
-            let service = CompileService::builder().workers(2).build();
-            NetServer::bind("127.0.0.1:0", Arc::new(service)).expect("bind backend")
-        })
-        .collect()
-}
-
-fn fleet_addrs(fleet: &[NetServer]) -> Vec<SocketAddr> {
-    fleet.iter().map(|s| s.local_addr()).collect()
-}
-
-/// Distinct cheap requests: `lnn` on sizes 4..4+n (every size is its own
-/// cache key and its own digest, so they spread across the ring).
-fn distinct_requests(n: usize) -> Vec<CompileRequest> {
-    (0..n)
-        .map(|i| serve_request("lnn", &format!("lnn:{}", 4 + i), CompileOptions::default()))
-        .collect()
-}
-
-fn artifact_bytes(resp: &qft_kernels::CompileResponse) -> String {
-    serde_json::to_string(&resp.result).expect("serialize artifact")
-}
-
-/// Spins until `check` passes or the deadline expires.
-fn wait_until(what: &str, mut check: impl FnMut() -> bool) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while !check() {
-        assert!(Instant::now() < deadline, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(5));
-    }
-}
+use std::time::Duration;
 
 // ---------------------------------------------------------------------------
 // Digest affinity: one key, one backend, one cache entry fleet-wide.

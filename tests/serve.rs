@@ -16,27 +16,13 @@
 
 mod common;
 
-use common::{serve_request, serve_request_from_fields, SERVE_COMPILERS};
+use common::{contended_request, serve_request, serve_request_from_fields, SERVE_COMPILERS};
 use proptest::prelude::*;
 use qft_kernels::serve::shared_registry;
 use qft_kernels::{
     registry, CompileOptions, CompileRequest, CompileService, IeMode, ServeError, ServeStats,
 };
 use std::sync::{mpsc, Arc, Barrier};
-
-/// The request the concurrency tests hammer: a stochastic search compiler
-/// (so determinism is a property of the pipeline, not just of analytical
-/// construction) with truncation and the aggressive pass tail switched on.
-fn contended_request() -> CompileRequest {
-    serve_request(
-        "sabre",
-        "lattice:4",
-        CompileOptions::default()
-            .with_seed(7)
-            .with_opt_level(2)
-            .with_approximation(3),
-    )
-}
 
 #[test]
 fn registry_is_one_process_wide_instance() {

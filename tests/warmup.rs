@@ -25,54 +25,18 @@
 
 mod common;
 
-use common::serve_request;
+use common::{artifact_bytes, distinct_requests, fleet_addrs, spawn_fleet, wait_until};
 use proptest::prelude::*;
 use qft_kernels::serve::proto::{self, Frame, WireWarmupBatch};
 use qft_kernels::serve::router::RouterConfig;
 use qft_kernels::serve::warmup::{self, OwnedPredicate, WarmupEntry};
-use qft_kernels::serve::{ClientConfig, NetServer, Router};
-use qft_kernels::{CompileOptions, CompileRequest, CompileService};
+use qft_kernels::serve::{ClientConfig, Router};
+use qft_kernels::{CompileRequest, CompileService};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Backends for one test fleet (the suite runs under `--test-threads=8`,
-/// so worker pools stay small).
-fn spawn_fleet(n: usize) -> Vec<NetServer> {
-    (0..n)
-        .map(|_| {
-            let service = CompileService::builder().workers(2).build();
-            NetServer::bind("127.0.0.1:0", Arc::new(service)).expect("bind backend")
-        })
-        .collect()
-}
-
-fn fleet_addrs(fleet: &[NetServer]) -> Vec<SocketAddr> {
-    fleet.iter().map(|s| s.local_addr()).collect()
-}
-
-/// Distinct cheap requests: `lnn` on sizes 4..4+n, each its own cache
-/// key and ring digest.
-fn distinct_requests(n: usize) -> Vec<CompileRequest> {
-    (0..n)
-        .map(|i| serve_request("lnn", &format!("lnn:{}", 4 + i), CompileOptions::default()))
-        .collect()
-}
-
-fn artifact_bytes(resp: &qft_kernels::CompileResponse) -> String {
-    serde_json::to_string(&resp.result).expect("serialize artifact")
-}
-
-/// Spins until `check` passes or the deadline expires.
-fn wait_until(what: &str, mut check: impl FnMut() -> bool) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while !check() {
-        assert!(Instant::now() < deadline, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(5));
-    }
-}
 
 /// A predicate that claims every digest — for exporting a whole cache.
 fn own_everything() -> OwnedPredicate {
