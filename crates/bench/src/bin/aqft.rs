@@ -9,8 +9,9 @@
 //!
 //! The analytical mappers' rows double as an executable acceptance check:
 //! their depth must be monotonically non-increasing as the degree
-//! decreases (truncation only ever removes work), and the binary exits
-//! non-zero if that ever regresses.
+//! decreases (truncation only ever removes work). A monotonicity
+//! regression or any compile error is a named failed cell, and the binary
+//! exits 1 after writing the report.
 //!
 //! `--fast` shrinks the targets (used by CI).
 
@@ -104,7 +105,7 @@ fn main() {
     };
 
     let mut entries = Vec::new();
-    let mut violations = 0usize;
+    let mut failures = Vec::new();
     println!(
         "{:<10} {:<18} {:>3} {:>6} {:>7} {:>8} {:>7} {:>9} {:>8}",
         "compiler", "target", "N", "degree", "depth", "2q-depth", "#SWAP", "#dropped", "CT(ms)"
@@ -116,7 +117,9 @@ fn main() {
             let r = match registry().compile(compiler, target, &opts) {
                 Ok(r) => r,
                 Err(e) => {
-                    println!("{compiler:<10} {:<18} SKIP d={degree}: {e}", target.name());
+                    let cell = format!("{compiler} on {} at degree {degree}", target.name());
+                    eprintln!("COMPILE FAILED {cell}: {e}");
+                    failures.push(format!("{cell}: {e}"));
                     continue;
                 }
             };
@@ -136,13 +139,13 @@ fn main() {
             if *monotone {
                 if let Some(prev) = prev_depth {
                     if e.depth > prev {
-                        eprintln!(
-                            "MONOTONICITY VIOLATION: {compiler} on {} depth rose \
-                             {prev} -> {} when the degree dropped to {degree}",
+                        let cell = format!(
+                            "{compiler} on {} at degree {degree}: depth rose {prev} -> {}",
                             target.name(),
                             e.depth
                         );
-                        violations += 1;
+                        eprintln!("MONOTONICITY VIOLATION: {cell}");
+                        failures.push(cell);
                     }
                 }
                 prev_depth = Some(e.depth);
@@ -154,8 +157,5 @@ fn main() {
     let json = serde_json::to_string_pretty(&entries).expect("serialize entries");
     std::fs::write("BENCH_aqft.json", &json).expect("write BENCH_aqft.json");
     println!("\n[wrote BENCH_aqft.json: {} entries]", entries.len());
-    if violations > 0 {
-        eprintln!("{violations} monotonicity violation(s)");
-        std::process::exit(1);
-    }
+    qft_bench::exit_on_failures(&failures);
 }

@@ -5,6 +5,9 @@
 //! 1 (the byte-identical default tail) and 2 (aggressive: CPHASE+SWAP
 //! fusion + ASAP re-layering), prints the per-pass breakdown, and writes
 //! the whole thing to `BENCH_passes.json` in the working directory.
+//! Every kernel is compiled under the symbolic verifier, so a kernel that
+//! fails it — or any other compile error — is a named failed cell, and
+//! the binary exits 1 after writing the report.
 //!
 //! `--fast` shrinks the targets (used by CI).
 
@@ -68,6 +71,7 @@ fn main() {
     };
 
     let mut entries = Vec::new();
+    let mut failures = Vec::new();
     println!(
         "{:<10} {:<18} {:>3} {:>4} {:>7} {:>7} {:>9}  per-pass (rewrites, ms)",
         "compiler", "target", "N", "opt", "depth", "#SWAP", "pass(ms)"
@@ -82,7 +86,9 @@ fn main() {
             let r = match registry().compile(compiler, target, &opts) {
                 Ok(r) => r,
                 Err(e) => {
-                    println!("{compiler:<10} {:<18} SKIP: {e}", target.name());
+                    let cell = format!("{compiler} on {} at opt_level {opt_level}", target.name());
+                    eprintln!("COMPILE FAILED {cell}: {e}");
+                    failures.push(format!("{cell}: {e}"));
                     continue;
                 }
             };
@@ -109,4 +115,5 @@ fn main() {
     let json = serde_json::to_string_pretty(&entries).expect("serialize entries");
     std::fs::write("BENCH_passes.json", &json).expect("write BENCH_passes.json");
     println!("\n[wrote BENCH_passes.json: {} entries]", entries.len());
+    qft_bench::exit_on_failures(&failures);
 }

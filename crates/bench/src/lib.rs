@@ -178,6 +178,21 @@ pub fn has_flag(flag: &str) -> bool {
     std::env::args().any(|a| a == flag)
 }
 
+/// Ends a health binary with exit status 1 when it recorded any failed
+/// cell, naming each one on stderr; returns normally otherwise. The bins
+/// call it after writing their report, so the rows that did run are
+/// kept.
+pub fn exit_on_failures(failures: &[String]) {
+    if failures.is_empty() {
+        return;
+    }
+    eprintln!("{} failed cell(s):", failures.len());
+    for cell in failures {
+        eprintln!("  {cell}");
+    }
+    std::process::exit(1);
+}
+
 /// The serving benches' mixed workload, replayed by every leg of the
 /// `stack` bin and read by `perfbench`'s wire workloads:
 /// every compiler on its representative targets, crossed with

@@ -7,7 +7,7 @@
 //! 0       4     magic  b"QFTW"
 //! 4       1     version (currently 1)
 //! 5       1     kind    (see [`FrameKind`])
-//! 6       4     payload length, u32 big-endian, <= MAX_PAYLOAD
+//! 6       4     payload length, u32 big-endian, <= the kind's cap
 //! 10      len   payload: UTF-8 JSON (the crate's serde types)
 //! ```
 //!
@@ -18,12 +18,13 @@
 //! compression, no multiplexed channels, no negotiation beyond the
 //! version byte. What it *is* careful about:
 //!
-//! * **Bounded allocation** — the length field is validated against
-//!   [`MAX_PAYLOAD`] *before* anything is read past the header, so a
-//!   hostile length prefix costs a 10-byte header read and a descriptive
-//!   [`ProtoError::Oversize`], never an allocation; and a payload buffer
-//!   grows with the bytes that actually arrive, so a header that declares
-//!   16 MiB and then stalls costs what was sent, not 16 MiB.
+//! * **Bounded allocation** — the length field is validated against the
+//!   kind's cap ([`FrameKind::max_payload`]: 1 MiB for the kinds a server
+//!   receives, [`MAX_PAYLOAD`] otherwise) *before* anything is read past
+//!   the header, so a hostile length prefix costs a 10-byte header read
+//!   and a descriptive [`ProtoError::Oversize`], never an allocation; and
+//!   a payload buffer grows with the bytes that actually arrive, so a
+//!   header that declares the cap and then stalls costs what was sent.
 //! * **Descriptive decode errors** — bad magic, unknown version/kind,
 //!   truncation, and malformed JSON each get their own [`ProtoError`]
 //!   variant whose message names what was expected; the server answers
@@ -48,9 +49,17 @@ pub const VERSION: u8 = 1;
 /// Frame-header size: magic + version + kind + payload length.
 pub const HEADER_LEN: usize = 10;
 
-/// Hard cap on a frame payload (16 MiB). Checked against the length
-/// field before any allocation is sized from it.
+/// Hard cap on a frame payload (16 MiB): the cap of the kinds a client
+/// receives (`response`, `error`, `stats`, `warmup-batch`) and of unknown
+/// kinds. Checked against the length field before any allocation is
+/// sized from it.
 pub const MAX_PAYLOAD: usize = 16 << 20;
+
+/// Cap on the payload of the four kinds a server receives — `request`,
+/// `stats-request`, `goodbye` and `warmup-request` (1 MiB). None is
+/// legitimately more than a few KB (the largest, a warm-up predicate, is
+/// about 1.4 KB), so a peer can never make a server parse 16 MiB of JSON.
+pub const MAX_SERVER_BOUND_PAYLOAD: usize = 1 << 20;
 
 /// What a frame carries. The numeric value is the wire byte. Byte 4 is
 /// reserved: it carried a withdrawn `overloaded` kind and is never
@@ -106,6 +115,20 @@ impl FrameKind {
     pub fn from_wire(byte: u8) -> Option<FrameKind> {
         FrameKind::ALL.into_iter().find(|k| *k as u8 == byte)
     }
+
+    /// This kind's payload cap: [`MAX_SERVER_BOUND_PAYLOAD`] for the
+    /// kinds a server receives, [`MAX_PAYLOAD`] for the rest.
+    pub fn max_payload(self) -> usize {
+        match self {
+            FrameKind::Request
+            | FrameKind::StatsRequest
+            | FrameKind::Goodbye
+            | FrameKind::WarmupRequest => MAX_SERVER_BOUND_PAYLOAD,
+            FrameKind::Response | FrameKind::Error | FrameKind::Stats | FrameKind::WarmupBatch => {
+                MAX_PAYLOAD
+            }
+        }
+    }
 }
 
 impl fmt::Display for FrameKind {
@@ -149,7 +172,8 @@ pub enum ProtoError {
         /// The kind byte that arrived.
         got: u8,
     },
-    /// The length field exceeds [`MAX_PAYLOAD`]; nothing was allocated.
+    /// The length field exceeds the kind's cap
+    /// ([`FrameKind::max_payload`]); nothing was allocated.
     Oversize {
         /// The declared payload length.
         len: u64,
@@ -446,10 +470,11 @@ impl Frame {
     /// [`ProtoError::Oversize`] instead of emitting a frame no peer
     /// would accept.
     pub fn encode(&self) -> Result<Vec<u8>, ProtoError> {
-        if self.payload.len() > MAX_PAYLOAD {
+        let max = self.kind.max_payload();
+        if self.payload.len() > max {
             return Err(ProtoError::Oversize {
                 len: self.payload.len() as u64,
-                max: MAX_PAYLOAD,
+                max,
             });
         }
         let mut out = Vec::with_capacity(HEADER_LEN + self.payload.len());
@@ -462,13 +487,14 @@ impl Frame {
     }
 }
 
-/// Validates a complete 10-byte header. The length cap is enforced
-/// here — before any caller sizes a buffer from it — and *before* the
-/// kind byte is judged, so an unknown kind with a sane length is
-/// **skippable**: the inner `Result` carries the raw byte and callers
-/// consume the payload, then surface [`ProtoError::UnknownKind`] as a
-/// per-frame (not connection-fatal) refusal. That is the forward-compat
-/// story for peers speaking a newer protocol revision.
+/// Validates a complete 10-byte header. The kind's length cap is
+/// enforced here — before any caller sizes a buffer from it — and an
+/// unknown kind is held to [`MAX_PAYLOAD`] but not yet refused, so one
+/// with a sane length is **skippable**: the inner `Result` carries the
+/// raw byte and callers consume the payload, then surface
+/// [`ProtoError::UnknownKind`] as a per-frame (not connection-fatal)
+/// refusal. That is the forward-compat story for peers speaking a newer
+/// protocol revision.
 #[allow(clippy::type_complexity)]
 fn parse_header(header: &[u8; HEADER_LEN]) -> Result<(Result<FrameKind, u8>, usize), ProtoError> {
     let got: [u8; 4] = header[..4].try_into().expect("4-byte slice");
@@ -479,13 +505,14 @@ fn parse_header(header: &[u8; HEADER_LEN]) -> Result<(Result<FrameKind, u8>, usi
         return Err(ProtoError::Version { got: header[4] });
     }
     let len = u32::from_be_bytes(header[6..10].try_into().expect("4-byte slice")) as usize;
-    if len > MAX_PAYLOAD {
+    let kind = FrameKind::from_wire(header[5]).ok_or(header[5]);
+    let max = kind.map_or(MAX_PAYLOAD, FrameKind::max_payload);
+    if len > max {
         return Err(ProtoError::Oversize {
             len: len as u64,
-            max: MAX_PAYLOAD,
+            max,
         });
     }
-    let kind = FrameKind::from_wire(header[5]).ok_or(header[5]);
     Ok((kind, len))
 }
 
@@ -513,7 +540,7 @@ fn read_error(e: io::Error, context: &str) -> ProtoError {
 
 /// Blocking frame read, shared by clients, the server, tests and
 /// in-memory fuzzing. Nothing past the header is read unless the length
-/// field passes the [`MAX_PAYLOAD`] check, and the payload buffer grows
+/// field passes the kind's cap, and the payload buffer grows
 /// with the bytes received rather than being sized from the declared
 /// length. A clean close *between* frames is a [`ProtoError::Truncated`]
 /// with `have == 0`.
@@ -610,19 +637,29 @@ mod tests {
         match err {
             ProtoError::Oversize { len, max } => {
                 assert_eq!(len, u32::MAX as u64);
-                assert_eq!(max, MAX_PAYLOAD);
+                assert_eq!(max, MAX_SERVER_BOUND_PAYLOAD);
             }
             other => panic!("expected Oversize, got {other}"),
         }
         assert!(err.to_string().contains("before any allocation"));
+        // An unknown kind keeps the 16 MiB cap, so a newer peer's larger
+        // frame stays skippable: past 1 MiB it is read, not refused.
+        bytes[5] = 200;
+        bytes[6..10].copy_from_slice(&(MAX_SERVER_BOUND_PAYLOAD as u32 + 1).to_be_bytes());
+        match read_frame(&mut Cursor::new(&bytes)).unwrap_err() {
+            ProtoError::Truncated { need, .. } => {
+                assert_eq!(need, HEADER_LEN + MAX_SERVER_BOUND_PAYLOAD + 1)
+            }
+            other => panic!("expected Truncated, got {other}"),
+        }
     }
 
     #[test]
     fn payload_buffers_grow_with_the_bytes_received() {
-        // A peer that declares the largest legal payload, sends 100 bytes
-        // of it, then ends the stream. The reader records the largest
-        // buffer it was handed: the payload buffer must never have been
-        // sized from the declared 16 MiB.
+        // A peer that declares the largest legal request payload (1 MiB),
+        // sends 100 bytes of it, then ends the stream. The reader records
+        // the largest buffer it was handed: the payload buffer must never
+        // have been sized from the declared length.
         struct Stall {
             bytes: Vec<u8>,
             at: usize,
@@ -641,7 +678,7 @@ mod tests {
         bytes.extend_from_slice(&MAGIC);
         bytes.push(VERSION);
         bytes.push(FrameKind::Request as u8);
-        bytes.extend_from_slice(&(MAX_PAYLOAD as u32).to_be_bytes());
+        bytes.extend_from_slice(&(MAX_SERVER_BOUND_PAYLOAD as u32).to_be_bytes());
         bytes.extend_from_slice(&[b' '; 100]);
         let mut stall = Stall {
             bytes,
@@ -650,7 +687,10 @@ mod tests {
         };
         match read_frame(&mut stall).unwrap_err() {
             ProtoError::Truncated { have, need, .. } => {
-                assert_eq!((have, need), (HEADER_LEN + 100, HEADER_LEN + MAX_PAYLOAD));
+                assert_eq!(
+                    (have, need),
+                    (HEADER_LEN + 100, HEADER_LEN + MAX_SERVER_BOUND_PAYLOAD)
+                );
             }
             other => panic!("expected Truncated, got {other}"),
         }
@@ -752,27 +792,29 @@ mod tests {
             }
         }
 
-        /// Any length field past the cap is refused with the cap named,
-        /// for every kind byte and tail length — and the refusal happens
-        /// at header-parse time, so no payload-sized buffer exists.
+        /// Any length field past its kind's cap is refused with that cap
+        /// named, for every kind byte and tail length — and the refusal
+        /// happens at header-parse time, so no payload-sized buffer
+        /// exists.
         #[test]
         fn oversize_lengths_are_always_refused(
             kind_idx in 0..FrameKind::ALL.len(),
             over in 1u64..1_000_000,
             tail_len in 0usize..64,
         ) {
-            let len = (MAX_PAYLOAD as u64 + over).min(u32::MAX as u64) as u32;
+            let kind = FrameKind::ALL[kind_idx];
+            let len = (kind.max_payload() as u64 + over).min(u32::MAX as u64) as u32;
             let mut bytes = Vec::new();
             bytes.extend_from_slice(&MAGIC);
             bytes.push(VERSION);
-            bytes.push(FrameKind::ALL[kind_idx] as u8);
+            bytes.push(kind as u8);
             bytes.extend_from_slice(&len.to_be_bytes());
             bytes.extend_from_slice(&vec![0u8; tail_len]);
             let err = read_frame(&mut Cursor::new(&bytes)).unwrap_err();
             match err {
                 ProtoError::Oversize { len: got, max } => {
                     prop_assert_eq!(got, len as u64);
-                    prop_assert_eq!(max, MAX_PAYLOAD);
+                    prop_assert_eq!(max, kind.max_payload());
                 }
                 other => return Err(TestCaseError::Fail(
                     format!("expected Oversize, got {other}"),

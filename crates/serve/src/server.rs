@@ -73,13 +73,6 @@ pub struct ServerConfig {
     /// server writes to it is disconnected instead of wedging its
     /// connection.
     pub write_timeout: Duration,
-    /// How this server identifies itself in wire-level stats answers
-    /// (the [`BackendStats`][crate::types::BackendStats] envelope). Empty
-    /// means "use the listen address" — resolved once at bind, so an
-    /// ephemeral port 0 stamps the *actual* port. Behind a
-    /// [`Router`][crate::router::Router] this is what tells N otherwise
-    /// identical backends apart.
-    pub identity: String,
 }
 
 impl Default for ServerConfig {
@@ -87,7 +80,6 @@ impl Default for ServerConfig {
         ServerConfig {
             read_timeout: Duration::from_secs(2),
             write_timeout: Duration::from_secs(5),
-            identity: String::new(),
         }
     }
 }
@@ -142,6 +134,11 @@ enum WakeMark {
 struct Shared {
     service: Arc<CompileService>,
     config: ServerConfig,
+    /// The resolved listen address, stamped on wire-level stats answers
+    /// (the [`BackendStats`][crate::types::BackendStats] envelope):
+    /// resolved once at bind, so an ephemeral port 0 stamps the *actual*
+    /// port. Behind a [`Router`][crate::router::Router] this is what
+    /// tells N otherwise identical backends apart.
     identity: String,
     draining: AtomicBool,
     wake: Mutex<WakeMark>,
@@ -284,15 +281,10 @@ impl NetServer {
     ) -> io::Result<NetServer> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        let identity = if config.identity.is_empty() {
-            local_addr.to_string()
-        } else {
-            config.identity.clone()
-        };
         let shared = Arc::new(Shared {
             service,
             config,
-            identity,
+            identity: local_addr.to_string(),
             draining: AtomicBool::new(false),
             wake: Mutex::new(WakeMark::NotYet),
             net: NetCounters::default(),
@@ -313,13 +305,6 @@ impl NetServer {
     /// The address the server is actually listening on (resolves port 0).
     pub fn local_addr(&self) -> SocketAddr {
         self.local_addr
-    }
-
-    /// The identity this server stamps on wire-level stats answers:
-    /// [`ServerConfig::identity`], or the listen address when that was
-    /// left empty.
-    pub fn identity(&self) -> &str {
-        &self.shared.identity
     }
 
     /// The service behind this front end — the same instance every

@@ -291,12 +291,12 @@ impl ServeStats {
 /// With one server per process the snapshot alone was enough; behind a
 /// [`Router`][crate::router::Router] a stats answer is meaningless
 /// without knowing *which* backend produced it, so the server stamps
-/// every snapshot with its identity ([`crate::ServerConfig::identity`];
-/// the listen address unless configured otherwise). `ServeStats` itself
-/// stays `Copy` — the identity lives in this envelope, not the counters.
+/// every snapshot with its identity: its resolved listen address.
+/// `ServeStats` itself stays `Copy` — the identity lives in this
+/// envelope, not the counters.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BackendStats {
-    /// The answering server's identity string.
+    /// The answering server's identity: its resolved listen address.
     pub identity: String,
     /// The service counters, exactly the in-process snapshot.
     pub stats: ServeStats,

@@ -1,5 +1,6 @@
-//! Batched multi-state simulation: a structure-of-arrays engine that
-//! streams many input states through one decoded gate stream.
+//! The fast dense engine: a structure-of-arrays batch of states that
+//! streams through one decoded gate stream (a batch of one state is a
+//! single state).
 //!
 //! The equivalence checkers replay the same circuit over a set of probe
 //! states. Doing that one state at a time decodes every gate once *per
@@ -8,9 +9,11 @@
 //! imaginary, basis index major, state minor (`re[b · count + s]`) — so
 //! each gate is decoded once, its kernel sweeps all states in contiguous
 //! vectorizable passes, and the real-coefficient gates (H/X/CNOT/SWAP)
-//! touch each plane independently.
+//! touch each plane independently. The per-gate kernels are branch-free
+//! block sweeps: H/X/CNOT walk the affected index pairs directly, and the
+//! diagonal RZ/CPHASE touch only their `2^{n-1}`/`2^{n-2}` masked rows.
 //!
-//! Two further throughput ideas:
+//! Three further throughput ideas:
 //!
 //! * **Diagonal-run fusion.** Consecutive diagonal gates (CPHASE/RZ and
 //!   the phase half of the fused CPHASE+SWAP) mutually commute (§3.1), so
@@ -19,8 +22,11 @@
 //!   dense multiply pass when a non-diagonal gate (or the stream end)
 //!   arrives. A QFT-shaped stream collapses from `O(n²)` diagonal sweeps
 //!   to `n` flush passes.
-//! * **Lazy SWAPs.** The batch shares the qubit-layout bookkeeping of
-//!   the single-state engine: one O(1) relabel serves every state.
+//! * **Lazy SWAPs.** The batch carries a qubit→bit-slot permutation: a
+//!   SWAP (or the relabel half of a fused CPHASE+SWAP) is one O(1) edit
+//!   for every state, resolved by a single table-driven gather at
+//!   readout, so SWAP-dominated mapped circuits replay as nearly
+//!   phase-only workloads.
 //!
 //! Above a fixed element count per plane (the dense kernels' parallel
 //! threshold) a kernel fans its block sweep across up to [`StateBatch::workers`]
@@ -28,21 +34,27 @@
 //! pool idiom without the queue, since the partition is static).
 
 use crate::complex::Complex64;
+use crate::equiv::logical_places;
+use crate::error::{SimError, DENSE_QUBIT_CAP};
 use crate::state::{
     bit_map_tables, gather_rows, kernels, map_index, phase_angle, QubitLayout, StateVector,
 };
-use qft_ir::circuit::{Circuit, PhysOp};
+use qft_ir::circuit::{Circuit, MappedCircuit, PhysOp};
 use qft_ir::gate::{Gate, GateKind};
 use std::borrow::Cow;
 
 /// Worker threads a batch kernel may fan out across: the machine's
 /// parallelism, capped like the `qft-serve` pool so a simulation never
-/// monopolizes a large host.
+/// monopolizes a large host. Queried once per process: every batch,
+/// placeholders included, starts from it.
 fn default_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .clamp(1, 8)
+    static WORKERS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *WORKERS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+            .clamp(1, 8)
+    })
 }
 
 /// One decoded stream operation, shared by the logical-gate and
@@ -456,24 +468,11 @@ pub struct StateBatch {
 }
 
 impl StateBatch {
-    /// Packs a non-empty slice of equal-width states into a batch
-    /// (resolving any pending lazy permutation on the inputs).
+    /// Packs a non-empty slice of equal-width states into a batch.
     pub fn from_states(states: &[StateVector]) -> Self {
-        assert!(!states.is_empty(), "empty state batch");
-        let n = states[0].n_qubits();
-        assert!(
-            states.iter().all(|s| s.n_qubits() == n),
-            "batched states must have equal qubit counts"
-        );
-        Self::packed(states, n, None)
-    }
-
-    /// Packs states into a (possibly larger) `n_phys`-qubit register with
-    /// logical bit `l` at bit `place[l]` and spare qubits in `|0⟩` — the
-    /// entry point for batched physical replay.
-    pub(crate) fn embedded(states: &[StateVector], n_phys: usize, place: &[usize]) -> Self {
+        let n = states.first().expect("empty state batch").n_qubits();
         let mut batch = Self::empty();
-        batch.embed_into(states, n_phys, Some(place));
+        batch.embed_into(states, n, None);
         batch
     }
 
@@ -489,25 +488,24 @@ impl StateBatch {
         }
     }
 
-    fn packed(states: &[StateVector], n: usize, place: Option<&[usize]>) -> Self {
-        let mut batch = Self::empty();
-        batch.embed_into(states, n, place);
-        batch
-    }
-
-    /// Re-packs this batch from `states` (with an optional embedding
-    /// placement), reusing the plane allocations — the repeated physical
-    /// replay hot path.
-    pub(crate) fn embed_into(&mut self, states: &[StateVector], n: usize, place: Option<&[usize]>) {
+    /// Re-packs this batch from `states` as an `n`-qubit register,
+    /// reusing the plane allocations. With a placement, source bit `l`
+    /// lands at bit `place[l]` and the other qubits start in `|0⟩` (the
+    /// physical-replay embedding).
+    fn embed_into(&mut self, states: &[StateVector], n: usize, place: Option<&[usize]>) {
         assert!(!states.is_empty(), "empty state batch");
-        let cap = crate::error::dense_qubit_cap();
+        let n_src = place.map_or(n, <[usize]>::len);
         assert!(
-            n <= cap,
+            states.iter().all(|s| s.n_qubits() == n_src),
+            "batched states must have {n_src} qubits each"
+        );
+        assert!(
+            n <= DENSE_QUBIT_CAP,
             "{}",
-            crate::error::SimError::RegisterTooLarge {
+            SimError::RegisterTooLarge {
                 engine: "state batch",
                 n,
-                cap,
+                cap: DENSE_QUBIT_CAP,
             }
         );
         let count = states.len();
@@ -519,9 +517,8 @@ impl StateBatch {
         self.re.resize(m * count, 0.0);
         self.im.clear();
         self.im.resize(m * count, 0.0);
-        let resolved: Vec<_> = states.iter().map(|s| s.resolved_amplitudes()).collect();
         let tables = place.map(|p| bit_map_tables(p.len(), p));
-        let src_len = resolved[0].len();
+        let src_len = 1usize << n_src;
         // Index-major outer loop: every source stream and the destination
         // rows advance sequentially.
         for b in 0..src_len {
@@ -529,8 +526,8 @@ impl StateBatch {
                 Some(t) => map_index(t, b),
                 None => b,
             } * count;
-            for (s, amps) in resolved.iter().enumerate() {
-                let a = amps[b];
+            for (s, state) in states.iter().enumerate() {
+                let a = state.amplitudes()[b];
                 self.re[row + s] = a.re;
                 self.im[row + s] = a.im;
             }
@@ -626,26 +623,10 @@ impl StateBatch {
     }
 
     /// Applies `RZ` of order `k` on qubit `q` of every state — the
-    /// diagonal fast path: only the `2^{n-1}` masked rows are touched,
-    /// with the phasor hoisted (no per-gate phase-row allocation; that
-    /// machinery is for fused streams).
+    /// diagonal fast path: only the `2^{n-1}` masked rows are touched.
     pub fn apply_rz(&mut self, q: usize, k: u32) {
         debug_assert!(q < self.n);
-        let half = self.layout.mask(q) * self.count;
-        let (pr, pi) = (phase_angle(k).cos(), phase_angle(k).sin());
-        let upper = move |block: &mut [f64], other: &mut [f64]| {
-            for (r, i) in block[half..].iter_mut().zip(other[half..].iter_mut()) {
-                mul_phase(r, i, pr, pi);
-            }
-        };
-        self.joint_pass(2 * half, move |re, im, _| {
-            for (bre, bim) in re
-                .chunks_exact_mut(2 * half)
-                .zip(im.chunks_exact_mut(2 * half))
-            {
-                upper(bre, bim);
-            }
-        });
+        self.apply_phase(self.layout.mask(q), phase_angle(k));
     }
 
     /// Applies `CPHASE` of order `k` between `q1` and `q2` of every state
@@ -653,14 +634,27 @@ impl StateBatch {
     /// are touched.
     pub fn apply_cphase(&mut self, q1: usize, q2: usize, k: u32) {
         debug_assert!(q1 != q2 && q1 < self.n && q2 < self.n);
-        let (m1, m2) = (self.layout.mask(q1), self.layout.mask(q2));
-        let (lo, hi) = (m1.min(m2) * self.count, m1.max(m2) * self.count);
-        let (pr, pi) = (phase_angle(k).cos(), phase_angle(k).sin());
+        let mask = self.layout.mask(q1) | self.layout.mask(q2);
+        self.apply_phase(mask, phase_angle(k));
+    }
+
+    /// Multiplies `e^{iθ}` onto every row whose stored index holds both
+    /// bits of a 2-bit `mask` (or the one bit of a 1-bit mask), with the
+    /// phasor hoisted (no per-gate phase-row allocation; that machinery
+    /// is for fused streams).
+    fn apply_phase(&mut self, mask: usize, theta: f64) {
+        let rows = self.count;
+        let (lo, hi) = split_masks(mask);
+        let hi = hi * rows;
+        // In the upper half of each `2·hi` block, phase the upper half of
+        // every `sub`-sized run: the whole half for a 1-bit mask.
+        let (lo, sub) = lo.map_or((0, hi), |lo| (lo * rows, 2 * lo * rows));
+        let (pr, pi) = (theta.cos(), theta.sin());
         self.joint_pass(2 * hi, move |re, im, _| {
             for (bre, bim) in re.chunks_exact_mut(2 * hi).zip(im.chunks_exact_mut(2 * hi)) {
                 for (sre, sim) in bre[hi..]
-                    .chunks_exact_mut(2 * lo)
-                    .zip(bim[hi..].chunks_exact_mut(2 * lo))
+                    .chunks_exact_mut(sub)
+                    .zip(bim[hi..].chunks_exact_mut(sub))
                 {
                     for (r, i) in sre[lo..].iter_mut().zip(sim[lo..].iter_mut()) {
                         mul_phase(r, i, pr, pi);
@@ -778,6 +772,28 @@ impl StateBatch {
             (GateKind::CphaseSwap { k }, Some(b)) => self.apply_cphase_swap(a, b.index(), k),
             (GateKind::Cnot, Some(b)) => self.apply_cnot(a, b.index()),
             _ => unreachable!("malformed gate {g}"),
+        }
+    }
+
+    /// Applies the *inverse* of a logical gate to every state (how
+    /// inverse-QFT applications such as phase estimation run the forward
+    /// kernel backwards). H, X, SWAP and CNOT are self-inverse; the
+    /// diagonal gates conjugate their phase.
+    pub fn apply_gate_inverse(&mut self, g: &Gate) {
+        let a = g.a.index();
+        match (g.kind, g.b) {
+            (GateKind::Rz { k }, _) => self.apply_phase(self.layout.mask(a), -phase_angle(k)),
+            (GateKind::Cphase { k } | GateKind::CphaseSwap { k }, Some(b)) => {
+                // (CP · SWAP)⁻¹ = SWAP · CP⁻¹: the two commute on one pair,
+                // and the relabel leaves the pair's mask unchanged.
+                let b = b.index();
+                let mask = self.layout.mask(a) | self.layout.mask(b);
+                self.apply_phase(mask, -phase_angle(k));
+                if matches!(g.kind, GateKind::CphaseSwap { .. }) {
+                    self.layout.swap(a, b);
+                }
+            }
+            _ => self.apply_gate(g),
         }
     }
 
@@ -919,8 +935,28 @@ impl StateBatch {
         self.apply_gates(c.gates().iter().copied());
     }
 
+    /// Physical replay of a mapped circuit: packs the logical `inputs`
+    /// into this batch as the `n_physical`-qubit register (logical qubit
+    /// `l` at its initial-layout position, spare qubits in `|0⟩`), streams
+    /// every physical op — SWAP chains as O(1) relabels — and reads the
+    /// logical register back out at the final layout into `out`. Both
+    /// batches reuse their plane allocations across calls. Amplitude left
+    /// on excited spare qubits is dropped, so it shows up as lost norm.
+    pub fn replay_physically(
+        &mut self,
+        mc: &MappedCircuit,
+        inputs: &[StateVector],
+        out: &mut StateBatch,
+    ) {
+        let n_l = mc.n_logical();
+        let place = logical_places(mc.initial_layout(), n_l);
+        self.embed_into(inputs, mc.n_physical(), Some(&place));
+        self.apply_phys_ops(mc.ops());
+        self.extract_into(&logical_places(mc.final_layout(), n_l), out);
+    }
+
     /// Materializes any pending qubit permutation (one row-gather pass per
-    /// plane, shared with the single-state readout machinery).
+    /// plane).
     pub fn resolve_layout(&mut self) {
         if self.layout.is_identity() {
             return;
@@ -933,12 +969,10 @@ impl StateBatch {
 
     /// Reads the batch back down to `place.len()` logical qubits (logical
     /// bit `l` from stored qubit `place[l]`) into `dest`, reusing `dest`'s
-    /// allocations — the readout half of batched physical replay. The
-    /// pending lazy permutation is *composed into* the gather tables (one
-    /// pass, no resolve sweep). Amplitude on excited spare qubits is
-    /// dropped (it shows up as lost norm, which the fidelity check
-    /// catches).
-    pub(crate) fn extract_into(&self, place: &[usize], dest: &mut StateBatch) {
+    /// allocations — the readout half of physical replay. The pending
+    /// lazy permutation is *composed into* the gather tables (one pass,
+    /// no resolve sweep).
+    fn extract_into(&self, place: &[usize], dest: &mut StateBatch) {
         let rows = self.count;
         let stored_bits: Vec<usize> = place.iter().map(|&q| self.layout.slot_of(q)).collect();
         let tables = bit_map_tables(stored_bits.len(), &stored_bits);
@@ -956,13 +990,6 @@ impl StateBatch {
             dest.re[b * rows..(b + 1) * rows].copy_from_slice(&self.re[src..src + rows]);
             dest.im[b * rows..(b + 1) * rows].copy_from_slice(&self.im[src..src + rows]);
         }
-    }
-
-    /// [`Self::extract_into`] into a fresh batch.
-    pub(crate) fn extracted(&self, place: &[usize]) -> StateBatch {
-        let mut out = Self::empty();
-        self.extract_into(place, &mut out);
-        out
     }
 
     /// The planes in canonical row order: borrowed when no permutation is
@@ -1041,6 +1068,8 @@ impl StateBatch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qft_ir::gate::LogicalQubit;
+    use std::f64::consts::PI;
 
     const EPS: f64 = 1e-10;
 
@@ -1050,17 +1079,216 @@ mod tests {
             .collect()
     }
 
+    /// A batch of one state.
+    fn one(s: &StateVector) -> StateBatch {
+        StateBatch::from_states(std::slice::from_ref(s))
+    }
+
+    /// The state of a one-state batch.
+    fn only(b: &StateBatch) -> StateVector {
+        b.to_states().remove(0)
+    }
+
+    fn fused_cphase_swap(k: u32, a: u32, b: u32) -> Gate {
+        Gate::two(GateKind::CphaseSwap { k }, LogicalQubit(a), LogicalQubit(b))
+    }
+
+    #[test]
+    fn h_twice_is_identity() {
+        let orig = StateVector::random(4, 7);
+        let mut s = one(&orig);
+        s.apply_h(2);
+        s.apply_h(2);
+        assert!((only(&s).fidelity(&orig) - 1.0).abs() < EPS);
+    }
+
+    #[test]
+    fn h_creates_uniform_superposition() {
+        let mut s = one(&StateVector::zero(1));
+        s.apply_h(0);
+        for a in only(&s).amplitudes() {
+            assert!((a.re - std::f64::consts::FRAC_1_SQRT_2).abs() < EPS);
+        }
+    }
+
+    #[test]
+    fn cphase_only_phases_11() {
+        let mut s = one(&StateVector::basis(2, 0b11));
+        s.apply_cphase(0, 1, 1); // k=1 => phase pi => factor -1
+        assert!((only(&s).amplitudes()[3].re + 1.0).abs() < EPS);
+        let mut s = one(&StateVector::basis(2, 0b01));
+        s.apply_cphase(0, 1, 1);
+        assert!((only(&s).amplitudes()[1].re - 1.0).abs() < EPS);
+    }
+
+    #[test]
+    fn cphase_is_symmetric() {
+        let mut a = one(&StateVector::random(3, 11));
+        let mut b = a.clone();
+        a.apply_cphase(0, 2, 3);
+        b.apply_cphase(2, 0, 3);
+        assert!((a.fidelities(&b)[0] - 1.0).abs() < EPS);
+    }
+
+    #[test]
+    fn cphases_commute_even_sharing_a_qubit() {
+        // The algebraic heart of §3.1.
+        let mut a = one(&StateVector::random(3, 13));
+        let mut b = a.clone();
+        a.apply_cphase(0, 1, 2);
+        a.apply_cphase(0, 2, 3);
+        b.apply_cphase(0, 2, 3);
+        b.apply_cphase(0, 1, 2);
+        assert!((a.fidelities(&b)[0] - 1.0).abs() < EPS);
+    }
+
+    #[test]
+    fn h_and_cphase_do_not_commute() {
+        let mut a = one(&StateVector::random(2, 17));
+        let mut b = a.clone();
+        a.apply_h(0);
+        a.apply_cphase(0, 1, 2);
+        b.apply_cphase(0, 1, 2);
+        b.apply_h(0);
+        assert!(a.fidelities(&b)[0] < 1.0 - 1e-3);
+    }
+
+    #[test]
+    fn swap_exchanges_basis_bits() {
+        let mut s = one(&StateVector::basis(3, 0b001));
+        s.apply_swap(0, 2);
+        assert!((only(&s).amplitudes()[0b100].re - 1.0).abs() < EPS);
+    }
+
+    #[test]
+    fn swap_equals_three_cnots() {
+        let mut a = one(&StateVector::random(2, 23));
+        let mut b = a.clone();
+        a.apply_swap(0, 1);
+        b.apply_cnot(0, 1);
+        b.apply_cnot(1, 0);
+        b.apply_cnot(0, 1);
+        assert!((a.fidelities(&b)[0] - 1.0).abs() < EPS);
+    }
+
+    #[test]
+    fn cnot_flips_the_target_where_the_control_is_set() {
+        // Control q0 set (|01⟩) flips q1; control clear (|10⟩) does not.
+        for (input, output) in [(0b01, 0b11), (0b10, 0b10)] {
+            let mut s = one(&StateVector::basis(2, input));
+            s.apply_cnot(0, 1);
+            assert!((only(&s).amplitudes()[output].re - 1.0).abs() < EPS);
+        }
+    }
+
+    #[test]
+    fn gates_after_lazy_swaps_act_on_relabeled_qubits() {
+        // H on q0 after SWAP(0, 2) must equal H on q2 before it.
+        let mut a = one(&StateVector::random(3, 41));
+        let mut b = a.clone();
+        a.apply_swap(0, 2);
+        a.apply_h(0);
+        b.apply_h(2);
+        b.apply_swap(0, 2);
+        assert!((a.fidelities(&b)[0] - 1.0).abs() < EPS);
+    }
+
+    #[test]
+    fn fused_cphase_swap_equals_the_two_gates() {
+        let mut a = one(&StateVector::random(3, 43));
+        let mut b = a.clone();
+        a.apply_cphase_swap(0, 1, 3);
+        b.apply_cphase(0, 1, 3);
+        b.apply_swap(0, 1);
+        // Element-wise (no global-phase slack between the two paths).
+        for (x, y) in only(&a).amplitudes().iter().zip(only(&b).amplitudes()) {
+            assert!((x.re - y.re).abs() < EPS && (x.im - y.im).abs() < EPS);
+        }
+    }
+
+    #[test]
+    fn readout_agrees_before_and_after_resolve_layout() {
+        let mut s = one(&StateVector::random(4, 31));
+        s.apply_swap(1, 3);
+        s.apply_cphase(0, 1, 2);
+        s.apply_swap(0, 1);
+        let gathered = only(&s);
+        s.resolve_layout();
+        for (x, y) in gathered.amplitudes().iter().zip(only(&s).amplitudes()) {
+            assert_eq!((x.re, x.im), (y.re, y.im));
+        }
+    }
+
+    #[test]
+    fn rotation_angles_are_exact_beyond_k_30() {
+        // Regression: the old `1u32 << k.min(30)` clamp collapsed every
+        // k > 30 onto the k = 30 angle.
+        assert!(phase_angle(31) != phase_angle(30));
+        assert!(phase_angle(40) != phase_angle(30));
+        assert!((phase_angle(40) - 2.0 * PI / (1u64 << 40) as f64).abs() < 1e-24);
+        // The |1⟩ amplitude carries the exact e^{iθ_k} phase: at k = 40
+        // its imaginary part is sin(2π/2^40) ≈ 5.7e-12, three orders of
+        // magnitude from the k = 30 value the old clamp produced.
+        let mut a = one(&StateVector::basis(1, 1));
+        a.apply_rz(0, 40);
+        let im = only(&a).amplitudes()[1].im;
+        assert!((im - phase_angle(40).sin()).abs() < 1e-24);
+        assert!((im - phase_angle(30).sin()).abs() > 1e-10, "clamp bug");
+        // Same for the two-qubit diagonal.
+        let mut c = one(&StateVector::basis(2, 0b11));
+        c.apply_cphase(0, 1, 35);
+        assert!((only(&c).amplitudes()[3].im - phase_angle(35).sin()).abs() < 1e-24);
+    }
+
+    #[test]
+    fn inverse_gates_undo_forward_gates() {
+        let gates = [
+            Gate::h(1),
+            Gate::rz(3, 0),
+            Gate::cphase(3, 0, 2),
+            Gate::swap(1, 2),
+            fused_cphase_swap(2, 0, 2),
+            Gate::cnot(0, 1),
+        ];
+        for count in [1, 3] {
+            let orig = probe(3, count);
+            let mut s = StateBatch::from_states(&orig);
+            for g in &gates {
+                s.apply_gate(g);
+            }
+            for g in gates.iter().rev() {
+                s.apply_gate_inverse(g);
+            }
+            for (got, want) in s.to_states().iter().zip(&orig) {
+                assert!((got.fidelity(want) - 1.0).abs() < EPS, "count={count}");
+            }
+        }
+    }
+
+    #[test]
+    fn norm_preserved_by_gates() {
+        let mut s = one(&StateVector::random(5, 31));
+        s.apply_h(3);
+        s.apply_cphase(1, 4, 2);
+        s.apply_swap(0, 2);
+        s.apply_cnot(2, 3);
+        assert!((s.norms2()[0] - 1.0).abs() < EPS);
+    }
+
     #[test]
     fn batch_matches_per_state_application() {
+        // The fused stream over several states equals gate-by-gate
+        // application to one-state batches.
         let states = probe(5, 4);
         let c = qft_ir::qft::qft_circuit(5);
         let mut batch = StateBatch::from_states(&states);
         batch.apply_circuit(&c);
-        let unpacked = batch.to_states();
-        for (input, got) in states.iter().zip(&unpacked) {
-            let mut want = input.clone();
-            want.apply_circuit(&c);
-            assert!((got.fidelity(&want) - 1.0).abs() < EPS);
+        for (input, got) in states.iter().zip(batch.to_states()) {
+            let mut want = one(input);
+            for g in c.gates() {
+                want.apply_gate(g);
+            }
+            assert!((got.fidelity(&only(&want)) - 1.0).abs() < EPS);
         }
     }
 
@@ -1072,11 +1300,7 @@ mod tests {
             Gate::swap(0, 3),
             Gate::cphase(2, 0, 1),
             Gate::rz(4, 2),
-            Gate::two(
-                GateKind::CphaseSwap { k: 3 },
-                qft_ir::gate::LogicalQubit(1),
-                qft_ir::gate::LogicalQubit(2),
-            ),
+            fused_cphase_swap(3, 1, 2),
             Gate::cnot(2, 0),
             Gate::h(3),
         ];
@@ -1091,18 +1315,17 @@ mod tests {
                 }
             }
             for (input, got) in states.iter().zip(batch.to_states()) {
-                let mut want = input.clone();
+                let mut want = one(input);
                 for g in &gates {
                     want.apply_gate(g);
                 }
                 assert!(
-                    (got.fidelity(&want) - 1.0).abs() < EPS,
+                    (got.fidelity(&only(&want)) - 1.0).abs() < EPS,
                     "fused={fused} diverges"
                 );
             }
         }
     }
-
     #[test]
     fn fidelities_match_pairwise_single_state_fidelity() {
         let a_states = probe(4, 3);

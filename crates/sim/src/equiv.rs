@@ -1,37 +1,32 @@
-//! Small-N unitary equivalence: the redundant, state-vector cross-check of
+//! Unitary equivalence: the redundant, simulation-backed cross-check of
 //! the symbolic verifier (every kernel must implement the QFT or AQFT).
 //!
-//! Both checkers ([`mapped_equals_qft`] / [`mapped_equals_aqft`]) build
-//! their reference circuit **once**, pack the probe states into a
-//! [`StateBatch`], and stream the mapped kernel's gate sequence through
-//! the batch — each gate is decoded a single time for all inputs, instead
-//! of the old per-seed loop that also rebuilt the reference (an O(4^n)
-//! DFT, in the exact-QFT case) for every input state.
-//!
-//! [`apply_mapped_physically`] additionally replays the *full physical op
-//! stream* — the SWAP-dominated mapped circuit itself, not just its
-//! logical interactions — which the lazy-SWAP engine turns into a nearly
-//! phase-only workload.
+//! Each simulation tier has one checker. [`ReferenceChecker`] is the
+//! dense one: it packs the probe states into a [`StateBatch`] and applies
+//! the reference circuit **once**, then streams any number of mapped
+//! kernels through the batch — logically (the interaction stream) or by
+//! full physical replay (SWAP chains as O(1) relabels). The one-shot
+//! checks [`mapped_equals_qft`] / [`mapped_equals_aqft`] are single
+//! [`ReferenceChecker`] runs.
 //!
 //! Above the dense planes sits the **engine-selection layer**:
 //! [`plan_tier`] routes each job by circuit content and size (qubit count
-//! plus the sparse evaluator's estimated peak density) to the
-//! dense/batched tier or the [`crate::sparse`] matrix-element tier, the
-//! `auto` checkers ([`mapped_equals_qft_auto`] /
-//! [`mapped_equals_aqft_auto`]) execute that choice with a density
-//! watchdog that falls back to dense when the sparse map outgrows its cap
-//! at an `n` small enough to afford a `2^n` plane, and [`SparseChecker`]
-//! is the amortized [`ReferenceChecker`] analogue for n = 24–63. When no
-//! tier can take the job, the layer reports a descriptive
-//! [`SimError::NoEngine`] instead of attempting the allocation.
+//! plus the sparse evaluator's estimated peak density) to the dense tier
+//! or the [`crate::sparse`] matrix-element tier, [`mapped_equals_aqft_auto`]
+//! executes that choice with a density watchdog that falls back to dense
+//! when the sparse map outgrows its cap at an `n` small enough to afford
+//! a `2^n` plane, and [`SparseChecker`] is the sparse tier's checker for
+//! n = 24–63. When no tier can take the job, the layer reports a
+//! descriptive [`SimError::NoEngine`] instead of attempting the
+//! allocation.
 
 use crate::batch::StateBatch;
 use crate::complex::Complex64;
-use crate::error::{dense_qubit_cap, sparse_density_cap, SimError, SPARSE_MAX_QUBITS};
+use crate::error::{SimError, DENSE_QUBIT_CAP, SPARSE_DENSITY_CAP, SPARSE_MAX_QUBITS};
 use crate::sparse::{self, SparseProbe, SparseRun};
-use crate::state::{embed_amplitudes, StateVector};
+use crate::state::StateVector;
 use qft_ir::circuit::{Circuit, MappedCircuit};
-use qft_ir::gate::{Gate, GateKind, LogicalQubit};
+use qft_ir::gate::{Gate, LogicalQubit};
 use qft_ir::qft::aqft_basis_amplitude_angle;
 
 /// Fidelity tolerance for equivalence (|⟨a|b⟩|² ≥ 1 − ε).
@@ -44,6 +39,11 @@ pub(crate) fn logical_places(layout: &qft_ir::layout::Layout, n_l: usize) -> Vec
     (0..n_l)
         .map(|l| layout.phys(LogicalQubit(l as u32)).index())
         .collect()
+}
+
+/// Whether every per-state fidelity is 1 within [`FIDELITY_EPS`].
+fn all_faithful(fidelities: &[f64]) -> bool {
+    fidelities.iter().all(|f| (f - 1.0).abs() < FIDELITY_EPS)
 }
 
 /// The probe inputs every equivalence check runs over: `|0…0⟩`, `|1…1⟩`,
@@ -59,139 +59,14 @@ pub fn probe_states(n: usize, n_seeds: u64) -> Vec<StateVector> {
     inputs
 }
 
-/// Applies the *logical* gate stream of a mapped circuit to `input`.
+/// The dense checker: the probe inputs are packed and the reference
+/// outputs computed **once**, after which any number of mapped kernels
+/// can be verified against them — the amortized form the cross-compiler
+/// matrix (many kernels, one reference per `(n, degree)`) and the `sim`
+/// bench consume.
 ///
-/// SWAPs move qubits between physical locations but act as identity on the
-/// logical state, so only the H/CPHASE interactions (with their logical
-/// annotations) are applied.
-pub fn apply_mapped_logically(mc: &MappedCircuit, input: &StateVector) -> StateVector {
-    assert_eq!(mc.n_logical(), input.n_qubits());
-    let mut s = input.clone();
-    for g in mc.logical_interactions() {
-        s.apply_gate(&g);
-    }
-    s
-}
-
-/// Replays the full *physical* op stream of a mapped circuit: the input is
-/// embedded at the initial layout (spare physical qubits in `|0⟩`), every
-/// op — H, CPHASE, SWAP, fused CPHASE+SWAP, CNOT, … — executes on its
-/// physical operands, and the logical state is read back out at the final
-/// layout.
-///
-/// With the lazy-SWAP engine the routing chains cost O(1) bookkeeping
-/// apiece, so a SWAP-dominated mapped kernel simulates at nearly the cost
-/// of its phase gates alone.
-pub fn apply_mapped_physically(mc: &MappedCircuit, input: &StateVector) -> StateVector {
-    let (n_l, n_p) = (mc.n_logical(), mc.n_physical());
-    assert_eq!(input.n_qubits(), n_l);
-    let cap = dense_qubit_cap();
-    assert!(
-        n_p <= cap,
-        "{}",
-        SimError::RegisterTooLarge {
-            engine: "physical replay",
-            n: n_p,
-            cap,
-        }
-    );
-    let place = logical_places(mc.initial_layout(), n_l);
-    let amps = embed_amplitudes(&input.resolved_amplitudes(), n_p, &place);
-    let mut s = StateVector::from_amplitudes(n_p, amps);
-    for op in mc.ops() {
-        let p1 = op.p1.index();
-        match (op.kind, op.p2) {
-            (GateKind::H, _) => s.apply_h(p1),
-            (GateKind::X, _) => s.apply_x(p1),
-            (GateKind::Rz { k }, _) => s.apply_rz(p1, k),
-            (GateKind::Cphase { k }, Some(p2)) => s.apply_cphase(p1, p2.index(), k),
-            (GateKind::Swap, Some(p2)) => s.apply_swap(p1, p2.index()),
-            (GateKind::CphaseSwap { k }, Some(p2)) => s.apply_cphase_swap(p1, p2.index(), k),
-            (GateKind::Cnot, Some(p2)) => s.apply_cnot(p1, p2.index()),
-            _ => unreachable!("malformed physical op"),
-        }
-    }
-    // Extraction composes the pending lazy permutation into the gather
-    // (one 2^{n_l} pass — no full 2^{n_p} resolve sweep).
-    let final_place = logical_places(mc.final_layout(), n_l);
-    StateVector::from_amplitudes(n_l, s.extracted_amplitudes(&final_place))
-}
-
-/// The batched equivalence core: checks the mapped circuit's logical
-/// stream against an arbitrary pre-built logical `reference` circuit on
-/// the standard probe set, up to global phase per state.
-pub fn mapped_matches_reference(mc: &MappedCircuit, reference: &Circuit, n_seeds: u64) -> bool {
-    mapped_matches_reference_on(mc, reference, &probe_states(mc.n_logical(), n_seeds))
-}
-
-/// [`mapped_matches_reference`] over caller-supplied input states (probe
-/// construction hoisted — harnesses checking many kernels of the same
-/// width build the inputs once).
-pub fn mapped_matches_reference_on(
-    mc: &MappedCircuit,
-    reference: &Circuit,
-    inputs: &[StateVector],
-) -> bool {
-    let n = mc.n_logical();
-    assert_eq!(reference.n_qubits(), n);
-    // Pack once; the second batch is a plain memcpy of the planes.
-    let mut want = StateBatch::from_states(inputs);
-    let mut got = want.clone();
-    got.apply_gates(mc.logical_interactions());
-    want.apply_circuit(reference);
-    got.fidelities(&want)
-        .iter()
-        .all(|f| (f - 1.0).abs() < FIDELITY_EPS)
-}
-
-/// Like [`mapped_matches_reference`], but replaying the full physical op
-/// stream — SWAP chains and all — batched over the probe states (embed at
-/// the initial layout, one fused op sweep, extract at the final layout).
-pub fn mapped_physically_matches_reference(
-    mc: &MappedCircuit,
-    reference: &Circuit,
-    n_seeds: u64,
-) -> bool {
-    mapped_physically_matches_reference_on(mc, reference, &probe_states(mc.n_logical(), n_seeds))
-}
-
-/// [`mapped_physically_matches_reference`] over caller-supplied inputs.
-pub fn mapped_physically_matches_reference_on(
-    mc: &MappedCircuit,
-    reference: &Circuit,
-    inputs: &[StateVector],
-) -> bool {
-    let (n_l, n_p) = (mc.n_logical(), mc.n_physical());
-    assert_eq!(reference.n_qubits(), n_l);
-    let cap = dense_qubit_cap();
-    assert!(
-        n_p <= cap,
-        "{}",
-        SimError::RegisterTooLarge {
-            engine: "physical replay",
-            n: n_p,
-            cap,
-        }
-    );
-    let place = logical_places(mc.initial_layout(), n_l);
-    let mut phys = StateBatch::embedded(inputs, n_p, &place);
-    phys.apply_phys_ops(mc.ops());
-    let got = phys.extracted(&logical_places(mc.final_layout(), n_l));
-    let mut want = StateBatch::from_states(inputs);
-    want.apply_circuit(reference);
-    got.fidelities(&want)
-        .iter()
-        .all(|f| (f - 1.0).abs() < FIDELITY_EPS)
-}
-
-/// A prepared equivalence checker: the probe inputs are packed and the
-/// reference outputs computed **once**, after which any number of mapped
-/// kernels can be verified against them — the amortized form the
-/// cross-compiler matrix (many kernels, one reference per `(n, degree)`)
-/// and the `sim` bench consume.
-///
-/// Repeated checks reuse one scratch batch (no per-check allocation of
-/// the amplitude planes).
+/// Repeated checks reuse one scratch batch per leg (no per-check
+/// allocation of the amplitude planes).
 #[derive(Debug)]
 pub struct ReferenceChecker {
     inputs: Vec<StateVector>,
@@ -207,12 +82,11 @@ impl ReferenceChecker {
         let base = StateBatch::from_states(&inputs);
         let mut want = base.clone();
         want.apply_circuit(reference);
-        let scratch = base.clone();
         ReferenceChecker {
             inputs,
             base,
             want,
-            scratch,
+            scratch: StateBatch::empty(),
             phys_scratch: StateBatch::empty(),
         }
     }
@@ -238,43 +112,33 @@ impl ReferenceChecker {
 
     /// Checks the mapped kernel's logical stream (batched, amortized).
     pub fn matches_logical(&mut self, mc: &MappedCircuit) -> bool {
-        self.logical_fidelities(mc)
-            .iter()
-            .all(|f| (f - 1.0).abs() < FIDELITY_EPS)
+        all_faithful(&self.logical_fidelities(mc))
     }
 
-    /// Checks the mapped kernel by full physical op-stream replay (embed
-    /// at the initial layout, fused sweep with lazy SWAPs, extract at the
-    /// final layout). The physical and extraction buffers are reused
-    /// across calls.
+    /// The one-shot form of [`Self::matches_logical`]: the kernel streams
+    /// through the packed probes themselves, so a single check packs the
+    /// probes once and copies them once (for the reference outputs).
+    fn matches_logical_once(mut self, mc: &MappedCircuit) -> bool {
+        assert_eq!(mc.n_logical(), self.base.n_qubits());
+        self.base.apply_gates(mc.logical_interactions());
+        all_faithful(&self.base.fidelities(&self.want))
+    }
+
+    /// Checks the mapped kernel by full physical op-stream replay
+    /// ([`StateBatch::replay_physically`]: embed at the initial layout,
+    /// fused sweep with lazy SWAPs, extract at the final layout). The
+    /// physical and extraction buffers are reused across calls.
     pub fn matches_physically(&mut self, mc: &MappedCircuit) -> bool {
-        let (n_l, n_p) = (mc.n_logical(), mc.n_physical());
-        assert_eq!(n_l, self.base.n_qubits());
-        let cap = dense_qubit_cap();
-        assert!(
-            n_p <= cap,
-            "{}",
-            SimError::RegisterTooLarge {
-                engine: "physical replay",
-                n: n_p,
-                cap,
-            }
-        );
-        let place = logical_places(mc.initial_layout(), n_l);
+        assert_eq!(mc.n_logical(), self.base.n_qubits());
         self.phys_scratch
-            .embed_into(&self.inputs, n_p, Some(&place));
-        self.phys_scratch.apply_phys_ops(mc.ops());
-        self.phys_scratch
-            .extract_into(&logical_places(mc.final_layout(), n_l), &mut self.scratch);
-        self.scratch
-            .fidelities(&self.want)
-            .iter()
-            .all(|f| (f - 1.0).abs() < FIDELITY_EPS)
+            .replay_physically(mc, &self.inputs, &mut self.scratch);
+        all_faithful(&self.scratch.fidelities(&self.want))
     }
 }
 
 /// Checks that a mapped circuit implements the textbook QFT on `n_seeds`
-/// random states (plus `|0…0⟩` and `|1…1⟩`), up to global phase.
+/// random states (plus `|0…0⟩` and `|1…1⟩`), up to global phase: one
+/// [`ReferenceChecker`] run of the kernel's logical stream.
 ///
 /// The reference is the textbook circuit [`qft_ir::qft::qft_circuit`]
 /// (equal to `DFT ∘ bit-reverse`; the relation is pinned by
@@ -283,7 +147,7 @@ impl ReferenceChecker {
 /// Only feasible for small `n` (≤ ~14); larger circuits rely on the
 /// symbolic verifier, whose soundness this function cross-validates.
 pub fn mapped_equals_qft(mc: &MappedCircuit, n_seeds: u64) -> bool {
-    mapped_matches_reference(mc, &qft_ir::qft::qft_circuit(mc.n_logical()), n_seeds)
+    ReferenceChecker::for_qft(mc.n_logical(), n_seeds).matches_logical_once(mc)
 }
 
 /// Checks that a mapped circuit implements the degree-`degree` *approximate*
@@ -294,18 +158,19 @@ pub fn mapped_equals_qft(mc: &MappedCircuit, n_seeds: u64) -> bool {
 /// verifier (a full-QFT contract checker) cannot certify. `degree >= n`
 /// reduces to [`mapped_equals_qft`]'s contract.
 pub fn mapped_equals_aqft(mc: &MappedCircuit, degree: u32, n_seeds: u64) -> bool {
-    mapped_matches_reference(
-        mc,
-        &qft_ir::qft::aqft_circuit(mc.n_logical(), degree),
-        n_seeds,
+    let n = mc.n_logical();
+    ReferenceChecker::new(
+        &qft_ir::qft::aqft_circuit(n, degree),
+        probe_states(n, n_seeds),
     )
+    .matches_logical_once(mc)
 }
 
 // ---------------------------------------------------------------------------
 // Engine selection: route each job by content and size.
 // ---------------------------------------------------------------------------
 
-/// Registers at or below this width route to the dense/batched planes by
+/// Registers at or below this width route to the dense planes by
 /// preference (a `2^14` plane per probe state is ~256 KiB — cheaper and
 /// more general than sparse matrix elements). Above it, the sparse tier
 /// takes the job whenever the content-based density estimate fits.
@@ -319,7 +184,7 @@ pub const SPARSE_AMP_EPS: f64 = 1e-9;
 /// Which simulation tier [`plan_tier`] selected for a job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineTier {
-    /// The dense/batched state-vector planes (full `2^n` verification).
+    /// The dense [`StateBatch`] planes (full `2^n` verification).
     Dense,
     /// The sparse matrix-element tier (hash-map engine with projection).
     Sparse,
@@ -332,37 +197,35 @@ pub enum EngineTier {
 /// 2. otherwise, if the register fits `u64` keys and the circuit's
 ///    estimated peak density with a `ket_terms`-term probe
 ///    ([`sparse::estimated_peak_nonzeros`] — `terms · 2^B` for peak
-///    branch-depth `B`) fits [`sparse_density_cap`] → [`EngineTier::Sparse`];
-/// 3. otherwise, if `n_physical` still fits [`dense_qubit_cap`] →
+///    branch-depth `B`) fits [`SPARSE_DENSITY_CAP`] → [`EngineTier::Sparse`];
+/// 3. otherwise, if `n_physical` still fits [`DENSE_QUBIT_CAP`] →
 ///    [`EngineTier::Dense`] (expensive but affordable fallback);
 /// 4. otherwise [`SimError::NoEngine`], naming both exhausted caps.
 pub fn plan_tier(mc: &MappedCircuit, ket_terms: usize) -> Result<EngineTier, SimError> {
     let n_p = mc.n_physical();
-    let dense_cap = dense_qubit_cap();
     if n_p <= DENSE_ROUTE_MAX_QUBITS {
         return Ok(EngineTier::Dense);
     }
-    let density_cap = sparse_density_cap();
     let estimated = if n_p <= SPARSE_MAX_QUBITS {
         sparse::estimated_peak_nonzeros(mc, ket_terms)?
     } else {
         u64::MAX
     };
-    if n_p <= SPARSE_MAX_QUBITS && estimated <= density_cap as u64 {
+    if n_p <= SPARSE_MAX_QUBITS && estimated <= SPARSE_DENSITY_CAP as u64 {
         return Ok(EngineTier::Sparse);
     }
-    if n_p <= dense_cap {
+    if n_p <= DENSE_QUBIT_CAP {
         return Ok(EngineTier::Dense);
     }
     Err(SimError::NoEngine {
         n: n_p,
-        dense_cap,
+        dense_cap: DENSE_QUBIT_CAP,
         estimated_nonzeros: estimated,
-        density_cap,
+        density_cap: SPARSE_DENSITY_CAP,
     })
 }
 
-/// The sparse analogue of [`ReferenceChecker`]: probe pairs and their
+/// The sparse tier's checker, the analogue of [`ReferenceChecker`]: probe pairs and their
 /// reference amplitudes are computed **once** (analytically, for QFT/AQFT
 /// references — no `2^n` state, no reference circuit replay), after which
 /// any number of mapped kernels can be verified at n = 24–63.
@@ -378,7 +241,6 @@ pub struct SparseChecker {
     probes: Vec<SparseProbe>,
     /// Reference amplitudes, pre-scaled by `2^{n/2}`.
     want: Vec<Complex64>,
-    density_cap: usize,
     peak: usize,
 }
 
@@ -414,32 +276,7 @@ impl SparseChecker {
             n,
             probes,
             want,
-            density_cap: sparse_density_cap(),
             peak: 0,
-        })
-    }
-
-    /// A checker against an arbitrary logical reference circuit: the
-    /// reference amplitudes are computed by running the sparse evaluator
-    /// on the reference's own gate stream (still `2^n`-free, but the
-    /// reference must itself be sparse-evaluable under the density cap).
-    pub fn new(reference: &Circuit, probes: Vec<SparseProbe>) -> Result<Self, SimError> {
-        let n = reference.n_qubits();
-        let density_cap = sparse_density_cap();
-        let scale = 2.0f64.powf(n as f64 / 2.0);
-        let mut want = Vec::with_capacity(probes.len());
-        let mut peak = 0usize;
-        for p in &probes {
-            let run = sparse::logical_amplitude(n, reference.gates(), p, density_cap)?;
-            peak = peak.max(run.peak_nonzeros);
-            want.push(run.amplitude.scale(scale));
-        }
-        Ok(SparseChecker {
-            n,
-            probes,
-            want,
-            density_cap,
-            peak,
         })
     }
 
@@ -449,7 +286,7 @@ impl SparseChecker {
     }
 
     /// The largest amplitude-map occupancy any run under this checker has
-    /// reached (reference evaluation included) — what the sparsity-bound
+    /// reached — what the sparsity-bound
     /// tests and `BENCH_sparse.json` report per cell.
     pub fn peak_nonzeros(&self) -> usize {
         self.peak
@@ -490,7 +327,7 @@ impl SparseChecker {
         let scale = 2.0f64.powf(self.n as f64 / 2.0);
         let mut got = Vec::with_capacity(self.probes.len());
         for i in 0..self.probes.len() {
-            let run = eval(&self.probes[i], self.density_cap)?;
+            let run = eval(&self.probes[i], SPARSE_DENSITY_CAP)?;
             self.peak = self.peak.max(run.peak_nonzeros);
             got.push(run.amplitude.scale(scale));
         }
@@ -515,33 +352,12 @@ impl SparseChecker {
     }
 }
 
-/// [`mapped_equals_qft`] on the sparse tier: checks the mapped circuit
-/// against the exact QFT's closed-form matrix elements over the canonical
-/// probe pairs, by *physical* op-stream replay. Works to n = 63.
-pub fn sparse_mapped_equals_qft(mc: &MappedCircuit, n_random: usize) -> Result<bool, SimError> {
-    SparseChecker::for_qft(mc.n_logical(), n_random)?.matches_physically(mc)
-}
-
-/// [`mapped_equals_aqft`] on the sparse tier (degree-`degree` truncated
-/// reference, closed-form amplitudes, physical replay).
-pub fn sparse_mapped_equals_aqft(
-    mc: &MappedCircuit,
-    degree: u32,
-    n_random: usize,
-) -> Result<bool, SimError> {
-    SparseChecker::for_aqft(mc.n_logical(), degree, n_random)?.matches_physically(mc)
-}
-
-/// Auto-routed QFT equivalence: [`plan_tier`] picks the tier; a sparse
-/// run that trips the density watchdog falls back to the dense planes
-/// when `n_physical` fits [`dense_qubit_cap`], and the error propagates
-/// only when no tier can take the job.
-pub fn mapped_equals_qft_auto(mc: &MappedCircuit, n_seeds: u64) -> Result<bool, SimError> {
-    mapped_equals_aqft_auto(mc, mc.n_logical() as u32, n_seeds)
-}
-
-/// Auto-routed AQFT equivalence (see [`mapped_equals_qft_auto`];
-/// `degree ≥ n` is the exact-QFT contract).
+/// Auto-routed AQFT equivalence (`degree ≥ n` is the exact-QFT
+/// contract): [`plan_tier`] picks the tier — a [`ReferenceChecker`] run on
+/// the dense planes, or a [`SparseChecker`] physical replay on the sparse
+/// tier. A sparse run that trips the density watchdog falls back to the
+/// dense planes when `n_physical` fits [`DENSE_QUBIT_CAP`], and the error
+/// propagates only when no tier can take the job.
 pub fn mapped_equals_aqft_auto(
     mc: &MappedCircuit,
     degree: u32,
@@ -552,8 +368,10 @@ pub fn mapped_equals_aqft_auto(
     match plan_tier(mc, 6)? {
         EngineTier::Dense => Ok(mapped_equals_aqft(mc, degree, n_seeds)),
         EngineTier::Sparse => {
-            match sparse_mapped_equals_aqft(mc, degree, n_seeds as usize) {
-                Err(SimError::DensityExceeded { .. }) if mc.n_physical() <= dense_qubit_cap() => {
+            let sparse = SparseChecker::for_aqft(mc.n_logical(), degree, n_seeds as usize)
+                .and_then(|mut checker| checker.matches_physically(mc));
+            match sparse {
+                Err(SimError::DensityExceeded { .. }) if mc.n_physical() <= DENSE_QUBIT_CAP => {
                     // Watchdog fallback: the content estimate was wrong
                     // but a dense plane is still affordable at this n.
                     Ok(mapped_equals_aqft(mc, degree, n_seeds))
@@ -597,17 +415,16 @@ mod tests {
     #[test]
     fn physical_replay_matches_logical_replay() {
         let mc = line_qft3();
-        for seed in [1u64, 5, 9] {
-            let input = StateVector::random(3, seed);
-            let logical = apply_mapped_logically(&mc, &input);
-            let physical = apply_mapped_physically(&mc, &input);
-            assert!((logical.fidelity(&physical) - 1.0).abs() < FIDELITY_EPS);
-        }
-        assert!(mapped_physically_matches_reference(
-            &mc,
-            &qft_ir::qft::qft_circuit(3),
-            3
-        ));
+        let inputs: Vec<StateVector> = [1u64, 5, 9]
+            .iter()
+            .map(|&seed| StateVector::random(3, seed))
+            .collect();
+        let mut logical = StateBatch::from_states(&inputs);
+        logical.apply_gates(mc.logical_interactions());
+        let (mut phys, mut physical) = (StateBatch::empty(), StateBatch::empty());
+        phys.replay_physically(&mc, &inputs, &mut physical);
+        assert!(all_faithful(&physical.fidelities(&logical)));
+        assert!(ReferenceChecker::for_qft(3, 3).matches_physically(&mc));
     }
 
     #[test]
@@ -676,13 +493,13 @@ mod tests {
         // dense simulation of the truncated circuit, entry by entry.
         for n in [3usize, 5] {
             for degree in [2u32, n as u32] {
-                let c = qft_ir::qft::aqft_circuit(n, degree);
+                let basis: Vec<StateVector> =
+                    (0..1usize << n).map(|x| StateVector::basis(n, x)).collect();
+                let mut batch = StateBatch::from_states(&basis);
+                batch.apply_circuit(&qft_ir::qft::aqft_circuit(n, degree));
                 let scale = 2.0f64.powf(n as f64 / 2.0);
-                for x in 0..1usize << n {
-                    let mut sv = StateVector::basis(n, x);
-                    sv.apply_circuit(&c);
-                    let amps = sv.resolved_amplitudes();
-                    for (y, got) in amps.iter().enumerate() {
+                for (x, out) in batch.to_states().iter().enumerate() {
+                    for (y, got) in out.amplitudes().iter().enumerate() {
                         let theta = aqft_basis_amplitude_angle(n, degree, x as u64, y as u64);
                         let want = Complex64::from_angle(theta).scale(1.0 / scale);
                         assert!(
@@ -741,9 +558,10 @@ mod tests {
         b.push_2q_phys(GateKind::Cphase { k: 2 }, p(0), p(1));
         b.push_1q_phys(GateKind::H, p(1));
         let mc = b.finish();
-        assert!(sparse_mapped_equals_aqft(&mc, 2, 6).unwrap());
-        assert!(!sparse_mapped_equals_qft(&mc, 6).unwrap());
-        assert!(!sparse_mapped_equals_aqft(&mc, 3, 6).unwrap());
+        let verdict = |mut checker: SparseChecker| checker.matches_physically(&mc).unwrap();
+        assert!(verdict(SparseChecker::for_aqft(3, 2, 6).unwrap()));
+        assert!(!verdict(SparseChecker::for_qft(3, 6).unwrap()));
+        assert!(!verdict(SparseChecker::for_aqft(3, 3, 6).unwrap()));
     }
 
     #[test]
@@ -751,19 +569,9 @@ mod tests {
         // n = 20 is beyond any 2^n plane this test suite could afford to
         // allocate per-probe; the sparse tier checks it in milliseconds.
         let mc = trivially_mapped_qft(20);
-        assert!(sparse_mapped_equals_qft(&mc, 4).unwrap());
-        assert!(mapped_equals_qft_auto(&mc, 4).unwrap());
-    }
-
-    #[test]
-    fn generic_reference_sparse_checker_matches_analytic_one() {
-        // Reference amplitudes from replaying the reference circuit agree
-        // with the closed-form path.
-        let probes = sparse::probe_pairs(4, 6);
-        let mut generic = SparseChecker::new(&qft_ir::qft::qft_circuit(4), probes).unwrap();
-        let mc = trivially_mapped_qft(4);
-        assert!(generic.matches_logical(&mc).unwrap());
-        assert!(generic.matches_physically(&mc).unwrap());
+        let mut checker = SparseChecker::for_qft(20, 4).unwrap();
+        assert!(checker.matches_physically(&mc).unwrap());
+        assert!(mapped_equals_aqft_auto(&mc, 20, 4).unwrap());
     }
 
     #[test]
@@ -799,10 +607,6 @@ mod tests {
         b.push_swap_phys(p(1), p(2)); // q1 moves to the spare's slot
         b.push_1q_phys(GateKind::H, p(2));
         let mc = b.finish();
-        assert!(mapped_physically_matches_reference(
-            &mc,
-            &qft_ir::qft::qft_circuit(2),
-            3
-        ));
+        assert!(ReferenceChecker::for_qft(2, 3).matches_physically(&mc));
     }
 }

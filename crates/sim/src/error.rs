@@ -1,12 +1,12 @@
-//! Simulation errors and the configurable engine capacity limits.
+//! Simulation errors and the engine capacity limits.
 //!
 //! Before this module existed, every engine guarded its `2^n` allocation
 //! with a hard-coded `assert!(n <= 26)` — a panic with no routing story.
-//! The limits are now named, configurable through the environment, and
-//! reported as descriptive [`SimError`] values by the `try_*`
-//! constructors and the `qft_sim::equiv` engine-selection layer, so a
-//! caller that outgrows the dense planes is told *which* tier refused the
-//! job and why instead of OOMing on a `2^n` vector.
+//! The limits are now named constants, reported as descriptive
+//! [`SimError`] values by the `try_*` constructors and the
+//! `qft_sim::equiv` engine-selection layer, so a caller that outgrows the
+//! dense planes is told *which* tier refused the job and why instead of
+//! OOMing on a `2^n` vector.
 
 use std::fmt;
 
@@ -14,52 +14,26 @@ use std::fmt;
 /// `u64` key (one bit per qubit, one bit of headroom for masks).
 pub const SPARSE_MAX_QUBITS: usize = 63;
 
-/// Default dense-engine qubit cap (`2^26` amplitudes ≈ 1 GiB per state).
-pub const DEFAULT_DENSE_QUBIT_CAP: usize = 26;
+/// The dense-engine qubit cap (`2^26` amplitudes ≈ 1 GiB per state).
+/// [`crate::StateVector`], [`crate::StateBatch`] and the `naive` oracle
+/// refuse registers above this size with a descriptive
+/// [`SimError::RegisterTooLarge`] instead of attempting the `2^n`
+/// allocation.
+pub const DENSE_QUBIT_CAP: usize = 26;
 
-/// Default sparse-engine density cap: the watchdog trips once the
-/// amplitude map holds more than this many nonzeros (`2^20` entries ≈
-/// 24 MiB of map payload).
-pub const DEFAULT_SPARSE_DENSITY_CAP: usize = 1 << 20;
+/// The sparse-engine density cap: the evaluators stop with
+/// [`SimError::DensityExceeded`] once the amplitude map holds more than
+/// this many nonzeros (`2^20` entries ≈ 24 MiB of map payload); the
+/// `equiv` router then falls back to a dense plane when the register is
+/// small enough to afford one.
+pub const SPARSE_DENSITY_CAP: usize = 1 << 20;
 
-fn env_cap(var: &str, default: usize, ceiling: usize) -> usize {
-    match std::env::var(var) {
-        Ok(v) => v.parse::<usize>().map_or(default, |c| c.min(ceiling)),
-        Err(_) => default,
-    }
-}
-
-/// The dense-engine qubit cap: `QFT_SIM_DENSE_CAP` when set (clamped to
-/// [`SPARSE_MAX_QUBITS`]), [`DEFAULT_DENSE_QUBIT_CAP`] otherwise.
-/// [`crate::StateVector`], [`crate::StateBatch`], the `naive` oracle, and
-/// every physical-replay path refuse registers above this size with a
-/// descriptive [`SimError::RegisterTooLarge`] instead of attempting the
-/// `2^n` allocation.
-pub fn dense_qubit_cap() -> usize {
-    env_cap(
-        "QFT_SIM_DENSE_CAP",
-        DEFAULT_DENSE_QUBIT_CAP,
-        SPARSE_MAX_QUBITS,
-    )
-}
-
-/// The sparse-engine density cap: `QFT_SIM_SPARSE_DENSITY_CAP` when set,
-/// [`DEFAULT_SPARSE_DENSITY_CAP`] otherwise. The sparse evaluators stop
-/// with [`SimError::DensityExceeded`] when the amplitude map outgrows
-/// this bound (the `equiv` router then falls back to a dense plane when
-/// the register is small enough to afford one).
-pub fn sparse_density_cap() -> usize {
-    env_cap(
-        "QFT_SIM_SPARSE_DENSITY_CAP",
-        DEFAULT_SPARSE_DENSITY_CAP,
-        usize::MAX,
-    )
-}
+const _: () = assert!(DENSE_QUBIT_CAP < SPARSE_MAX_QUBITS);
 
 /// Why a simulation job was refused (or abandoned mid-run).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
-    /// A dense engine was asked for more qubits than its configured cap:
+    /// A dense engine was asked for more qubits than its cap:
     /// the `2^n` amplitude allocation would be refused rather than
     /// attempted.
     RegisterTooLarge {
@@ -68,7 +42,7 @@ pub enum SimError {
         engine: &'static str,
         /// Requested register width.
         n: usize,
-        /// The configured cap ([`dense_qubit_cap`]).
+        /// The cap ([`DENSE_QUBIT_CAP`]).
         cap: usize,
     },
     /// The register is too wide even for the sparse engine's `u64` keys.
@@ -83,7 +57,7 @@ pub enum SimError {
         n: usize,
         /// Map occupancy when the watchdog tripped.
         nonzeros: usize,
-        /// The configured cap ([`sparse_density_cap`]).
+        /// The cap ([`SPARSE_DENSITY_CAP`]).
         cap: usize,
     },
     /// No engine tier can take the job: too many qubits for the dense
@@ -106,8 +80,7 @@ impl fmt::Display for SimError {
             SimError::RegisterTooLarge { engine, n, cap } => write!(
                 f,
                 "dense {engine} on {n} qubits exceeds the {cap}-qubit cap \
-                 (2^{n} amplitudes; raise QFT_SIM_DENSE_CAP or route to the \
-                 sparse tier)"
+                 (2^{n} amplitudes; route the job to the sparse tier)"
             ),
             SimError::SparseWidthExceeded { n } => write!(
                 f,
@@ -118,8 +91,7 @@ impl fmt::Display for SimError {
                 f,
                 "sparse amplitude map on {n} qubits reached {nonzeros} \
                  nonzeros (cap {cap}): the state is not sparse enough for \
-                 this tier (raise QFT_SIM_SPARSE_DENSITY_CAP or use a \
-                 dense engine)"
+                 this tier (use a dense engine)"
             ),
             SimError::NoEngine {
                 n,
@@ -144,13 +116,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn defaults_are_sane() {
-        assert_eq!(dense_qubit_cap(), DEFAULT_DENSE_QUBIT_CAP);
-        assert_eq!(sparse_density_cap(), DEFAULT_SPARSE_DENSITY_CAP);
-        const { assert!(DEFAULT_DENSE_QUBIT_CAP < SPARSE_MAX_QUBITS) };
-    }
-
-    #[test]
     fn errors_render_descriptively() {
         let e = SimError::RegisterTooLarge {
             engine: "state vector",
@@ -161,6 +126,13 @@ mod tests {
         assert!(msg.contains("30 qubits"));
         assert!(msg.contains("26-qubit cap"));
         assert!(msg.contains("sparse tier"));
+        let e = SimError::DensityExceeded {
+            n: 30,
+            nonzeros: SPARSE_DENSITY_CAP + 1,
+            cap: SPARSE_DENSITY_CAP,
+        };
+        let msg = e.to_string();
+        assert!(msg.contains("cap 1048576") && msg.contains("dense engine"));
         let e = SimError::NoEngine {
             n: 40,
             dense_cap: 26,

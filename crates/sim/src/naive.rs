@@ -1,5 +1,5 @@
 //! The retained *naive* simulation kernels — the differential oracle for
-//! the fast engine in [`crate::state`].
+//! the fast [`crate::batch::StateBatch`] engine.
 //!
 //! Every gate here scans all `2^n` amplitudes with a branch per index and
 //! every SWAP is an eager full sweep — exactly the pre-rewrite kernels,
@@ -11,9 +11,19 @@
 //! engine bit-for-bit on intent, not reproduce an old bug).
 
 use crate::complex::Complex64;
-use crate::state::{embed_amplitudes, extract_amplitudes, phase_angle, StateVector};
+use crate::error::{SimError, DENSE_QUBIT_CAP};
+use crate::state::{phase_angle, StateVector};
 use qft_ir::circuit::{Circuit, MappedCircuit};
 use qft_ir::gate::{Gate, GateKind};
+
+/// Moves bit `l` of `b` to bit `place[l]`, one bit test at a time.
+fn scatter_bits(b: usize, place: &[usize]) -> usize {
+    place
+        .iter()
+        .enumerate()
+        .filter(|&(l, _)| b >> l & 1 == 1)
+        .fold(0, |out, (_, &p)| out | 1 << p)
+}
 
 /// A state vector driven by the naive (scan-everything) kernels.
 #[derive(Debug, Clone)]
@@ -25,14 +35,13 @@ pub struct NaiveStateVector {
 impl NaiveStateVector {
     /// `|0…0⟩` on `n` qubits.
     pub fn zero(n: usize) -> Self {
-        let cap = crate::error::dense_qubit_cap();
         assert!(
-            n <= cap,
+            n <= DENSE_QUBIT_CAP,
             "{}",
-            crate::error::SimError::RegisterTooLarge {
+            SimError::RegisterTooLarge {
                 engine: "naive state vector",
                 n,
-                cap,
+                cap: DENSE_QUBIT_CAP,
             }
         );
         let mut amps = vec![Complex64::ZERO; 1 << n];
@@ -49,24 +58,13 @@ impl NaiveStateVector {
         s
     }
 
-    /// The same reproducible pseudo-random state as
-    /// [`StateVector::random`] (built through it, so the two engines see
-    /// identical inputs in differential tests).
-    pub fn random(n: usize, seed: u64) -> Self {
-        Self::from_state(&StateVector::random(n, seed))
-    }
-
-    /// Snapshots a fast-engine state (resolving any lazy permutation).
+    /// Copies an amplitude vector, so the two engines see identical
+    /// inputs in differential tests.
     pub fn from_state(s: &StateVector) -> Self {
         NaiveStateVector {
             n: s.n_qubits(),
-            amps: s.resolved_amplitudes().into_owned(),
+            amps: s.amplitudes().to_vec(),
         }
-    }
-
-    /// Converts into a fast-engine state.
-    pub fn to_state(&self) -> StateVector {
-        StateVector::from_amplitudes(self.n, self.amps.clone())
     }
 
     /// Number of qubits.
@@ -82,24 +80,14 @@ impl NaiveStateVector {
         &self.amps
     }
 
-    /// `⟨self|other⟩`.
-    pub fn inner(&self, other: &NaiveStateVector) -> Complex64 {
+    /// `|⟨self|other⟩|²` — 1.0 iff equal up to global phase.
+    pub fn fidelity(&self, other: &NaiveStateVector) -> f64 {
         assert_eq!(self.n, other.n);
         let mut acc = Complex64::ZERO;
         for (a, b) in self.amps.iter().zip(&other.amps) {
             acc += a.conj() * *b;
         }
-        acc
-    }
-
-    /// `|⟨self|other⟩|²` — 1.0 iff equal up to global phase.
-    pub fn fidelity(&self, other: &NaiveStateVector) -> f64 {
-        self.inner(other).abs2()
-    }
-
-    /// Total probability.
-    pub fn norm2(&self) -> f64 {
-        self.amps.iter().map(|a| a.abs2()).sum()
+        acc.abs2()
     }
 
     /// Hadamard on qubit `q`: full `2^n` scan with a mask branch.
@@ -179,7 +167,8 @@ impl NaiveStateVector {
         }
     }
 
-    /// Applies the inverse of a logical gate.
+    /// Applies the inverse of a logical gate (the oracle for
+    /// [`crate::StateBatch::apply_gate_inverse`]).
     pub fn apply_gate_inverse(&mut self, g: &Gate) {
         let a = g.a.index();
         match (g.kind, g.b) {
@@ -221,25 +210,19 @@ impl NaiveStateVector {
 
     /// Permutes qubits: qubit `q` moves to position `perm[q]` — the old
     /// O(2^n · n) per-index bit walk plus full reallocation, retained as
-    /// the oracle for the table-driven fast path.
+    /// the oracle for the lazy layout's table-driven readout.
     pub fn permute_qubits(&mut self, perm: &[usize]) {
         assert_eq!(perm.len(), self.n);
         let mut out = vec![Complex64::ZERO; self.amps.len()];
         for (b, &a) in self.amps.iter().enumerate() {
-            let mut nb = 0usize;
-            for (q, &target) in perm.iter().enumerate() {
-                if b & (1 << q) != 0 {
-                    nb |= 1 << target;
-                }
-            }
-            out[nb] = a;
+            out[scatter_bits(b, perm)] = a;
         }
         self.amps = out;
     }
 }
 
 /// Applies the *logical* gate stream of a mapped circuit through the naive
-/// kernels (the pre-rewrite [`crate::equiv::apply_mapped_logically`]).
+/// kernels.
 pub fn apply_mapped_logically(mc: &MappedCircuit, input: &NaiveStateVector) -> NaiveStateVector {
     assert_eq!(mc.n_logical(), input.n_qubits());
     let mut s = input.clone();
@@ -250,26 +233,17 @@ pub fn apply_mapped_logically(mc: &MappedCircuit, input: &NaiveStateVector) -> N
 }
 
 /// Replays the full *physical* op stream (SWAPs as eager sweeps) through
-/// the naive kernels; the mirror of
-/// [`crate::equiv::apply_mapped_physically`].
+/// the naive kernels: the mirror of
+/// [`crate::StateBatch::replay_physically`].
 pub fn apply_mapped_physically(mc: &MappedCircuit, input: &NaiveStateVector) -> NaiveStateVector {
     let (n_l, n_p) = (mc.n_logical(), mc.n_physical());
     assert_eq!(input.n_qubits(), n_l);
-    let cap = crate::error::dense_qubit_cap();
-    assert!(
-        n_p <= cap,
-        "{}",
-        crate::error::SimError::RegisterTooLarge {
-            engine: "physical replay",
-            n: n_p,
-            cap,
-        }
-    );
     let place = crate::equiv::logical_places(mc.initial_layout(), n_l);
-    let mut s = NaiveStateVector {
-        n: n_p,
-        amps: embed_amplitudes(&input.amps, n_p, &place),
-    };
+    let mut s = NaiveStateVector::zero(n_p);
+    s.amps[0] = Complex64::ZERO;
+    for (b, &a) in input.amps.iter().enumerate() {
+        s.amps[scatter_bits(b, &place)] = a;
+    }
     for op in mc.ops() {
         let p1 = op.p1.index();
         match (op.kind, op.p2) {
@@ -286,28 +260,22 @@ pub fn apply_mapped_physically(mc: &MappedCircuit, input: &NaiveStateVector) -> 
             _ => unreachable!("malformed physical op"),
         }
     }
+    // Amplitude on excited spare qubits is dropped (it shows up as lost
+    // norm).
     let final_place = crate::equiv::logical_places(mc.final_layout(), n_l);
     NaiveStateVector {
         n: n_l,
-        amps: extract_amplitudes(&s.amps, &final_place),
+        amps: (0..1usize << n_l)
+            .map(|b| s.amps[scatter_bits(b, &final_place)])
+            .collect(),
     }
 }
 
-/// The naive-engine equivalence check: one state at a time, each gate
-/// decoded per state — the per-seed loop the batched fast checker
-/// replaces. The reference circuit is passed in pre-built (both engines
-/// get the hoisting fix; the bench compares kernels, not construction).
-pub fn mapped_matches_reference(mc: &MappedCircuit, reference: &Circuit, n_seeds: u64) -> bool {
-    mapped_matches_reference_on(
-        mc,
-        reference,
-        &crate::equiv::probe_states(mc.n_logical(), n_seeds),
-    )
-}
-
-/// [`mapped_matches_reference`] over caller-supplied input states (the
-/// same hoisting hook the fast checker offers, so differential benchmarks
-/// feed both engines identical probes).
+/// The naive-engine equivalence check over the given inputs: one state at
+/// a time, each gate decoded per state — the per-seed loop the batched
+/// [`crate::equiv::ReferenceChecker`] replaces. The reference circuit is
+/// passed in pre-built (both engines get the hoisting fix; the bench
+/// compares kernels, not construction).
 pub fn mapped_matches_reference_on(
     mc: &MappedCircuit,
     reference: &Circuit,
@@ -323,19 +291,6 @@ pub fn mapped_matches_reference_on(
 }
 
 /// The naive-engine physical-replay equivalence check (eager SWAP sweeps).
-pub fn mapped_physically_matches_reference(
-    mc: &MappedCircuit,
-    reference: &Circuit,
-    n_seeds: u64,
-) -> bool {
-    mapped_physically_matches_reference_on(
-        mc,
-        reference,
-        &crate::equiv::probe_states(mc.n_logical(), n_seeds),
-    )
-}
-
-/// [`mapped_physically_matches_reference`] over caller-supplied inputs.
 pub fn mapped_physically_matches_reference_on(
     mc: &MappedCircuit,
     reference: &Circuit,
@@ -348,47 +303,4 @@ pub fn mapped_physically_matches_reference_on(
         want.apply_circuit(reference);
         (got.fidelity(&want) - 1.0).abs() < crate::equiv::FIDELITY_EPS
     })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    const EPS: f64 = 1e-10;
-
-    #[test]
-    fn naive_h_matches_fast_h() {
-        let mut fast = StateVector::random(5, 3);
-        let mut naive = NaiveStateVector::from_state(&fast);
-        fast.apply_h(2);
-        naive.apply_h(2);
-        for (a, b) in naive.amplitudes().iter().zip(fast.amplitudes()) {
-            assert!((a.re - b.re).abs() < EPS && (a.im - b.im).abs() < EPS);
-        }
-    }
-
-    #[test]
-    fn naive_swap_matches_lazy_swap() {
-        let mut fast = StateVector::random(4, 9);
-        let mut naive = NaiveStateVector::from_state(&fast);
-        fast.apply_swap(0, 3);
-        fast.apply_cphase(0, 1, 2);
-        naive.apply_swap(0, 3);
-        naive.apply_cphase(0, 1, 2);
-        for (a, b) in naive.amplitudes().iter().zip(fast.amplitudes()) {
-            assert!((a.re - b.re).abs() < EPS && (a.im - b.im).abs() < EPS);
-        }
-    }
-
-    #[test]
-    fn naive_permute_matches_table_driven_permute() {
-        let mut fast = StateVector::random(5, 77);
-        let mut naive = NaiveStateVector::from_state(&fast);
-        let perm = [3usize, 0, 4, 1, 2];
-        fast.permute_qubits(&perm);
-        naive.permute_qubits(&perm);
-        for (a, b) in naive.amplitudes().iter().zip(fast.amplitudes()) {
-            assert!((a.re - b.re).abs() < EPS && (a.im - b.im).abs() < EPS);
-        }
-    }
 }

@@ -14,7 +14,7 @@ pub fn dft(state: &StateVector) -> StateVector {
     let n = state.n_qubits();
     let m = 1usize << n;
     let scale = 1.0 / (m as f64).sqrt();
-    let amps = state.resolved_amplitudes();
+    let amps = state.amplitudes();
     let mut out = vec![Complex64::ZERO; m];
     for (k, o) in out.iter_mut().enumerate() {
         let mut acc = Complex64::ZERO;
@@ -29,13 +29,18 @@ pub fn dft(state: &StateVector) -> StateVector {
     StateVector::from_amplitudes(n, out)
 }
 
-/// The bit-reversal qubit permutation `q ↦ n-1-q` applied to a state.
+/// The bit-reversal qubit permutation `q ↦ n-1-q` applied to a state:
+/// amplitude `b` moves to the index with `b`'s `n` bits reversed (an
+/// involution, so the gather and the scatter coincide).
 pub fn bit_reverse(state: &StateVector) -> StateVector {
     let n = state.n_qubits();
-    let perm: Vec<usize> = (0..n).map(|q| n - 1 - q).collect();
-    let mut s = state.clone();
-    s.permute_qubits(&perm);
-    s
+    let amps = state.amplitudes();
+    // A 0-qubit state has the single index 0 (and a full-width shift).
+    let shift = usize::BITS - n as u32;
+    let out = (0..amps.len())
+        .map(|b| amps[b.reverse_bits().checked_shr(shift).unwrap_or(0)])
+        .collect();
+    StateVector::from_amplitudes(n, out)
 }
 
 /// The state the *textbook QFT circuit* (Fig. 2, no final swaps) produces
@@ -54,6 +59,7 @@ pub fn qft_circuit_reference(input: &StateVector) -> StateVector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::StateBatch;
     use qft_ir::qft::qft_circuit;
 
     const EPS: f64 = 1e-9;
@@ -61,11 +67,21 @@ mod tests {
     #[test]
     fn dft_of_basis_zero_is_uniform() {
         let s = StateVector::basis(3, 0);
-        let mut f = dft(&s);
+        let f = dft(&s);
         for a in f.amplitudes() {
             assert!((a.re - 1.0 / (8f64).sqrt()).abs() < EPS);
             assert!(a.im.abs() < EPS);
         }
+    }
+
+    #[test]
+    fn bit_reverse_mirrors_basis_indices() {
+        let s = bit_reverse(&StateVector::basis(4, 0b0011));
+        assert_eq!(s.amplitudes()[0b1100], Complex64::ONE);
+        assert_eq!(
+            bit_reverse(&StateVector::zero(0)).amplitudes(),
+            &[Complex64::ONE]
+        );
     }
 
     #[test]
@@ -85,10 +101,10 @@ mod tests {
         for n in 1..=10 {
             for seed in [1u64, 2, 3] {
                 let input = StateVector::random(n, seed);
-                let mut circuit_out = input.clone();
+                let mut circuit_out = StateBatch::from_states(std::slice::from_ref(&input));
                 circuit_out.apply_circuit(&qft_circuit(n));
                 let expected = qft_circuit_reference(&input);
-                let f = circuit_out.fidelity(&expected);
+                let f = circuit_out.to_states()[0].fidelity(&expected);
                 assert!((f - 1.0).abs() < EPS, "n={n} seed={seed} fidelity={f}");
             }
         }
@@ -98,7 +114,7 @@ mod tests {
     fn dft_on_basis_one_has_linear_phases() {
         // DFT|1> amplitudes: (1/sqrt M) e^{2 pi i k / M}.
         let m = 8;
-        let mut f = dft(&StateVector::basis(3, 1));
+        let f = dft(&StateVector::basis(3, 1));
         for (k, a) in f.amplitudes().iter().enumerate() {
             let expect = Complex64::from_angle(2.0 * PI * k as f64 / m as f64)
                 .scale(1.0 / (m as f64).sqrt());

@@ -11,7 +11,7 @@
 //!    and SWAPs reuse the dense engine's lazy `QubitLayout` relabeling so
 //!    routing chains cost O(1) bookkeeping.
 //! 2. The *projected amplitude evaluator* ([`logical_amplitude`] /
-//!    [`mapped_logical_amplitude`] / [`mapped_physical_amplitude`]) — the
+//!    [`mapped_physical_amplitude`]) — the
 //!    piece that makes n = 24–32 equivalence checking cheap. A full QFT
 //!    output is dense (`2^n` nonzeros), so forward simulation cannot
 //!    scale; but a *matrix element* `⟨y|C|ψ⟩` can. Every QFT/AQFT kernel
@@ -32,10 +32,10 @@
 //! these matrix elements against the closed-form AQFT amplitudes of
 //! `qft_ir::qft::aqft_basis_amplitude_angle`, giving a reference-free
 //! large-n check; differential suites pin the whole engine against the
-//! dense `StateVector`/`naive` oracles on overlapping sizes.
+//! dense `StateBatch` engine and the `naive` oracle on overlapping sizes.
 
 use crate::complex::Complex64;
-use crate::error::{SimError, SPARSE_MAX_QUBITS};
+use crate::error::{SimError, DENSE_QUBIT_CAP, SPARSE_MAX_QUBITS};
 use crate::state::{phase_angle, QubitLayout, StateVector};
 use qft_ir::circuit::MappedCircuit;
 use qft_ir::gate::{Gate, GateKind};
@@ -82,9 +82,9 @@ fn new_map(capacity: usize) -> AmpMap {
 /// A sparse `n ≤ 63`-qubit state: amplitudes keyed by basis index, with
 /// the same lazy-SWAP layout bookkeeping as the dense engine.
 ///
-/// Gate methods mirror [`StateVector`]'s signatures (qubit operands,
-/// `apply_gate`/`apply_gate_inverse` decode [`Gate`]s), so the two engines
-/// are drop-in interchangeable for differential testing.
+/// Gate methods mirror [`crate::StateBatch`]'s signatures (qubit
+/// operands, `apply_gate`/`apply_gate_inverse` decode [`Gate`]s), so the
+/// two engines are drop-in interchangeable for differential testing.
 #[derive(Debug, Clone)]
 pub struct SparseState {
     n: usize,
@@ -139,11 +139,11 @@ impl SparseState {
         s
     }
 
-    /// Imports a dense state (any lazy permutation resolved), keeping
-    /// every amplitude above the pruning threshold.
+    /// Imports a dense state, keeping every amplitude above the pruning
+    /// threshold.
     pub fn from_state(sv: &StateVector) -> Self {
-        let dense = sv.resolved_amplitudes();
-        let terms: Vec<(u64, Complex64)> = dense
+        let terms: Vec<(u64, Complex64)> = sv
+            .amplitudes()
             .iter()
             .enumerate()
             .filter(|(_, a)| a.abs2() > PRUNE_EPSILON * PRUNE_EPSILON)
@@ -274,7 +274,8 @@ impl SparseState {
         }
     }
 
-    /// Applies a logical gate (same decode as [`StateVector::apply_gate`]).
+    /// Applies a logical gate (same decode as
+    /// [`crate::StateBatch::apply_gate`]).
     pub fn apply_gate(&mut self, g: &Gate) {
         let a = g.a.index();
         match (g.kind, g.b) {
@@ -372,12 +373,11 @@ impl SparseState {
     /// Materializes the dense `2^n` state (for differential tests), or
     /// [`SimError::RegisterTooLarge`] above the dense cap.
     pub fn to_state_vector(&self) -> Result<StateVector, SimError> {
-        let cap = crate::error::dense_qubit_cap();
-        if self.n > cap {
+        if self.n > DENSE_QUBIT_CAP {
             return Err(SimError::RegisterTooLarge {
                 engine: "state vector",
                 n: self.n,
-                cap,
+                cap: DENSE_QUBIT_CAP,
             });
         }
         let mut amps = vec![Complex64::ZERO; 1usize << self.n];
@@ -811,16 +811,6 @@ pub fn logical_amplitude(
     plan_logical(gates, probe)?.run(n, density_cap)
 }
 
-/// `⟨y|C|ψ⟩` through a mapped circuit's *logical* interaction stream.
-pub fn mapped_logical_amplitude(
-    mc: &MappedCircuit,
-    probe: &SparseProbe,
-    density_cap: usize,
-) -> Result<SparseRun, SimError> {
-    let gates: Vec<Gate> = mc.logical_interactions().collect();
-    logical_amplitude(mc.n_logical(), &gates, probe, density_cap)
-}
-
 /// `⟨y|C|ψ⟩` through a mapped circuit's full *physical* op stream —
 /// embed at the initial layout, replay every SWAP-routed op, extract at
 /// the final layout.
@@ -851,6 +841,7 @@ pub fn estimated_peak_nonzeros(mc: &MappedCircuit, terms: usize) -> Result<u64, 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::StateBatch;
     use qft_ir::qft::qft_circuit;
 
     const EPS: f64 = 1e-10;
@@ -885,10 +876,13 @@ mod tests {
             let c = qft_circuit(n);
             let mut sparse = SparseState::basis(n, 1);
             sparse.apply_circuit(&c);
-            let mut dense = StateVector::basis(n, 1);
+            let mut dense = StateBatch::from_states(&[StateVector::basis(n, 1)]);
             dense.apply_circuit(&c);
             let got = sparse.to_state_vector().unwrap();
-            assert!((got.fidelity(&dense) - 1.0).abs() < EPS, "n={n}");
+            assert!(
+                (got.fidelity(&dense.to_states()[0]) - 1.0).abs() < EPS,
+                "n={n}"
+            );
             assert!((sparse.norm2() - 1.0).abs() < EPS);
         }
     }
@@ -904,9 +898,9 @@ mod tests {
             for &(k, a) in &probe.ket {
                 amps[k as usize] += a;
             }
-            let mut sv = StateVector::from_amplitudes(n, amps);
-            sv.apply_circuit(&c);
-            let want = sv.resolved_amplitudes()[probe.bra as usize];
+            let mut dense = StateBatch::from_states(&[StateVector::from_amplitudes(n, amps)]);
+            dense.apply_circuit(&c);
+            let want = dense.to_states()[0].amplitudes()[probe.bra as usize];
             assert!(
                 (run.amplitude.re - want.re).abs() < EPS
                     && (run.amplitude.im - want.im).abs() < EPS,

@@ -1,32 +1,21 @@
-//! Dense state-vector simulation of the gate set used by QFT kernels.
+//! The normalized amplitude vector every dense engine reads and writes,
+//! plus the machinery the simulation engines share.
 //!
 //! Basis convention: computational basis index `b` has qubit `q` at bit `q`
 //! (little-endian: `|b_{n-1} … b_1 b_0⟩`).
 //!
-//! This is the *fast* engine (the verification hot path). Three ideas keep
-//! it an order of magnitude ahead of the retained [`crate::naive`] oracle:
+//! A [`StateVector`] is plain data: probe inputs, reference outputs, and
+//! what [`crate::batch::StateBatch::to_states`] unpacks. Gates run on the
+//! batch engine (a batch of one state is a single state); the retained
+//! [`crate::naive`] oracle keeps its own scan-everything kernels.
 //!
-//! 1. **Branch-free stride-pair kernels.** H/X/CNOT iterate the `2^{n-1}`
-//!    (or `2^{n-2}`) affected index pairs directly — contiguous block
-//!    splits instead of a `2^n` scan with a mask test per index.
-//! 2. **Diagonal fast paths.** RZ/CPHASE touch only the masked subset of
-//!    amplitudes (`2^{n-1}` and `2^{n-2}` entries), with the phase factor
-//!    hoisted out of the loop.
-//! 3. **Lazy SWAPs.** A [`StateVector`] carries a qubit→bit-slot
-//!    permutation; [`StateVector::apply_swap`] (and the relabel half of the
-//!    fused [`StateVector::apply_cphase_swap`]) is O(1) bookkeeping. The
-//!    permutation is resolved at readout by a single table-driven gather
-//!    pass, which [`StateVector::permute_qubits`] shares. SWAP-dominated
-//!    mapped circuits thereby become nearly phase-only workloads.
-//!
-//! The per-block kernels are shared with the structure-of-arrays
-//! [`crate::batch::StateBatch`] engine (each basis index carries `rows`
-//! amplitudes — one per batched state), which adds optional row-chunk
-//! thread parallelism on top.
+//! The crate-internal helpers below are the lazy-SWAP bookkeeping the
+//! batch and sparse engines carry (`QubitLayout`: a SWAP is an O(1)
+//! relabel), the byte-table index remapping that resolves a layout in one
+//! gather pass, and the scoped-thread block fan-out of the batch kernels.
 
 use crate::complex::Complex64;
-use qft_ir::gate::{Gate, GateKind};
-use std::borrow::Cow;
+use crate::error::{SimError, DENSE_QUBIT_CAP};
 use std::f64::consts::PI;
 
 /// The rotation angle of `R_k`: `2π · 0.5^k`, computed exactly in `f64`
@@ -47,8 +36,8 @@ pub fn phase_angle(k: u32) -> f64 {
 ///
 /// `slot[q]` is the bit position of qubit `q` in the stored amplitude
 /// indices; `label[p]` is the qubit stored at bit position `p` (the
-/// inverse). Both start as the identity; SWAPs and `permute_qubits` edit
-/// the tables in O(1)/O(n) instead of touching amplitudes.
+/// inverse). Both start as the identity; SWAPs edit the tables in O(1)
+/// instead of touching amplitudes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct QubitLayout {
     slot: Vec<usize>,
@@ -82,18 +71,6 @@ impl QubitLayout {
         self.label.swap(s1, s2);
     }
 
-    /// Composes `qubit q moves to position perm[q]` into the permutation.
-    pub(crate) fn permute(&mut self, perm: &[usize]) {
-        debug_assert_eq!(perm.len(), self.slot.len());
-        let old = self.slot.clone();
-        for (q, &target) in perm.iter().enumerate() {
-            self.slot[target] = old[q];
-        }
-        for (q, &s) in self.slot.iter().enumerate() {
-            self.label[s] = q;
-        }
-    }
-
     /// Bit-position → qubit table, the gather destination map.
     #[inline]
     pub(crate) fn labels(&self) -> &[usize] {
@@ -109,8 +86,7 @@ impl QubitLayout {
 }
 
 // ---------------------------------------------------------------------------
-// Table-driven index remapping (shared by lazy-SWAP readout,
-// permute_qubits, and the physical-embedding helpers in `equiv`).
+// Table-driven index remapping (lazy-SWAP readout and physical embedding).
 // ---------------------------------------------------------------------------
 
 /// Precomputed byte tables for the bit permutation `source bit p → bit
@@ -150,70 +126,19 @@ pub(crate) fn map_index(tables: &[[usize; 256]], mut b: usize) -> usize {
 }
 
 /// The single-pass permutation gather: `out[map(b)] = src[b]` for every
-/// basis index `b`, where each index owns `rows` contiguous amplitudes
-/// (1 for a [`StateVector`], the state count for a batch; `T` is
-/// [`Complex64`] for the single-state engine and `f64` for the
-/// plane-storage batch engine).
-pub(crate) fn gather_rows<T: Copy + Default>(
-    src: &[T],
-    rows: usize,
-    tables: &[[usize; 256]],
-) -> Vec<T> {
-    let mut out = vec![T::default(); src.len()];
-    if rows == 1 {
-        for (b, &a) in src.iter().enumerate() {
-            out[map_index(tables, b)] = a;
-        }
-    } else {
-        for (b, row) in src.chunks_exact(rows).enumerate() {
-            let c = map_index(tables, b);
-            out[c * rows..(c + 1) * rows].copy_from_slice(row);
-        }
+/// basis index `b`, where each index owns `rows` contiguous entries (one
+/// per batched state).
+pub(crate) fn gather_rows(src: &[f64], rows: usize, tables: &[[usize; 256]]) -> Vec<f64> {
+    let mut out = vec![0.0; src.len()];
+    for (b, row) in src.chunks_exact(rows).enumerate() {
+        let c = map_index(tables, b);
+        out[c * rows..(c + 1) * rows].copy_from_slice(row);
     }
     out
 }
-
-/// Places an `n_logical`-qubit amplitude vector into a `2^{n_phys}` space
-/// with logical bit `l` at physical bit `place[l]` and every spare
-/// physical qubit in `|0⟩`.
-pub(crate) fn embed_amplitudes(
-    src: &[Complex64],
-    n_phys: usize,
-    place: &[usize],
-) -> Vec<Complex64> {
-    let tables = bit_map_tables(place.len(), place);
-    let mut out = vec![Complex64::ZERO; 1usize << n_phys];
-    for (b, &a) in src.iter().enumerate() {
-        out[map_index(&tables, b)] = a;
-    }
-    out
-}
-
-/// Reads an `n_logical`-qubit amplitude vector back out of a physical
-/// space: logical bit `l` comes from physical bit `place[l]`; amplitude on
-/// excited spare qubits is dropped (it shows up as lost norm).
-pub(crate) fn extract_amplitudes(phys: &[Complex64], place: &[usize]) -> Vec<Complex64> {
-    let tables = bit_map_tables(place.len(), place);
-    let mut out = vec![Complex64::ZERO; 1usize << place.len()];
-    for (b, o) in out.iter_mut().enumerate() {
-        *o = phys[map_index(&tables, b)];
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Branch-free kernels (shared between StateVector and StateBatch).
-// ---------------------------------------------------------------------------
 
 pub(crate) mod kernels {
-    //! The per-block gate kernels. Every kernel views the amplitude buffer
-    //! as `2^n` basis indices × `rows` amplitudes each; `half = mask ·
-    //! rows` is the element span of the target bit. A `StateVector` calls
-    //! them with `rows = 1` and `workers = 1`; the batched engine passes
-    //! its state count and worker budget.
-
-    use crate::complex::Complex64;
-    use std::f64::consts::FRAC_1_SQRT_2;
+    //! The block fan-out every batch kernel runs through.
 
     /// Buffers below this element count never fan out to threads (the
     /// per-thread spawn cost would dominate the kernel).
@@ -249,154 +174,43 @@ pub(crate) mod kernels {
             }
         });
     }
-
-    /// Hadamard butterfly over one `2·half` block.
-    #[inline]
-    fn h_block(block: &mut [Complex64], half: usize) {
-        let (lo, hi) = block.split_at_mut(half);
-        for (a0, a1) in lo.iter_mut().zip(hi.iter_mut()) {
-            let (x, y) = (*a0, *a1);
-            *a0 = (x + y).scale(FRAC_1_SQRT_2);
-            *a1 = (x - y).scale(FRAC_1_SQRT_2);
-        }
-    }
-
-    /// `H` on the bit with element span `half = mask · rows`.
-    pub(crate) fn apply_h(amps: &mut [Complex64], half: usize, workers: usize) {
-        for_each_block(amps, 2 * half, workers, |b| h_block(b, half));
-    }
-
-    /// Pauli-X: exchanges the two halves of every block.
-    pub(crate) fn apply_x(amps: &mut [Complex64], half: usize, workers: usize) {
-        for_each_block(amps, 2 * half, workers, |block| {
-            let (lo, hi) = block.split_at_mut(half);
-            for (a0, a1) in lo.iter_mut().zip(hi.iter_mut()) {
-                std::mem::swap(a0, a1);
-            }
-        });
-    }
-
-    /// Diagonal phase on the `|1⟩` half of every block (RZ fast path:
-    /// exactly `2^{n-1}` amplitudes visited, phase hoisted).
-    pub(crate) fn apply_phase(
-        amps: &mut [Complex64],
-        half: usize,
-        workers: usize,
-        phase: Complex64,
-    ) {
-        for_each_block(amps, 2 * half, workers, |block| {
-            for a in &mut block[half..] {
-                *a = *a * phase;
-            }
-        });
-    }
-
-    /// Diagonal phase on the `|11⟩` quarter (CPHASE fast path: exactly
-    /// `2^{n-2}` amplitudes visited). `lo_half < hi_half` are the element
-    /// spans of the two bits.
-    pub(crate) fn apply_cphase(
-        amps: &mut [Complex64],
-        lo_half: usize,
-        hi_half: usize,
-        workers: usize,
-        phase: Complex64,
-    ) {
-        debug_assert!(lo_half < hi_half);
-        for_each_block(amps, 2 * hi_half, workers, |block| {
-            for sub in block[hi_half..].chunks_exact_mut(2 * lo_half) {
-                for a in &mut sub[lo_half..] {
-                    *a = *a * phase;
-                }
-            }
-        });
-    }
-
-    /// CNOT: flips the target bit where the control bit is set — `2^{n-2}`
-    /// index pairs, no scans. `control_is_hi` says which of the two spans
-    /// belongs to the control.
-    pub(crate) fn apply_cnot(
-        amps: &mut [Complex64],
-        lo_half: usize,
-        hi_half: usize,
-        control_is_hi: bool,
-        workers: usize,
-    ) {
-        debug_assert!(lo_half < hi_half);
-        for_each_block(amps, 2 * hi_half, workers, |block| {
-            let (h0, h1) = block.split_at_mut(hi_half);
-            if control_is_hi {
-                // Control set ⇒ upper half; flip the lo bit within it.
-                for sub in h1.chunks_exact_mut(2 * lo_half) {
-                    let (s0, s1) = sub.split_at_mut(lo_half);
-                    for (a, b) in s0.iter_mut().zip(s1.iter_mut()) {
-                        std::mem::swap(a, b);
-                    }
-                }
-            } else {
-                // Control is the lo bit: exchange (hi=0, lo=1) ↔ (hi=1, lo=1).
-                for (c0, c1) in h0
-                    .chunks_exact_mut(2 * lo_half)
-                    .zip(h1.chunks_exact_mut(2 * lo_half))
-                {
-                    for (a, b) in c0[lo_half..].iter_mut().zip(c1[lo_half..].iter_mut()) {
-                        std::mem::swap(a, b);
-                    }
-                }
-            }
-        });
-    }
 }
 
 // ---------------------------------------------------------------------------
 // StateVector
 // ---------------------------------------------------------------------------
 
-/// A normalized `n`-qubit state vector (fast engine).
-///
-/// Layout-moving gates (SWAP, the relabel half of `CPHASE+SWAP`, and
-/// [`Self::permute_qubits`]) are tracked lazily in a qubit→slot
-/// permutation and resolved by a single gather pass at readout
-/// ([`Self::amplitudes`] / [`Self::resolved_amplitudes`] /
-/// [`Self::resolve_layout`]). [`Self::inner`] and [`Self::fidelity`]
-/// handle permuted operands without materializing when both sides share a
-/// layout.
+/// A normalized `n`-qubit amplitude vector in canonical qubit order.
 #[derive(Debug, Clone)]
 pub struct StateVector {
     n: usize,
     amps: Vec<Complex64>,
-    layout: QubitLayout,
 }
 
 impl StateVector {
     /// `|0…0⟩` on `n` qubits.
     ///
     /// # Panics
-    /// Panics (with the [`crate::error::SimError::RegisterTooLarge`]
-    /// message) above the configurable [`crate::error::dense_qubit_cap`];
-    /// use [`Self::try_zero`] to handle the refusal, or the sparse tier
-    /// for wider registers.
+    /// Panics (with the [`SimError::RegisterTooLarge`] message) above
+    /// [`DENSE_QUBIT_CAP`]; use [`Self::try_zero`] to handle the refusal,
+    /// or the sparse tier for wider registers.
     pub fn zero(n: usize) -> Self {
         Self::try_zero(n).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// `|0…0⟩` on `n` qubits, refusing the `2^n` allocation with a
-    /// descriptive error above [`crate::error::dense_qubit_cap`].
-    pub fn try_zero(n: usize) -> Result<Self, crate::error::SimError> {
-        let cap = crate::error::dense_qubit_cap();
-        if n > cap {
-            return Err(crate::error::SimError::RegisterTooLarge {
+    /// descriptive error above [`DENSE_QUBIT_CAP`].
+    pub fn try_zero(n: usize) -> Result<Self, SimError> {
+        if n > DENSE_QUBIT_CAP {
+            return Err(SimError::RegisterTooLarge {
                 engine: "state vector",
                 n,
-                cap,
+                cap: DENSE_QUBIT_CAP,
             });
         }
         let mut amps = vec![Complex64::ZERO; 1 << n];
         amps[0] = Complex64::ONE;
-        Ok(StateVector {
-            n,
-            amps,
-            layout: QubitLayout::identity(n),
-        })
+        Ok(StateVector { n, amps })
     }
 
     /// The computational basis state `|b⟩`.
@@ -427,21 +241,13 @@ impl StateVector {
         for a in &mut amps {
             *a = a.scale(1.0 / norm);
         }
-        StateVector {
-            n,
-            amps,
-            layout: QubitLayout::identity(n),
-        }
+        StateVector { n, amps }
     }
 
     /// Builds a state from raw amplitudes (must have length `2^n`).
     pub fn from_amplitudes(n: usize, amps: Vec<Complex64>) -> StateVector {
         assert_eq!(amps.len(), 1usize << n);
-        StateVector {
-            n,
-            amps,
-            layout: QubitLayout::identity(n),
-        }
+        StateVector { n, amps }
     }
 
     /// Number of qubits.
@@ -450,60 +256,20 @@ impl StateVector {
         self.n
     }
 
-    /// The raw amplitudes (length `2^n`), in canonical qubit order.
-    ///
-    /// Takes `&mut self` because any pending lazy SWAP/permutation is
-    /// resolved in place first (one table-driven gather pass). Use
-    /// [`Self::resolved_amplitudes`] from shared references.
+    /// The amplitudes (length `2^n`), in canonical qubit order.
     #[inline]
-    pub fn amplitudes(&mut self) -> &[Complex64] {
-        self.resolve_layout();
+    pub fn amplitudes(&self) -> &[Complex64] {
         &self.amps
     }
 
-    /// The amplitudes in canonical qubit order without mutating: borrowed
-    /// when no permutation is pending, gathered into a fresh vector
-    /// otherwise.
-    pub fn resolved_amplitudes(&self) -> Cow<'_, [Complex64]> {
-        if self.layout.is_identity() {
-            Cow::Borrowed(&self.amps)
-        } else {
-            let tables = bit_map_tables(self.n, self.layout.labels());
-            Cow::Owned(gather_rows(&self.amps, 1, &tables))
-        }
-    }
-
-    /// Materializes any pending qubit permutation into the amplitude
-    /// storage (single gather pass over precomputed byte tables — the same
-    /// machinery as [`Self::permute_qubits`]). A no-op when the layout is
-    /// already canonical.
-    pub fn resolve_layout(&mut self) {
-        if self.layout.is_identity() {
-            return;
-        }
-        let tables = bit_map_tables(self.n, self.layout.labels());
-        self.amps = gather_rows(&self.amps, 1, &tables);
-        self.layout = QubitLayout::identity(self.n);
-    }
-
-    /// `⟨self|other⟩`. Permutation-aware: when both sides carry the same
-    /// (possibly non-identity) layout the stored orders already align;
-    /// otherwise each side resolves to canonical order (identity sides
-    /// are borrowed, permuted sides gathered).
+    /// `⟨self|other⟩`.
     pub fn inner(&self, other: &StateVector) -> Complex64 {
         assert_eq!(self.n, other.n);
-        let dot = |a: &[Complex64], b: &[Complex64]| {
-            let mut acc = Complex64::ZERO;
-            for (x, y) in a.iter().zip(b) {
-                acc += x.conj() * *y;
-            }
-            acc
-        };
-        if self.layout == other.layout {
-            dot(&self.amps, &other.amps)
-        } else {
-            dot(&self.resolved_amplitudes(), &other.resolved_amplitudes())
+        let mut acc = Complex64::ZERO;
+        for (x, y) in self.amps.iter().zip(&other.amps) {
+            acc += x.conj() * *y;
         }
+        acc
     }
 
     /// `|⟨self|other⟩|²` — 1.0 iff equal up to global phase.
@@ -511,345 +277,15 @@ impl StateVector {
         self.inner(other).abs2()
     }
 
-    /// Total probability (should stay 1 within rounding);
-    /// permutation-invariant.
+    /// Total probability (should stay 1 within rounding).
     pub fn norm2(&self) -> f64 {
         self.amps.iter().map(|a| a.abs2()).sum()
-    }
-
-    /// Applies a Hadamard on qubit `q` (branch-free stride-pair kernel).
-    pub fn apply_h(&mut self, q: usize) {
-        debug_assert!(q < self.n);
-        kernels::apply_h(&mut self.amps, self.layout.mask(q), 1);
-    }
-
-    /// Applies Pauli-X on qubit `q`.
-    pub fn apply_x(&mut self, q: usize) {
-        debug_assert!(q < self.n);
-        kernels::apply_x(&mut self.amps, self.layout.mask(q), 1);
-    }
-
-    /// Applies `RZ` with angle `2π/2^k` on qubit `q` (phase on the `|1⟩`
-    /// component; diagonal fast path visiting `2^{n-1}` amplitudes).
-    pub fn apply_rz(&mut self, q: usize, k: u32) {
-        debug_assert!(q < self.n);
-        let phase = Complex64::from_angle(phase_angle(k));
-        kernels::apply_phase(&mut self.amps, self.layout.mask(q), 1, phase);
-    }
-
-    /// Applies `CPHASE` with rotation order `k` (phase `2π/2^k`) between
-    /// qubits `q1` and `q2` (symmetric; diagonal fast path visiting
-    /// `2^{n-2}` amplitudes).
-    pub fn apply_cphase(&mut self, q1: usize, q2: usize, k: u32) {
-        self.diag_pair(q1, q2, Complex64::from_angle(phase_angle(k)));
-    }
-
-    /// Applies a SWAP between qubits `q1` and `q2` — O(1) lazy relabeling,
-    /// resolved at readout.
-    pub fn apply_swap(&mut self, q1: usize, q2: usize) {
-        debug_assert!(q1 != q2 && q1 < self.n && q2 < self.n);
-        self.layout.swap(q1, q2);
-    }
-
-    /// Applies the fused `CPHASE(R_k)+SWAP` interaction
-    /// ([`GateKind::CphaseSwap`]) as one diagonal pass plus an O(1)
-    /// relabel — instead of two full sweeps.
-    pub fn apply_cphase_swap(&mut self, q1: usize, q2: usize, k: u32) {
-        self.apply_cphase(q1, q2, k);
-        self.layout.swap(q1, q2);
-    }
-
-    /// Applies a CNOT with control `c` and target `t` (branch-free
-    /// `2^{n-2}`-pair kernel).
-    pub fn apply_cnot(&mut self, c: usize, t: usize) {
-        debug_assert!(c != t && c < self.n && t < self.n);
-        let (mc, mt) = (self.layout.mask(c), self.layout.mask(t));
-        let (lo, hi) = (mc.min(mt), mc.max(mt));
-        kernels::apply_cnot(&mut self.amps, lo, hi, mc == hi, 1);
-    }
-
-    /// Diagonal phase on the `|11⟩` subspace of a qubit pair.
-    fn diag_pair(&mut self, q1: usize, q2: usize, phase: Complex64) {
-        debug_assert!(q1 != q2 && q1 < self.n && q2 < self.n);
-        let (m1, m2) = (self.layout.mask(q1), self.layout.mask(q2));
-        kernels::apply_cphase(&mut self.amps, m1.min(m2), m1.max(m2), 1, phase);
-    }
-
-    /// Applies a logical gate (operands are qubit indices).
-    pub fn apply_gate(&mut self, g: &Gate) {
-        let a = g.a.index();
-        match (g.kind, g.b) {
-            (GateKind::H, _) => self.apply_h(a),
-            (GateKind::X, _) => self.apply_x(a),
-            (GateKind::Rz { k }, _) => self.apply_rz(a, k),
-            (GateKind::Cphase { k }, Some(b)) => self.apply_cphase(a, b.index(), k),
-            (GateKind::Swap, Some(b)) => self.apply_swap(a, b.index()),
-            (GateKind::CphaseSwap { k }, Some(b)) => self.apply_cphase_swap(a, b.index(), k),
-            (GateKind::Cnot, Some(b)) => self.apply_cnot(a, b.index()),
-            _ => unreachable!("malformed gate {g}"),
-        }
-    }
-
-    /// Applies the *inverse* of a logical gate (used to run inverse-QFT
-    /// applications such as phase estimation on top of the forward kernel).
-    pub fn apply_gate_inverse(&mut self, g: &Gate) {
-        let a = g.a.index();
-        match (g.kind, g.b) {
-            // Self-inverse gates.
-            (GateKind::H, _) => self.apply_h(a),
-            (GateKind::X, _) => self.apply_x(a),
-            (GateKind::Swap, Some(b)) => self.apply_swap(a, b.index()),
-            (GateKind::Cnot, Some(b)) => self.apply_cnot(a, b.index()),
-            // Diagonal gates: conjugate the phase.
-            (GateKind::Rz { k }, _) => {
-                let phase = Complex64::from_angle(-phase_angle(k));
-                kernels::apply_phase(&mut self.amps, self.layout.mask(a), 1, phase);
-            }
-            (GateKind::Cphase { k }, Some(b)) => {
-                self.diag_pair(a, b.index(), Complex64::from_angle(-phase_angle(k)))
-            }
-            (GateKind::CphaseSwap { k }, Some(b)) => {
-                // (CP · SWAP)^-1 = SWAP · CP^-1; the two commute on the
-                // same pair, so order is immaterial (and the pair's mask
-                // set is unchanged by the relabel).
-                self.layout.swap(a, b.index());
-                self.diag_pair(a, b.index(), Complex64::from_angle(-phase_angle(k)));
-            }
-            _ => unreachable!("malformed gate {g}"),
-        }
-    }
-
-    /// Applies every gate of a logical circuit in order.
-    pub fn apply_circuit(&mut self, c: &qft_ir::circuit::Circuit) {
-        assert_eq!(c.n_qubits(), self.n);
-        for g in c.gates() {
-            self.apply_gate(g);
-        }
-    }
-
-    /// Reads `place.len()` qubits out of the state (output bit `l` comes
-    /// from qubit `place[l]`), composing any pending lazy permutation
-    /// into the gather tables — a single pass over the output, with no
-    /// full-register resolve sweep. The crate-internal readout for
-    /// physical replay; amplitude on excited left-out qubits is dropped
-    /// (visible as lost norm).
-    pub(crate) fn extracted_amplitudes(&self, place: &[usize]) -> Vec<Complex64> {
-        let stored: Vec<usize> = place.iter().map(|&q| self.layout.slot_of(q)).collect();
-        let tables = bit_map_tables(stored.len(), &stored);
-        let mut out = vec![Complex64::ZERO; 1usize << place.len()];
-        for (b, o) in out.iter_mut().enumerate() {
-            *o = self.amps[map_index(&tables, b)];
-        }
-        out
-    }
-
-    /// Permutes qubits: qubit `q` of `self` moves to position `perm[q]`.
-    ///
-    /// O(n) — the permutation composes into the lazy layout and is
-    /// materialized (precomputed-table single pass, no intermediate
-    /// reallocation churn) only when amplitudes are next read out.
-    pub fn permute_qubits(&mut self, perm: &[usize]) {
-        assert_eq!(perm.len(), self.n);
-        debug_assert!({
-            let mut seen = vec![false; self.n];
-            perm.iter()
-                .all(|&t| t < self.n && !std::mem::replace(&mut seen[t], true))
-        });
-        self.layout.permute(perm);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const EPS: f64 = 1e-10;
-
-    #[test]
-    fn h_twice_is_identity() {
-        let mut s = StateVector::random(4, 7);
-        let orig = s.clone();
-        s.apply_h(2);
-        s.apply_h(2);
-        assert!((s.fidelity(&orig) - 1.0).abs() < EPS);
-    }
-
-    #[test]
-    fn h_creates_uniform_superposition() {
-        let mut s = StateVector::zero(1);
-        s.apply_h(0);
-        assert!((s.amplitudes()[0].re - std::f64::consts::FRAC_1_SQRT_2).abs() < EPS);
-        assert!((s.amplitudes()[1].re - std::f64::consts::FRAC_1_SQRT_2).abs() < EPS);
-    }
-
-    #[test]
-    fn cphase_only_phases_11() {
-        let mut s = StateVector::basis(2, 0b11);
-        s.apply_cphase(0, 1, 1); // k=1 => phase pi => factor -1
-        assert!((s.amplitudes()[3].re + 1.0).abs() < EPS);
-        let mut s = StateVector::basis(2, 0b01);
-        s.apply_cphase(0, 1, 1);
-        assert!((s.amplitudes()[1].re - 1.0).abs() < EPS);
-    }
-
-    #[test]
-    fn cphase_is_symmetric() {
-        let mut a = StateVector::random(3, 11);
-        let mut b = a.clone();
-        a.apply_cphase(0, 2, 3);
-        b.apply_cphase(2, 0, 3);
-        assert!((a.fidelity(&b) - 1.0).abs() < EPS);
-    }
-
-    #[test]
-    fn cphases_commute_even_sharing_a_qubit() {
-        // The algebraic heart of §3.1.
-        let mut a = StateVector::random(3, 13);
-        let mut b = a.clone();
-        a.apply_cphase(0, 1, 2);
-        a.apply_cphase(0, 2, 3);
-        b.apply_cphase(0, 2, 3);
-        b.apply_cphase(0, 1, 2);
-        assert!((a.fidelity(&b) - 1.0).abs() < EPS);
-    }
-
-    #[test]
-    fn h_and_cphase_do_not_commute() {
-        let mut a = StateVector::random(2, 17);
-        let mut b = a.clone();
-        a.apply_h(0);
-        a.apply_cphase(0, 1, 2);
-        b.apply_cphase(0, 1, 2);
-        b.apply_h(0);
-        assert!(a.fidelity(&b) < 1.0 - 1e-3);
-    }
-
-    #[test]
-    fn swap_exchanges_basis_bits() {
-        let mut s = StateVector::basis(3, 0b001);
-        s.apply_swap(0, 2);
-        assert!((s.amplitudes()[0b100].re - 1.0).abs() < EPS);
-    }
-
-    #[test]
-    fn swap_equals_three_cnots() {
-        let mut a = StateVector::random(2, 23);
-        let mut b = a.clone();
-        a.apply_swap(0, 1);
-        b.apply_cnot(0, 1);
-        b.apply_cnot(1, 0);
-        b.apply_cnot(0, 1);
-        assert!((a.fidelity(&b) - 1.0).abs() < EPS);
-    }
-
-    #[test]
-    fn gates_after_lazy_swaps_act_on_relabeled_qubits() {
-        // H on q0 after SWAP(0, 2) must equal H on q2 before it.
-        let mut a = StateVector::random(3, 41);
-        let mut b = a.clone();
-        a.apply_swap(0, 2);
-        a.apply_h(0);
-        b.apply_h(2);
-        b.apply_swap(0, 2);
-        assert!((a.fidelity(&b) - 1.0).abs() < EPS);
-    }
-
-    #[test]
-    fn fused_cphase_swap_equals_the_two_gates() {
-        let mut a = StateVector::random(3, 43);
-        let mut b = a.clone();
-        a.apply_cphase_swap(0, 1, 3);
-        b.apply_cphase(0, 1, 3);
-        b.apply_swap(0, 1);
-        assert!((a.fidelity(&b) - 1.0).abs() < EPS);
-        // Element-wise too (no global-phase slack between the two paths).
-        for (x, y) in a.amplitudes().iter().zip(b.amplitudes()) {
-            assert!((x.re - y.re).abs() < EPS && (x.im - y.im).abs() < EPS);
-        }
-    }
-
-    #[test]
-    fn permute_matches_swaps() {
-        let mut a = StateVector::random(3, 29);
-        let mut b = a.clone();
-        a.apply_swap(0, 2);
-        b.permute_qubits(&[2, 1, 0]);
-        assert!((a.fidelity(&b) - 1.0).abs() < EPS);
-    }
-
-    #[test]
-    fn resolved_amplitudes_agrees_with_resolve_layout() {
-        let mut s = StateVector::random(4, 31);
-        s.apply_swap(1, 3);
-        s.apply_cphase(0, 1, 2);
-        s.apply_swap(0, 1);
-        let shared = s.resolved_amplitudes().into_owned();
-        let materialized = s.amplitudes();
-        assert_eq!(shared.len(), materialized.len());
-        for (x, y) in shared.iter().zip(materialized) {
-            assert!((x.re - y.re).abs() < EPS && (x.im - y.im).abs() < EPS);
-        }
-    }
-
-    #[test]
-    fn rotation_angles_are_exact_beyond_k_30() {
-        // Regression: the old `1u32 << k.min(30)` clamp collapsed every
-        // k > 30 onto the k = 30 angle.
-        assert!(phase_angle(31) != phase_angle(30));
-        assert!(phase_angle(40) != phase_angle(30));
-        assert!((phase_angle(40) - 2.0 * PI / (1u64 << 40) as f64).abs() < 1e-24);
-        // The |1⟩ amplitude carries the exact e^{iθ_k} phase: at k = 40
-        // its imaginary part is sin(2π/2^40) ≈ 5.7e-12, three orders of
-        // magnitude from the k = 30 value the old clamp produced.
-        let mut a = StateVector::basis(1, 1);
-        a.apply_rz(0, 40);
-        let im = a.amplitudes()[1].im;
-        assert!((im - phase_angle(40).sin()).abs() < 1e-24);
-        assert!((im - phase_angle(30).sin()).abs() > 1e-10, "clamp bug");
-        // Same for the two-qubit diagonal.
-        let mut c = StateVector::basis(2, 0b11);
-        c.apply_cphase(0, 1, 35);
-        assert!((c.amplitudes()[3].im - phase_angle(35).sin()).abs() < 1e-24);
-    }
-
-    #[test]
-    fn inverse_gates_undo_forward_gates() {
-        use qft_ir::gate::Gate;
-        let gates = [
-            Gate::h(1),
-            Gate::cphase(3, 0, 2),
-            Gate::swap(1, 2),
-            Gate::two(
-                qft_ir::gate::GateKind::CphaseSwap { k: 2 },
-                qft_ir::gate::LogicalQubit(0),
-                qft_ir::gate::LogicalQubit(2),
-            ),
-            Gate::two(
-                qft_ir::gate::GateKind::Cnot,
-                qft_ir::gate::LogicalQubit(0),
-                qft_ir::gate::LogicalQubit(1),
-            ),
-        ];
-        let orig = StateVector::random(3, 99);
-        let mut s = orig.clone();
-        for g in &gates {
-            s.apply_gate(g);
-        }
-        for g in gates.iter().rev() {
-            s.apply_gate_inverse(g);
-        }
-        assert!((s.fidelity(&orig) - 1.0).abs() < EPS);
-    }
-
-    #[test]
-    fn norm_preserved_by_gates() {
-        let mut s = StateVector::random(5, 31);
-        s.apply_h(3);
-        s.apply_cphase(1, 4, 2);
-        s.apply_swap(0, 2);
-        s.apply_cnot(2, 3);
-        assert!((s.norm2() - 1.0).abs() < EPS);
-    }
 
     #[test]
     fn bit_map_tables_round_trip_random_permutations() {

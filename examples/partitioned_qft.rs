@@ -11,7 +11,7 @@
 use qft_kernels::arch::devices;
 use qft_kernels::ir::dag::{CircuitDag, DagMode};
 use qft_kernels::ir::qft::{check_qft_circuit, qft_circuit, qft_partitioned, Partition};
-use qft_kernels::sim::state::StateVector;
+use qft_kernels::sim::{StateBatch, StateVector};
 use qft_kernels::{registry, CompileOptions, Target};
 
 fn main() {
@@ -33,12 +33,11 @@ fn main() {
         let c = qft_partitioned(p);
         check_qft_circuit(&c).expect("partition order must satisfy Type II");
         // Same unitary as the textbook order, on a random state.
-        let input = StateVector::random(n as usize, 42);
-        let mut a = input.clone();
+        let mut a = StateBatch::from_states(&[StateVector::random(n as usize, 42)]);
+        let mut b = a.clone();
         a.apply_circuit(&c);
-        let mut b = input.clone();
         b.apply_circuit(&reference);
-        let fidelity = a.fidelity(&b);
+        let fidelity = a.fidelities(&b)[0];
         println!(
             "{name:<28} gates={} fidelity vs textbook = {fidelity:.12}",
             c.len()

@@ -17,7 +17,8 @@
 //! cargo run --release --example qpe_heavyhex
 //! ```
 
-use qft_kernels::sim::state::StateVector;
+use qft_kernels::sim::complex::Complex64;
+use qft_kernels::sim::{StateBatch, StateVector};
 use qft_kernels::{registry, CompileOptions, Target};
 use std::f64::consts::PI;
 
@@ -42,7 +43,7 @@ fn main() {
         // Step 1: phase kick-back. Counting qubit q accumulates
         // e^{2πi φ 2^q} on its |1> component; the register state becomes
         // Σ_k e^{2πi φ k} |k⟩ / sqrt(M) = DFT|j⟩.
-        let mut state = uniform_with_phase_kicks(n, phi);
+        let mut state = StateBatch::from_states(&[uniform_with_phase_kicks(n, phi)]);
 
         // Step 2: inverse QFT = the compiled kernel run backwards.
         let gates: Vec<_> = mc.logical_interactions().collect();
@@ -51,7 +52,7 @@ fn main() {
         }
 
         // Read-out: C = DFT ∘ R, so C⁻¹ · DFT|j⟩ = R|j⟩ = |bitrev(j)⟩.
-        let (best, prob) = state
+        let (best, prob) = state.to_states()[0]
             .amplitudes()
             .iter()
             .enumerate()
@@ -69,25 +70,14 @@ fn main() {
 }
 
 /// `H^{⊗n}` followed by the controlled-U^{2^q} phase kicks, computed
-/// directly on the state (the eigenstate qubit factors out).
+/// directly on the amplitudes (the eigenstate qubit factors out): the
+/// uniform superposition, with `|k⟩` carrying `e^{2πi φ k}`.
 fn uniform_with_phase_kicks(n: usize, phi: f64) -> StateVector {
-    let mut s = StateVector::zero(n);
-    for q in 0..n {
-        s.apply_h(q);
-    }
-    // |k⟩ gains e^{2πi φ k}: apply per-qubit phases e^{2πi φ 2^q} to bit q.
-    let mut t = s.clone();
-    let amps: Vec<_> = t
-        .amplitudes()
-        .iter()
-        .enumerate()
-        .map(|(k, a)| {
-            let theta = 2.0 * PI * phi * k as f64;
-            *a * qft_kernels::sim::complex::Complex64::from_angle(theta)
-        })
+    let m = 1usize << n;
+    let amps = (0..m)
+        .map(|k| Complex64::from_angle(2.0 * PI * phi * k as f64).scale(1.0 / (m as f64).sqrt()))
         .collect();
-    t = StateVector::from_amplitudes(n, amps);
-    t
+    StateVector::from_amplitudes(n, amps)
 }
 
 fn bitrev(x: usize, n: usize) -> usize {

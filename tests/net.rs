@@ -15,8 +15,9 @@
 //!   thread before returning.
 //! * **Fault injection never takes the server down** — mid-stream
 //!   disconnects, garbage bytes, a slowloris half-written header, a
-//!   header that declares 16 MiB and stalls, a hostile length prefix and
-//!   a JSON nesting bomb each cost at most one connection, answered with
+//!   request header that declares its 1 MiB cap and stalls, a hostile
+//!   length prefix and a JSON nesting bomb each cost at most one
+//!   connection, answered with
 //!   a descriptive error frame where the stream is still framed; a
 //!   request delivered one byte at a time inside the per-frame deadline
 //!   is served; healthy clients keep compiling throughout.
@@ -43,7 +44,7 @@ use common::{artifact_bytes, contended_request, serve_request, wait_until};
 use proptest::prelude::*;
 use qft_kernels::serve::proto::{
     self, Frame, FrameKind, ProtoError, WireFault, WireRequest, WireResponse, WireWarmupBatch,
-    HEADER_LEN, MAGIC, MAX_PAYLOAD, VERSION,
+    HEADER_LEN, MAGIC, MAX_SERVER_BOUND_PAYLOAD, VERSION,
 };
 use qft_kernels::serve::warmup::OwnedPredicate;
 use qft_kernels::serve::{shared_registry, NetEvent, NetServer, ServerConfig};
@@ -433,19 +434,19 @@ fn fault_injection_matrix_never_takes_the_server_down() {
     healthy("after garbage bytes");
 
     // (c) Slowloris: half a header, then silence — and (c') a header
-    // that declares the largest legal payload (16 MiB), then silence.
-    // The per-frame deadline closes each connection with a timeout
-    // diagnosis — without costing a worker, so the healthy client below
-    // is served instantly.
-    let mut stalled_16_mib = Vec::new();
-    stalled_16_mib.extend_from_slice(&MAGIC);
-    stalled_16_mib.push(VERSION);
-    stalled_16_mib.push(1); // request kind
-    stalled_16_mib.extend_from_slice(&(MAX_PAYLOAD as u32).to_be_bytes());
-    stalled_16_mib.extend_from_slice(b"{\"seq\":");
+    // that declares the largest legal request payload (1 MiB), then
+    // silence. The per-frame deadline closes each connection with a
+    // timeout diagnosis — without costing a worker, so the healthy client
+    // below is served instantly.
+    let mut stalled_max = Vec::new();
+    stalled_max.extend_from_slice(&MAGIC);
+    stalled_max.push(VERSION);
+    stalled_max.push(1); // request kind
+    stalled_max.extend_from_slice(&(MAX_SERVER_BOUND_PAYLOAD as u32).to_be_bytes());
+    stalled_max.extend_from_slice(b"{\"seq\":");
     for (label, opening) in [
         ("slowloris", &MAGIC[..2]),
-        ("stalled 16 MiB payload", &stalled_16_mib[..]),
+        ("stalled max-size request payload", &stalled_max[..]),
     ] {
         let slow_before = server.net_stats().slow_timeouts;
         let mut stream = TcpStream::connect(addr).unwrap();
@@ -587,6 +588,51 @@ fn fault_injection_matrix_never_takes_the_server_down() {
     assert!(net.slow_timeouts >= 2, "net stats: {net:?}");
     let summary = server.shutdown();
     assert!(summary.net.accepted >= 16, "net stats: {:?}", summary.net);
+}
+
+#[test]
+fn request_frames_past_the_server_bound_cap_are_refused_unread() {
+    // A request header declaring one byte over the 1 MiB cap of the
+    // kinds a server receives is refused at header-parse time with the
+    // cap named, and counted as a protocol error; the server keeps
+    // serving.
+    let server = NetServer::bind("127.0.0.1:0", Arc::new(CompileService::new())).unwrap();
+    let addr = server.local_addr();
+    let mut stream = TcpStream::connect(addr).unwrap();
+    let mut header = Vec::new();
+    header.extend_from_slice(&MAGIC);
+    header.push(VERSION);
+    header.push(FrameKind::Request as u8);
+    header.extend_from_slice(&(MAX_SERVER_BOUND_PAYLOAD as u32 + 1).to_be_bytes());
+    stream.write_all(&header).unwrap();
+    stream.flush().unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let frame = proto::read_frame(&mut &stream).expect("an oversize error frame");
+    let fault: WireFault = frame.decode().unwrap();
+    assert_eq!((fault.seq, fault.error.kind.as_str()), (None, "protocol"));
+    assert!(
+        fault.error.error.contains(&format!(
+            "length {} exceeds the {MAX_SERVER_BOUND_PAYLOAD}-byte cap",
+            MAX_SERVER_BOUND_PAYLOAD + 1
+        )),
+        "the diagnosis must name the 1 MiB cap: {}",
+        fault.error.error
+    );
+    assert!(
+        proto::read_frame(&mut &stream).is_err(),
+        "connection closed"
+    );
+    wait_until("the protocol error to be counted", || {
+        server.net_stats().proto_errors == 1
+    });
+    let mut client = NetClient::connect(addr).unwrap();
+    let resp = client
+        .request(&serve_request("lnn", "lnn:5", CompileOptions::default()))
+        .unwrap();
+    assert_eq!(resp.result.n, 5);
+    server.shutdown();
 }
 
 // ---------------------------------------------------------------------------

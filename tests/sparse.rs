@@ -1,8 +1,8 @@
 //! The sparse simulation tier, end to end (ISSUE 6's headline):
 //!
 //! 1. **Differential suite** — the hash-map [`SparseState`] engine is
-//!    property-tested against both dense engines (the fast
-//!    [`StateVector`] and the retained `naive` oracle) on random gate
+//!    property-tested against both dense engines (the fast one-state
+//!    [`StateBatch`] and the retained `naive` oracle) on random gate
 //!    programs over the full mapped-QFT gate set at n = 4..=12:
 //!    elementwise amplitudes after canonical resolution, norm
 //!    preservation, inverse round-trips, and lazy-SWAP / fused
@@ -27,7 +27,7 @@ use qft_kernels::sim::equiv::{
 use qft_kernels::sim::error::SimError;
 use qft_kernels::sim::naive::NaiveStateVector;
 use qft_kernels::sim::sparse::SparseState;
-use qft_kernels::sim::StateVector;
+use qft_kernels::sim::{StateBatch, StateVector};
 use qft_kernels::{registry, CompileOptions, Target};
 
 const EPS: f64 = 1e-9;
@@ -54,9 +54,13 @@ fn assert_sparse_same_state(sparse: &SparseState, oracle: &NaiveStateVector, ctx
     let dense = sparse
         .to_state_vector()
         .unwrap_or_else(|e| panic!("{ctx}: {e}"));
-    let resolved = dense.resolved_amplitudes();
-    assert_eq!(resolved.len(), oracle.amplitudes().len(), "{ctx}");
-    for (i, (a, b)) in resolved.iter().zip(oracle.amplitudes()).enumerate() {
+    assert_eq!(dense.amplitudes().len(), oracle.amplitudes().len(), "{ctx}");
+    for (i, (a, b)) in dense
+        .amplitudes()
+        .iter()
+        .zip(oracle.amplitudes())
+        .enumerate()
+    {
         assert!(
             (a.re - b.re).abs() < EPS && (a.im - b.im).abs() < EPS,
             "{ctx}: amplitude {i} diverges (sparse {a:?}, naive {b:?})"
@@ -78,7 +82,7 @@ proptest! {
     ) {
         let fast_input = StateVector::random(n, seed);
         let mut sparse = SparseState::from_state(&fast_input);
-        let mut fast = fast_input.clone();
+        let mut fast = StateBatch::from_states(std::slice::from_ref(&fast_input));
         let mut oracle = NaiveStateVector::from_state(&fast_input);
         for &(kind, q1, q2, k) in &prog {
             let g = decode_gate(n, kind, q1, q2, k);
@@ -89,7 +93,7 @@ proptest! {
         assert_sparse_same_state(&sparse, &oracle, "sparse vs naive");
         // And sparse vs fast, through the dense engine's own resolution.
         let sparse_dense = sparse.to_state_vector().unwrap();
-        prop_assert!((sparse_dense.fidelity(&fast) - 1.0).abs() < EPS);
+        prop_assert!((sparse_dense.fidelity(&fast.to_states()[0]) - 1.0).abs() < EPS);
         prop_assert!((sparse.norm2() - 1.0).abs() < EPS, "norm drifted");
     }
 

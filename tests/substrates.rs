@@ -9,7 +9,7 @@ use qft_kernels::core::{compile_lnn, compile_two_row, compile_two_row_interleave
 use qft_kernels::ir::dag::{CircuitDag, DagMode};
 use qft_kernels::ir::qft::qft_circuit;
 use qft_kernels::ir::render::render_layers;
-use qft_kernels::sim::state::StateVector;
+use qft_kernels::sim::{StateBatch, StateVector};
 
 #[test]
 fn sycamore_distances_match_unit_structure() {
@@ -80,11 +80,13 @@ fn interleaved_and_snake_two_row_implement_the_same_unitary() {
         let a = compile_two_row(cols);
         let b = compile_two_row_interleaved(cols);
         let n = 2 * cols;
-        for seed in [1u64, 5] {
-            let input = StateVector::random(n, seed);
-            let out_a = qft_kernels::sim::equiv::apply_mapped_logically(&a, &input);
-            let out_b = qft_kernels::sim::equiv::apply_mapped_logically(&b, &input);
-            assert!((out_a.fidelity(&out_b) - 1.0).abs() < 1e-9, "cols={cols}");
+        let inputs = [StateVector::random(n, 1), StateVector::random(n, 5)];
+        let mut out_a = StateBatch::from_states(&inputs);
+        let mut out_b = out_a.clone();
+        out_a.apply_gates(a.logical_interactions());
+        out_b.apply_gates(b.logical_interactions());
+        for f in out_a.fidelities(&out_b) {
+            assert!((f - 1.0).abs() < 1e-9, "cols={cols}");
         }
     }
 }
@@ -100,13 +102,13 @@ proptest! {
         let f = qft_kernels::sim::reference::dft(&s);
         prop_assert!((f.norm2() - 1.0).abs() < 1e-9);
         if n >= 3 {
-            let mut a = s.clone();
-            let mut b = s.clone();
+            let mut a = StateBatch::from_states(std::slice::from_ref(&s));
+            let mut b = a.clone();
             a.apply_cphase(0, 1, 2);
             a.apply_cphase(1, 2, 3);
             b.apply_cphase(1, 2, 3);
             b.apply_cphase(0, 1, 2);
-            prop_assert!((a.fidelity(&b) - 1.0).abs() < 1e-9);
+            prop_assert!((a.fidelities(&b)[0] - 1.0).abs() < 1e-9);
         }
     }
 
