@@ -9,20 +9,16 @@
 //! (SWAP routing, fused interactions, spare qubits). The committed
 //! `BENCH_sparse.json` records wall times and the peak nonzeros per cell;
 //! the binary exits non-zero if any equivalence check fails **or** if any
-//! cell's peak occupancy exceeds the documented [`PEAK_BOUND`] — the
-//! sparsity invariant (2 × the largest probe ket) that makes the tier
-//! O(gates · |ket|) instead of O(gates · 2^n). `--fast` shrinks the probe
-//! count (used by CI).
+//! cell's peak occupancy exceeds the library's documented [`PEAK_BOUND`]
+//! — the sparsity invariant (2 × the largest probe ket) that makes the
+//! tier O(gates · |ket|) instead of O(gates · 2^n). `--fast` shrinks the
+//! probe count (used by CI).
 
 use qft_kernels::sim::equiv::SparseChecker;
+use qft_kernels::sim::sparse::PEAK_BOUND;
 use qft_kernels::{registry, CompileOptions, Target};
 use serde::Serialize;
 use std::time::Instant;
-
-/// The enforced ceiling on any cell's peak amplitude-map occupancy:
-/// 2 × the largest probe ket (6 terms). Independent of n — that is the
-/// point of the projection-scheduled evaluator.
-const PEAK_BOUND: usize = 12;
 
 /// One (compiler × target × degree) cell of the matrix.
 #[derive(Debug, Serialize)]

@@ -22,7 +22,7 @@ use qft_ir::circuit::MappedCircuit;
 use qft_ir::dag::DagMode;
 use qft_ir::metrics::Metrics;
 use qft_ir::passes::{self, PassCtx, PassManager, PassReport};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use std::fmt;
 use std::time::Instant;
 
@@ -361,7 +361,7 @@ impl std::error::Error for CompileError {}
 
 /// The compiler output artifact: mapped circuit, cost metrics, provenance,
 /// wall-clock compile time, and on-demand QASM export.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct CompileResult {
     /// Name of the compiler that produced this result.
     pub compiler: String,
@@ -381,6 +381,34 @@ pub struct CompileResult {
     pub note: String,
     /// The hardware-mapped circuit itself.
     pub circuit: MappedCircuit,
+}
+
+/// Decodes an artifact, refusing one whose `n` is not its circuit's
+/// logical width (the circuit itself is shape-checked by its own decode).
+impl Deserialize for CompileResult {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let o = v
+            .as_object()
+            .ok_or_else(|| serde::Error::msg("expected object for CompileResult"))?;
+        let result = CompileResult {
+            compiler: Deserialize::from_value(serde::field(o, "compiler"))?,
+            target: Deserialize::from_value(serde::field(o, "target"))?,
+            n: Deserialize::from_value(serde::field(o, "n"))?,
+            metrics: Deserialize::from_value(serde::field(o, "metrics"))?,
+            compile_s: Deserialize::from_value(serde::field(o, "compile_s"))?,
+            passes: Deserialize::from_value(serde::field(o, "passes"))?,
+            note: Deserialize::from_value(serde::field(o, "note"))?,
+            circuit: Deserialize::from_value(serde::field(o, "circuit"))?,
+        };
+        if result.n != result.circuit.n_logical() {
+            return Err(serde::Error::msg(format!(
+                "artifact claims {} qubits for a circuit of {} logical qubits",
+                result.n,
+                result.circuit.n_logical()
+            )));
+        }
+        Ok(result)
+    }
 }
 
 impl CompileResult {

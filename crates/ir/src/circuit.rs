@@ -9,7 +9,7 @@
 
 use crate::gate::{Gate, GateKind, LogicalQubit, PhysicalQubit};
 use crate::layout::Layout;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 /// A logical (hardware-agnostic) quantum circuit: an ordered gate list.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -121,7 +121,7 @@ impl PhysOp {
 }
 
 /// A hardware-mapped circuit: the compiler's output artifact.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct MappedCircuit {
     n_logical: usize,
     n_physical: usize,
@@ -269,6 +269,52 @@ impl MappedCircuit {
             layers[start as usize].push(*op);
         }
         layers
+    }
+}
+
+/// Decodes an artifact, refusing one that indexing by its own qubit
+/// counts could overrun: both layouts must have the declared sizes, and
+/// every op must name physical operands below `n_physical` (two distinct
+/// ones exactly when its kind is two-qubit) and logical annotations below
+/// `n_logical`. Agreement with SWAP replay is left to
+/// [`crate::passes::CheckLayout`].
+impl Deserialize for MappedCircuit {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let o = v
+            .as_object()
+            .ok_or_else(|| serde::Error::msg("expected object for MappedCircuit"))?;
+        let mc = MappedCircuit {
+            n_logical: Deserialize::from_value(serde::field(o, "n_logical"))?,
+            n_physical: Deserialize::from_value(serde::field(o, "n_physical"))?,
+            initial: Deserialize::from_value(serde::field(o, "initial"))?,
+            final_layout: Deserialize::from_value(serde::field(o, "final_layout"))?,
+            ops: Deserialize::from_value(serde::field(o, "ops"))?,
+        };
+        let sized = |l: &Layout| (l.n_logical(), l.n_physical()) == (mc.n_logical, mc.n_physical);
+        if !sized(&mc.initial) || !sized(&mc.final_layout) {
+            return Err(serde::Error::msg(
+                "a layout's sizes differ from the circuit's",
+            ));
+        }
+        for (i, op) in mc.ops.iter().enumerate() {
+            let outside = op.phys().any(|p| p.index() >= mc.n_physical)
+                || [op.l1, op.l2]
+                    .iter()
+                    .flatten()
+                    .any(|l| l.index() >= mc.n_logical);
+            if outside {
+                return Err(serde::Error::msg(format!(
+                    "op #{i} names a qubit outside the circuit"
+                )));
+            }
+            if op.p2.is_some() != (op.kind.arity() == 2) || op.p2 == Some(op.p1) {
+                return Err(serde::Error::msg(format!(
+                    "op #{i} has the wrong operands for {}",
+                    op.kind
+                )));
+            }
+        }
+        Ok(mc)
     }
 }
 

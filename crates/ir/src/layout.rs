@@ -1,14 +1,14 @@
 //! Bidirectional logical↔physical qubit maps.
 
 use crate::gate::{LogicalQubit, PhysicalQubit};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 /// A bijection between logical qubits and (a subset of) physical qubits.
 ///
 /// `phys_of[l]` is where logical qubit `l` currently sits; `log_of[p]` is the
 /// logical qubit occupying physical location `p` (or `None` for a spare
 /// physical qubit when the chip is larger than the program).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Layout {
     phys_of: Vec<PhysicalQubit>,
     log_of: Vec<Option<LogicalQubit>>,
@@ -86,17 +86,35 @@ impl Layout {
         self.phys_of.clone()
     }
 
-    /// Internal consistency check: the two directions agree.
+    /// Internal consistency check: every index is in range and the two
+    /// directions agree, so the layout is a bijection between the logical
+    /// qubits and a subset of the physical ones.
     pub fn is_consistent(&self) -> bool {
         self.phys_of
             .iter()
             .enumerate()
-            .all(|(l, &p)| self.log_of[p.index()] == Some(LogicalQubit(l as u32)))
-            && self
-                .log_of
-                .iter()
-                .enumerate()
-                .all(|(p, lo)| lo.is_none_or(|l| self.phys_of[l.index()].index() == p))
+            .all(|(l, &p)| self.log_of.get(p.index()) == Some(&Some(LogicalQubit(l as u32))))
+            && self.log_of.iter().enumerate().all(|(p, lo)| {
+                lo.is_none_or(|l| self.phys_of.get(l.index()).is_some_and(|q| q.index() == p))
+            })
+    }
+}
+
+/// Decodes a layout, refusing one that fails [`Layout::is_consistent`],
+/// so no lookup through it can index out of range.
+impl Deserialize for Layout {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let o = v
+            .as_object()
+            .ok_or_else(|| serde::Error::msg("expected object for Layout"))?;
+        let layout = Layout {
+            phys_of: Deserialize::from_value(serde::field(o, "phys_of"))?,
+            log_of: Deserialize::from_value(serde::field(o, "log_of"))?,
+        };
+        if !layout.is_consistent() {
+            return Err(serde::Error::msg("layout's two maps are not a bijection"));
+        }
+        Ok(layout)
     }
 }
 

@@ -28,10 +28,11 @@
 //! * [`PruneDeadSwapChains`] — cleanup after truncation: removes SWAPs
 //!   whose permutation no later surviving op consumes (the routing chains
 //!   truncation strands), then recomputes the final layout;
-//! * [`CheckLayout`] — verify: replays SWAPs from the initial layout and
-//!   checks every op's logical annotations, operand sanity, coupling-graph
-//!   adjacency (when the [`PassCtx`] carries an oracle), and the recorded
-//!   final layout. Never rewrites.
+//! * [`CheckLayout`] — verify: [`replay_layout`] replays SWAPs from the
+//!   initial layout and checks every op's logical annotations, operand
+//!   sanity, coupling-graph adjacency (when the [`PassCtx`] carries an
+//!   oracle), and the recorded final layout. Never rewrites. The symbolic
+//!   verifier in `qft-sim` runs the same replay.
 //!
 //! Passes are addressable by name through [`named`] (see [`PASS_NAMES`]),
 //! which is how `CompileOptions::extra_passes` strings resolve. The
@@ -593,11 +594,100 @@ impl Pass for PruneDeadSwapChains {
     }
 }
 
-/// Verify: replays SWAPs from the initial layout and checks that every
-/// op's logical annotations match, that operands are sane (arity, no
-/// self-loops), that two-qubit ops respect the adjacency oracle (when the
-/// context has one), and that the recorded final layout equals the replay.
-/// Never rewrites; failing any check is a [`PassError`].
+/// The first defect [`replay_layout`] meets; its `Display` is the reason
+/// the `check-layout` pass fails with.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ReplayError {
+    /// An op (index, what is wrong) with the wrong operand count for its
+    /// gate kind, or naming one qubit twice.
+    Malformed(usize, String),
+    /// A two-qubit op (index, operands) the adjacency oracle rejects.
+    NonAdjacent(usize, PhysicalQubit, PhysicalQubit),
+    /// An op (index) whose logical annotations disagree with the replay.
+    WrongAnnotation(usize),
+    /// The recorded final layout is not what the replay produces.
+    FinalLayoutMismatch,
+}
+
+impl fmt::Display for ReplayError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ReplayError::Malformed(i, what) => write!(f, "op #{i} {what}"),
+            ReplayError::NonAdjacent(i, a, b) => {
+                write!(f, "op #{i} spans non-adjacent qubits {a} and {b}")
+            }
+            ReplayError::WrongAnnotation(i) => {
+                write!(f, "op #{i} annotation disagrees with replay")
+            }
+            ReplayError::FinalLayoutMismatch => {
+                f.write_str("final layout does not match SWAP replay")
+            }
+        }
+    }
+}
+
+/// What a successful [`replay_layout`] counted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReplayCounts {
+    /// Two-qubit ops checked against the adjacency oracle.
+    pub two_qubit_ops: usize,
+    /// Standalone SWAPs replayed (fused `CPHASE+SWAP`s move the layout
+    /// too but are not counted).
+    pub swaps: usize,
+}
+
+/// The layout replay behind [`CheckLayout`] and the symbolic verifier:
+/// replays SWAPs from the initial layout in one pass over the ops and
+/// checks every op's operands (arity, no self-loops), two-qubit adjacency
+/// under the context's oracle, logical annotations, and the recorded
+/// final layout.
+pub fn replay_layout(circuit: &MappedCircuit, ctx: &PassCtx) -> Result<ReplayCounts, ReplayError> {
+    let mut layout = circuit.initial_layout().clone();
+    let (mut two_qubit_ops, mut swaps) = (0, 0);
+    for (i, op) in circuit.ops().iter().enumerate() {
+        let malformed = |what: String| Err(ReplayError::Malformed(i, what));
+        match op.p2 {
+            None if op.kind.arity() != 1 => {
+                return malformed(format!("({}) lacks a second operand", op.kind))
+            }
+            None => {
+                if layout.logical(op.p1) != op.l1 {
+                    return Err(ReplayError::WrongAnnotation(i));
+                }
+            }
+            Some(_) if op.kind.arity() != 2 => {
+                return malformed(format!("({}) has a spurious operand", op.kind))
+            }
+            Some(p2) if p2 == op.p1 => return malformed(format!("acts twice on {p2}")),
+            Some(p2) => {
+                two_qubit_ops += 1;
+                if !ctx.adjacent(op.p1, p2) {
+                    return Err(ReplayError::NonAdjacent(i, op.p1, p2));
+                }
+                if layout.logical(op.p1) != op.l1 || layout.logical(p2) != op.l2 {
+                    return Err(ReplayError::WrongAnnotation(i));
+                }
+                if op.kind.swaps_operands() {
+                    if op.kind == GateKind::Swap {
+                        swaps += 1;
+                    }
+                    layout.swap_phys(op.p1, p2);
+                }
+            }
+        }
+    }
+    if &layout != circuit.final_layout() {
+        return Err(ReplayError::FinalLayoutMismatch);
+    }
+    Ok(ReplayCounts {
+        two_qubit_ops,
+        swaps,
+    })
+}
+
+/// Verify: runs [`replay_layout`] with the context's adjacency oracle
+/// (vacuous without one). Never rewrites; failing any check is a
+/// [`PassError`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CheckLayout;
 
@@ -611,49 +701,7 @@ impl Pass for CheckLayout {
     }
 
     fn run(&self, circuit: &mut MappedCircuit, ctx: &PassCtx) -> Result<PassReport, PassError> {
-        let fail = |reason: String| PassError::new(self.name(), reason);
-        let mut layout = circuit.initial_layout().clone();
-        for (i, op) in circuit.ops().iter().enumerate() {
-            match op.p2 {
-                None => {
-                    if op.kind.arity() != 1 {
-                        return Err(fail(format!(
-                            "op #{i} ({}) lacks a second operand",
-                            op.kind
-                        )));
-                    }
-                    if layout.logical(op.p1) != op.l1 {
-                        return Err(fail(format!("op #{i} annotation disagrees with replay")));
-                    }
-                }
-                Some(p2) => {
-                    if op.kind.arity() != 2 {
-                        return Err(fail(format!(
-                            "op #{i} ({}) has a spurious operand",
-                            op.kind
-                        )));
-                    }
-                    if op.p1 == p2 {
-                        return Err(fail(format!("op #{i} acts twice on {}", op.p1)));
-                    }
-                    if !ctx.adjacent(op.p1, p2) {
-                        return Err(fail(format!(
-                            "op #{i} spans non-adjacent qubits {} and {p2}",
-                            op.p1
-                        )));
-                    }
-                    if layout.logical(op.p1) != op.l1 || layout.logical(p2) != op.l2 {
-                        return Err(fail(format!("op #{i} annotation disagrees with replay")));
-                    }
-                    if op.kind.swaps_operands() {
-                        layout.swap_phys(op.p1, p2);
-                    }
-                }
-            }
-        }
-        if &layout != circuit.final_layout() {
-            return Err(fail("final layout does not match SWAP replay".to_string()));
-        }
+        replay_layout(circuit, ctx).map_err(|e| PassError::new(self.name(), e.to_string()))?;
         let note = format!(
             "{} ops checked{}",
             circuit.ops().len(),

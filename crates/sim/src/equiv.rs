@@ -195,19 +195,20 @@ pub enum EngineTier {
 /// 1. `n_physical ≤` [`DENSE_ROUTE_MAX_QUBITS`] → [`EngineTier::Dense`]
 ///    (full-plane checks are cheap and strictly more general there);
 /// 2. otherwise, if the register fits `u64` keys and the circuit's
-///    estimated peak density with a `ket_terms`-term probe
-///    ([`sparse::estimated_peak_nonzeros`] — `terms · 2^B` for peak
-///    branch-depth `B`) fits [`SPARSE_DENSITY_CAP`] → [`EngineTier::Sparse`];
+///    estimated peak density with the largest probe ket
+///    ([`sparse::estimated_peak_nonzeros`] with [`sparse::MAX_PROBE_TERMS`]
+///    terms — `terms · 2^B` for peak branch-depth `B`) fits
+///    [`SPARSE_DENSITY_CAP`] → [`EngineTier::Sparse`];
 /// 3. otherwise, if `n_physical` still fits [`DENSE_QUBIT_CAP`] →
 ///    [`EngineTier::Dense`] (expensive but affordable fallback);
 /// 4. otherwise [`SimError::NoEngine`], naming both exhausted caps.
-pub fn plan_tier(mc: &MappedCircuit, ket_terms: usize) -> Result<EngineTier, SimError> {
+pub fn plan_tier(mc: &MappedCircuit) -> Result<EngineTier, SimError> {
     let n_p = mc.n_physical();
     if n_p <= DENSE_ROUTE_MAX_QUBITS {
         return Ok(EngineTier::Dense);
     }
     let estimated = if n_p <= SPARSE_MAX_QUBITS {
-        sparse::estimated_peak_nonzeros(mc, ket_terms)?
+        sparse::estimated_peak_nonzeros(mc, sparse::MAX_PROBE_TERMS)?
     } else {
         u64::MAX
     };
@@ -256,9 +257,7 @@ impl SparseChecker {
     /// from the closed form [`aqft_basis_amplitude_angle`], in `O(n·d)`
     /// per probe term.
     pub fn for_aqft(n: usize, degree: u32, n_random: usize) -> Result<Self, SimError> {
-        if n > SPARSE_MAX_QUBITS {
-            return Err(SimError::SparseWidthExceeded { n });
-        }
+        sparse::check_width(n)?;
         let probes = sparse::probe_pairs(n, n_random);
         let want = probes
             .iter()
@@ -363,9 +362,7 @@ pub fn mapped_equals_aqft_auto(
     degree: u32,
     n_seeds: u64,
 ) -> Result<bool, SimError> {
-    // Sparse probes branch each ket term once per H; superposition probes
-    // carry 6 terms, so that is the density estimate's ket size.
-    match plan_tier(mc, 6)? {
+    match plan_tier(mc)? {
         EngineTier::Dense => Ok(mapped_equals_aqft(mc, degree, n_seeds)),
         EngineTier::Sparse => {
             let sparse = SparseChecker::for_aqft(mc.n_logical(), degree, n_seeds as usize)
@@ -515,15 +512,15 @@ mod tests {
     #[test]
     fn plan_tier_routes_by_size_and_content() {
         // Small registers stay dense regardless of content.
-        assert_eq!(plan_tier(&line_qft3(), 6).unwrap(), EngineTier::Dense);
+        assert_eq!(plan_tier(&line_qft3()).unwrap(), EngineTier::Dense);
         // Past the dense-preference width, a QFT stream's density
         // estimate (2 × ket terms) easily fits the sparse cap.
         let wide = trivially_mapped_qft(20);
-        assert_eq!(plan_tier(&wide, 6).unwrap(), EngineTier::Sparse);
+        assert_eq!(plan_tier(&wide).unwrap(), EngineTier::Sparse);
         // Beyond both the u64-key ceiling and the dense cap: no tier.
         let huge = MappedCircuitBuilder::new(Layout::identity(70, 70)).finish();
         assert!(matches!(
-            plan_tier(&huge, 6),
+            plan_tier(&huge),
             Err(SimError::NoEngine { n: 70, .. })
         ));
     }
@@ -535,7 +532,7 @@ mod tests {
         assert!(checker.matches_logical(&mc).unwrap());
         assert!(checker.matches_physically(&mc).unwrap());
         // Probe runs stay within the 2·|ket| sparsity bound.
-        assert!(checker.peak_nonzeros() <= 12);
+        assert!(checker.peak_nonzeros() <= sparse::PEAK_BOUND);
         // A wrong-angle kernel is rejected, same as the dense checker.
         let mut b = MappedCircuitBuilder::new(Layout::identity(2, 2));
         b.push_1q_phys(GateKind::H, p(0));
@@ -594,19 +591,34 @@ mod tests {
             }
         }
         let mc = b.finish();
-        assert_eq!(plan_tier(&mc, 6).unwrap(), EngineTier::Dense);
+        assert_eq!(plan_tier(&mc).unwrap(), EngineTier::Dense);
     }
 
     #[test]
     fn physical_replay_handles_spare_qubits() {
         // 2 logical qubits on a 3-qubit device: the spare rides along
-        // through a SWAP and must not corrupt the extracted state.
-        let mut b = MappedCircuitBuilder::new(Layout::identity(2, 3));
-        b.push_1q_phys(GateKind::H, p(0));
-        b.push_2q_phys(GateKind::Cphase { k: 2 }, p(0), p(1));
-        b.push_swap_phys(p(1), p(2)); // q1 moves to the spare's slot
-        b.push_1q_phys(GateKind::H, p(2));
-        let mc = b.finish();
-        assert!(ReferenceChecker::for_qft(2, 3).matches_physically(&mc));
+        // through a SWAP and must not corrupt the extracted state, on
+        // either tier. An X that leaves the spare excited after the SWAP
+        // strands amplitude outside the logical register, and both tiers
+        // must reject it.
+        let kernel = |excite_spare: bool| {
+            let mut b = MappedCircuitBuilder::new(Layout::identity(2, 3));
+            b.push_1q_phys(GateKind::H, p(0));
+            b.push_2q_phys(GateKind::Cphase { k: 2 }, p(0), p(1));
+            b.push_swap_phys(p(1), p(2)); // q1 moves to the spare's slot
+            if excite_spare {
+                b.push_1q_phys(GateKind::X, p(1)); // the spare now sits at Q1
+            }
+            b.push_1q_phys(GateKind::H, p(2));
+            b.finish()
+        };
+        for (mc, valid) in [(kernel(false), true), (kernel(true), false)] {
+            assert_eq!(
+                ReferenceChecker::for_qft(2, 3).matches_physically(&mc),
+                valid
+            );
+            let mut sparse = SparseChecker::for_qft(2, 3).unwrap();
+            assert_eq!(sparse.matches_physically(&mc).unwrap(), valid);
+        }
     }
 }

@@ -18,9 +18,9 @@
 //!   against;
 //! * [`mod@reference`] — the exact DFT and the textbook-circuit ↔ DFT relation
 //!   (bit-reversed outputs), pinning down gate conventions;
-//! * [`sparse`] — the hash-map amplitude engine for n = 24–63: sparse
-//!   states keyed by basis index, plus the projected matrix-element
-//!   evaluator that keeps QFT equivalence probes at polynomial density;
+//! * [`sparse`] — the sparse engine for n = 24–63: the projected
+//!   matrix-element evaluator, a hash map of amplitudes keyed by basis
+//!   index that keeps QFT equivalence probes at constant density;
 //! * [`equiv`] — unitary equivalence for mapped circuits, one checker per
 //!   tier (the dense [`ReferenceChecker`], batched over the probe states,
 //!   logically or by full physical-op-stream replay; the sparse
@@ -50,6 +50,6 @@ pub use equiv::{mapped_equals_aqft, mapped_equals_qft, probe_states, ReferenceCh
 pub use error::{SimError, DENSE_QUBIT_CAP, SPARSE_DENSITY_CAP};
 pub use naive::NaiveStateVector;
 pub use reference::{bit_reverse, dft, qft_circuit_reference};
-pub use sparse::{SparseProbe, SparseRun, SparseState};
+pub use sparse::{SparseProbe, SparseRun};
 pub use state::{phase_angle, StateVector};
 pub use symbolic::{verify_qft_mapping, VerifyError, VerifyReport};

@@ -1,42 +1,38 @@
-//! Sparse state-vector simulation: amplitudes in a hash map keyed by basis
-//! index, for registers far beyond the dense engines' `2^n` planes.
+//! Sparse matrix-element evaluation: amplitudes in a hash map keyed by
+//! basis index, for registers far beyond the dense engines' `2^n` planes.
 //!
-//! Two layers live here:
+//! The *projected amplitude evaluator* ([`logical_amplitude`] /
+//! [`mapped_physical_amplitude`]) is the one sparse engine. A full QFT
+//! output is dense (`2^n` nonzeros), so forward simulation cannot scale;
+//! but a *matrix element* `⟨y|C|ψ⟩` can. `u64` keys carry one bit per
+//! qubit (so `n ≤ 63`); H branches each key into a pair (merging with
+//! destructive-interference cancellation and ε-pruning), X/CNOT permute
+//! keys without growth, RZ/CPHASE/the fused CPHASE+SWAP are phase-only,
+//! and SWAPs are erased into the slot assignment before the run.
 //!
-//! 1. [`SparseState`] — a general hash-map engine over the full mapped-QFT
-//!    gate set. `u64` keys carry one bit per qubit (so `n ≤ 63`); H
-//!    branches each key into a pair (merging with destructive-interference
-//!    cancellation and ε-pruning), X/CNOT permute keys without growth,
-//!    RZ/CPHASE/the fused CPHASE+SWAP are phase-only diagonal fast paths,
-//!    and SWAPs reuse the dense engine's lazy `QubitLayout` relabeling so
-//!    routing chains cost O(1) bookkeeping.
-//! 2. The *projected amplitude evaluator* ([`logical_amplitude`] /
-//!    [`mapped_physical_amplitude`]) — the
-//!    piece that makes n = 24–32 equivalence checking cheap. A full QFT
-//!    output is dense (`2^n` nonzeros), so forward simulation cannot
-//!    scale; but a *matrix element* `⟨y|C|ψ⟩` can. Every QFT/AQFT kernel
-//!    applies exactly one H per qubit, after which that qubit only sees
-//!    diagonal phases — so the moment a qubit's last branching gate has
-//!    fired, its bit can be post-selected to the bra's value. The
-//!    amplitude map therefore never holds more than `2·|ket|` entries
-//!    (*peak nonzeros stays polynomial — constant, even — in `n` for the
-//!    checker probes*), and one matrix element costs O(gates · |ket|).
-//!    A dry planning pass computes, for any op stream (logical gate lists
-//!    or full physical op streams with SWAP routing), where each stored
-//!    bit is last branched and which bra bit it must land on; the run
-//!    pass then applies ops and projects on schedule, with a density
-//!    watchdog that aborts with [`SimError::DensityExceeded`] if a
-//!    non-sparse circuit/probe combination sneaks through.
+//! Every QFT/AQFT kernel applies exactly one H per qubit, after which that
+//! qubit only sees diagonal phases — so the moment a qubit's last
+//! branching gate has fired, its bit can be post-selected to the bra's
+//! value. The amplitude map therefore never holds more than `2·|ket|`
+//! entries (*peak nonzeros stays constant in `n` for the checker probes*:
+//! at most [`PEAK_BOUND`]), and one matrix element costs O(gates · |ket|).
+//! A dry planning pass computes, for any op stream (logical gate lists or
+//! full physical op streams with SWAP routing), where each stored bit is
+//! last touched non-diagonally and which bra bit it must land on; the run
+//! pass then applies ops and projects on schedule, with a density
+//! watchdog that aborts with [`SimError::DensityExceeded`] if a
+//! non-sparse circuit/probe combination sneaks through.
 //!
 //! The equivalence layer on top (`qft_sim::equiv::SparseChecker`) compares
 //! these matrix elements against the closed-form AQFT amplitudes of
 //! `qft_ir::qft::aqft_basis_amplitude_angle`, giving a reference-free
-//! large-n check; differential suites pin the whole engine against the
-//! dense `StateBatch` engine and the `naive` oracle on overlapping sizes.
+//! large-n check; `tests/sparse.rs` pins the evaluator's matrix elements
+//! against the dense `StateBatch` engine and the `naive` oracle on random
+//! programs over the full gate set.
 
 use crate::complex::Complex64;
-use crate::error::{SimError, DENSE_QUBIT_CAP, SPARSE_MAX_QUBITS};
-use crate::state::{phase_angle, QubitLayout, StateVector};
+use crate::error::{SimError, SPARSE_MAX_QUBITS};
+use crate::state::{phase_angle, QubitLayout};
 use qft_ir::circuit::MappedCircuit;
 use qft_ir::gate::{Gate, GateKind};
 use std::collections::HashMap;
@@ -46,6 +42,15 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// Amplitudes below this magnitude are treated as destructive-interference
 /// residue and pruned after branching gates (`|a|² < ε²` with ε = 1e-12).
 pub const PRUNE_EPSILON: f64 = 1e-12;
+
+/// The largest ket a canonical probe carries ([`probe_pairs`]' superposition
+/// probes), and so the ket size the router's density estimate assumes.
+pub const MAX_PROBE_TERMS: usize = 6;
+
+/// The documented ceiling on any checker run's peak map occupancy: one
+/// branching H live at a time on the largest probe ket. Independent of n —
+/// that is the point of the projection-scheduled evaluator.
+pub const PEAK_BOUND: usize = 2 * MAX_PROBE_TERMS;
 
 /// A minimal multiply-xor hasher for `u64` basis keys — basis indices are
 /// already well-mixed integers, so the default SipHash's DoS hardening
@@ -79,344 +84,11 @@ fn new_map(capacity: usize) -> AmpMap {
     AmpMap::with_capacity_and_hasher(capacity, BuildHasherDefault::default())
 }
 
-/// A sparse `n ≤ 63`-qubit state: amplitudes keyed by basis index, with
-/// the same lazy-SWAP layout bookkeeping as the dense engine.
-///
-/// Gate methods mirror [`crate::StateBatch`]'s signatures (qubit
-/// operands, `apply_gate`/`apply_gate_inverse` decode [`Gate`]s), so the
-/// two engines are drop-in interchangeable for differential testing.
-#[derive(Debug, Clone)]
-pub struct SparseState {
-    n: usize,
-    amps: AmpMap,
-    layout: QubitLayout,
-    peak: usize,
-}
-
-impl SparseState {
-    /// `|0…0⟩` on `n` qubits. Panics above [`SPARSE_MAX_QUBITS`]; use
-    /// [`SparseState::try_zero`] for a descriptive error.
-    pub fn zero(n: usize) -> Self {
-        Self::try_zero(n).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// `|0…0⟩` on `n` qubits, or [`SimError::SparseWidthExceeded`].
-    pub fn try_zero(n: usize) -> Result<Self, SimError> {
-        if n > SPARSE_MAX_QUBITS {
-            return Err(SimError::SparseWidthExceeded { n });
-        }
-        let mut amps = new_map(1);
-        amps.insert(0, Complex64::ONE);
-        Ok(SparseState {
-            n,
-            amps,
-            layout: QubitLayout::identity(n),
-            peak: 1,
-        })
-    }
-
-    /// The computational basis state `|b⟩`.
-    pub fn basis(n: usize, b: u64) -> Self {
-        assert!(n == 64 || b < (1u64 << n), "basis index out of range");
-        let mut s = SparseState::zero(n);
-        s.amps.clear();
-        s.amps.insert(b, Complex64::ONE);
-        s
-    }
-
-    /// Builds a state from sparse `(basis index, amplitude)` terms
-    /// (repeated keys accumulate; near-zero terms are pruned).
-    pub fn from_terms(n: usize, terms: &[(u64, Complex64)]) -> Self {
-        let mut s = SparseState::zero(n);
-        s.amps.clear();
-        for &(k, a) in terms {
-            debug_assert!(n == 64 || k < (1u64 << n), "term index out of range");
-            *s.amps.entry(k).or_insert(Complex64::ZERO) += a;
-        }
-        s.amps
-            .retain(|_, a| a.abs2() > PRUNE_EPSILON * PRUNE_EPSILON);
-        s.peak = s.amps.len().max(1);
-        s
-    }
-
-    /// Imports a dense state, keeping every amplitude above the pruning
-    /// threshold.
-    pub fn from_state(sv: &StateVector) -> Self {
-        let terms: Vec<(u64, Complex64)> = sv
-            .amplitudes()
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| a.abs2() > PRUNE_EPSILON * PRUNE_EPSILON)
-            .map(|(b, &a)| (b as u64, a))
-            .collect();
-        SparseState::from_terms(sv.n_qubits(), &terms)
-    }
-
-    /// Number of qubits.
-    #[inline]
-    pub fn n_qubits(&self) -> usize {
-        self.n
-    }
-
-    /// Current amplitude-map occupancy.
-    #[inline]
-    pub fn nonzeros(&self) -> usize {
-        self.amps.len()
-    }
-
-    /// The largest occupancy the map has reached so far — the quantity the
-    /// density watchdog and the sparsity-bound tests observe.
-    #[inline]
-    pub fn peak_nonzeros(&self) -> usize {
-        self.peak
-    }
-
-    /// Total probability (1.0 up to rounding/pruning for unitary streams);
-    /// layout-invariant.
-    pub fn norm2(&self) -> f64 {
-        self.amps.values().map(|a| a.abs2()).sum()
-    }
-
-    #[inline]
-    fn mask(&self, q: usize) -> u64 {
-        self.layout.mask(q) as u64
-    }
-
-    #[inline]
-    fn note_peak(&mut self) {
-        self.peak = self.peak.max(self.amps.len());
-    }
-
-    fn insert_pruned(map: &mut AmpMap, k: u64, a: Complex64) {
-        if a.abs2() > PRUNE_EPSILON * PRUNE_EPSILON {
-            map.insert(k, a);
-        }
-    }
-
-    /// Hadamard on qubit `q`: each stored key branches into its
-    /// bit-`q` pair; merged pairs cancel destructively and drop below the
-    /// pruning threshold instead of lingering as ~1e-16 residue.
-    pub fn apply_h(&mut self, q: usize) {
-        debug_assert!(q < self.n);
-        let m = self.mask(q);
-        let old = std::mem::take(&mut self.amps);
-        let mut next = new_map(old.len() * 2);
-        for (&k, &a) in &old {
-            if k & m == 0 {
-                let b = old.get(&(k | m)).copied().unwrap_or(Complex64::ZERO);
-                Self::insert_pruned(&mut next, k, (a + b).scale(FRAC_1_SQRT_2));
-                Self::insert_pruned(&mut next, k | m, (a - b).scale(FRAC_1_SQRT_2));
-            } else if !old.contains_key(&(k ^ m)) {
-                // Lone |1⟩ half: H|1⟩ = (|0⟩ − |1⟩)/√2.
-                Self::insert_pruned(&mut next, k ^ m, a.scale(FRAC_1_SQRT_2));
-                Self::insert_pruned(&mut next, k, a.scale(-FRAC_1_SQRT_2));
-            }
-        }
-        self.amps = next;
-        self.note_peak();
-    }
-
-    /// Pauli-X on qubit `q` — a key permutation, zero amplitude growth.
-    pub fn apply_x(&mut self, q: usize) {
-        debug_assert!(q < self.n);
-        let m = self.mask(q);
-        let old = std::mem::take(&mut self.amps);
-        let mut next = new_map(old.len());
-        for (&k, &a) in &old {
-            next.insert(k ^ m, a);
-        }
-        self.amps = next;
-    }
-
-    /// CNOT `c → t` — a conditional key permutation, zero growth.
-    pub fn apply_cnot(&mut self, c: usize, t: usize) {
-        debug_assert!(c != t && c < self.n && t < self.n);
-        let (mc, mt) = (self.mask(c), self.mask(t));
-        let old = std::mem::take(&mut self.amps);
-        let mut next = new_map(old.len());
-        for (&k, &a) in &old {
-            next.insert(if k & mc != 0 { k ^ mt } else { k }, a);
-        }
-        self.amps = next;
-    }
-
-    /// `RZ` with angle `2π/2^k` on qubit `q` — phase-only diagonal fast
-    /// path over the occupied keys.
-    pub fn apply_rz(&mut self, q: usize, k: u32) {
-        debug_assert!(q < self.n);
-        self.apply_masked_phase(self.mask(q), Complex64::from_angle(phase_angle(k)));
-    }
-
-    /// `CPHASE` of rotation order `k` between `q1` and `q2` — phase-only.
-    pub fn apply_cphase(&mut self, q1: usize, q2: usize, k: u32) {
-        debug_assert!(q1 != q2 && q1 < self.n && q2 < self.n);
-        let m = self.mask(q1) | self.mask(q2);
-        self.apply_masked_phase(m, Complex64::from_angle(phase_angle(k)));
-    }
-
-    /// SWAP — the same O(1) lazy relabel as the dense engine.
-    pub fn apply_swap(&mut self, q1: usize, q2: usize) {
-        debug_assert!(q1 != q2 && q1 < self.n && q2 < self.n);
-        self.layout.swap(q1, q2);
-    }
-
-    /// The fused `CPHASE+SWAP`: one diagonal pass plus an O(1) relabel.
-    pub fn apply_cphase_swap(&mut self, q1: usize, q2: usize, k: u32) {
-        self.apply_cphase(q1, q2, k);
-        self.layout.swap(q1, q2);
-    }
-
-    fn apply_masked_phase(&mut self, mask: u64, phase: Complex64) {
-        for (k, a) in self.amps.iter_mut() {
-            if k & mask == mask {
-                *a = *a * phase;
-            }
-        }
-    }
-
-    /// Applies a logical gate (same decode as
-    /// [`crate::StateBatch::apply_gate`]).
-    pub fn apply_gate(&mut self, g: &Gate) {
-        let a = g.a.index();
-        match (g.kind, g.b) {
-            (GateKind::H, _) => self.apply_h(a),
-            (GateKind::X, _) => self.apply_x(a),
-            (GateKind::Rz { k }, _) => self.apply_rz(a, k),
-            (GateKind::Cphase { k }, Some(b)) => self.apply_cphase(a, b.index(), k),
-            (GateKind::Swap, Some(b)) => self.apply_swap(a, b.index()),
-            (GateKind::CphaseSwap { k }, Some(b)) => self.apply_cphase_swap(a, b.index(), k),
-            (GateKind::Cnot, Some(b)) => self.apply_cnot(a, b.index()),
-            _ => unreachable!("malformed gate {g}"),
-        }
-    }
-
-    /// Applies the *inverse* of a logical gate.
-    pub fn apply_gate_inverse(&mut self, g: &Gate) {
-        let a = g.a.index();
-        match (g.kind, g.b) {
-            (GateKind::H, _) => self.apply_h(a),
-            (GateKind::X, _) => self.apply_x(a),
-            (GateKind::Swap, Some(b)) => self.apply_swap(a, b.index()),
-            (GateKind::Cnot, Some(b)) => self.apply_cnot(a, b.index()),
-            (GateKind::Rz { k }, _) => {
-                self.apply_masked_phase(self.mask(a), Complex64::from_angle(-phase_angle(k)))
-            }
-            (GateKind::Cphase { k }, Some(b)) => {
-                let m = self.mask(a) | self.mask(b.index());
-                self.apply_masked_phase(m, Complex64::from_angle(-phase_angle(k)));
-            }
-            (GateKind::CphaseSwap { k }, Some(b)) => {
-                // (CP · SWAP)^-1 = SWAP · CP^-1; the pair's mask set is
-                // unchanged by the relabel, so order is immaterial.
-                self.layout.swap(a, b.index());
-                let m = self.mask(a) | self.mask(b.index());
-                self.apply_masked_phase(m, Complex64::from_angle(-phase_angle(k)));
-            }
-            _ => unreachable!("malformed gate {g}"),
-        }
-    }
-
-    /// Applies every gate of a logical circuit in order.
-    pub fn apply_circuit(&mut self, c: &qft_ir::circuit::Circuit) {
-        assert_eq!(c.n_qubits(), self.n);
-        for g in c.gates() {
-            self.apply_gate(g);
-        }
-    }
-
-    /// Projects qubit `q` onto `|bit⟩`, dropping every key on the other
-    /// branch (no renormalization — the surviving amplitude *is* the
-    /// point: this is the primitive the matrix-element evaluator uses).
-    pub fn post_select(&mut self, q: usize, bit: bool) {
-        debug_assert!(q < self.n);
-        let m = self.mask(q);
-        let want = if bit { m } else { 0 };
-        self.amps.retain(|k, _| k & m == want);
-    }
-
-    /// The amplitude of canonical basis state `|b⟩` (layout-aware lookup).
-    pub fn amplitude(&self, b: u64) -> Complex64 {
-        let mut key = 0u64;
-        for q in 0..self.n {
-            if b >> q & 1 == 1 {
-                key |= 1u64 << self.layout.slot_of(q);
-            }
-        }
-        self.amps.get(&key).copied().unwrap_or(Complex64::ZERO)
-    }
-
-    /// The occupied `(basis index, amplitude)` pairs in canonical qubit
-    /// order, sorted by index (deterministic for comparisons).
-    pub fn resolved_terms(&self) -> Vec<(u64, Complex64)> {
-        let identity = self.layout.is_identity();
-        let mut out: Vec<(u64, Complex64)> = self
-            .amps
-            .iter()
-            .map(|(&k, &a)| {
-                if identity {
-                    (k, a)
-                } else {
-                    let mut b = 0u64;
-                    for (p, &q) in self.layout.labels().iter().enumerate() {
-                        if k >> p & 1 == 1 {
-                            b |= 1u64 << q;
-                        }
-                    }
-                    (b, a)
-                }
-            })
-            .collect();
-        out.sort_unstable_by_key(|&(b, _)| b);
-        out
-    }
-
-    /// Materializes the dense `2^n` state (for differential tests), or
-    /// [`SimError::RegisterTooLarge`] above the dense cap.
-    pub fn to_state_vector(&self) -> Result<StateVector, SimError> {
-        if self.n > DENSE_QUBIT_CAP {
-            return Err(SimError::RegisterTooLarge {
-                engine: "state vector",
-                n: self.n,
-                cap: DENSE_QUBIT_CAP,
-            });
-        }
-        let mut amps = vec![Complex64::ZERO; 1usize << self.n];
-        for (b, a) in self.resolved_terms() {
-            amps[b as usize] = a;
-        }
-        Ok(StateVector::from_amplitudes(self.n, amps))
-    }
-
-    /// `⟨self|other⟩` (layout-aware on both sides).
-    pub fn inner(&self, other: &SparseState) -> Complex64 {
-        assert_eq!(self.n, other.n);
-        let (small, big) = if self.nonzeros() <= other.nonzeros() {
-            (self, other)
-        } else {
-            (other, self)
-        };
-        let mut acc = Complex64::ZERO;
-        for (b, a) in small.resolved_terms() {
-            let x = big.amplitude(b);
-            acc += if std::ptr::eq(small, self) {
-                a.conj() * x
-            } else {
-                x.conj() * a
-            };
-        }
-        acc
-    }
-
-    /// `|⟨self|other⟩|²` — 1.0 iff equal up to global phase (for
-    /// normalized states).
-    pub fn fidelity(&self, other: &SparseState) -> f64 {
-        self.inner(other).abs2()
+fn insert_pruned(map: &mut AmpMap, k: u64, a: Complex64) {
+    if a.abs2() > PRUNE_EPSILON * PRUNE_EPSILON {
+        map.insert(k, a);
     }
 }
-
-// ---------------------------------------------------------------------------
-// Probe pairs and the projected matrix-element evaluator.
-// ---------------------------------------------------------------------------
 
 /// One matrix-element probe: a sparse ket `|ψ⟩ = Σ cᵢ|xᵢ⟩` and a basis bra
 /// `⟨y|`. The evaluator computes `⟨y|C|ψ⟩` exactly.
@@ -443,7 +115,7 @@ impl SparseProbe {
     /// A reproducible random probe: `terms` distinct random basis kets
     /// with normalized random amplitudes, and a random basis bra
     /// (xorshift64*, the same generator family as
-    /// [`StateVector::random`]). `terms` is clamped to the `2^n` distinct
+    /// [`crate::StateVector::random`]). `terms` is clamped to the `2^n` distinct
     /// keys a small register can offer.
     pub fn random(n: usize, terms: usize, seed: u64) -> Self {
         let terms = if n < 20 {
@@ -481,8 +153,9 @@ impl SparseProbe {
 
 /// The canonical matrix-element probe set for an `n`-qubit check:
 /// `⟨0|·|0⟩`, `⟨1…1|·|1…1⟩`, `⟨1…1|·|0⟩`, then `n_random` random probes
-/// alternating between pure basis pairs and 6-term superposition kets
-/// (the superpositions exercise interference between ket branches).
+/// alternating between pure basis pairs and [`MAX_PROBE_TERMS`]-term
+/// superposition kets (the superpositions exercise interference between
+/// ket branches).
 pub fn probe_pairs(n: usize, n_random: usize) -> Vec<SparseProbe> {
     let ones = if n >= 64 { u64::MAX } else { (1u64 << n) - 1 };
     let mut pairs = vec![
@@ -491,7 +164,7 @@ pub fn probe_pairs(n: usize, n_random: usize) -> Vec<SparseProbe> {
         SparseProbe::basis(n, 0, ones),
     ];
     for seed in 0..n_random as u64 {
-        let terms = if seed % 2 == 0 { 1 } else { 6 };
+        let terms = if seed % 2 == 0 { 1 } else { MAX_PROBE_TERMS };
         pairs.push(SparseProbe::random(n, terms, 2 * seed + 1));
     }
     pairs
@@ -620,15 +293,11 @@ impl RunPlan {
                     for (&k, &a) in &old {
                         if k & mask == 0 {
                             let b = old.get(&(k | mask)).copied().unwrap_or(Complex64::ZERO);
-                            SparseState::insert_pruned(&mut next, k, (a + b).scale(FRAC_1_SQRT_2));
-                            SparseState::insert_pruned(
-                                &mut next,
-                                k | mask,
-                                (a - b).scale(FRAC_1_SQRT_2),
-                            );
+                            insert_pruned(&mut next, k, (a + b).scale(FRAC_1_SQRT_2));
+                            insert_pruned(&mut next, k | mask, (a - b).scale(FRAC_1_SQRT_2));
                         } else if !old.contains_key(&(k ^ mask)) {
-                            SparseState::insert_pruned(&mut next, k ^ mask, a.scale(FRAC_1_SQRT_2));
-                            SparseState::insert_pruned(&mut next, k, a.scale(-FRAC_1_SQRT_2));
+                            insert_pruned(&mut next, k ^ mask, a.scale(FRAC_1_SQRT_2));
+                            insert_pruned(&mut next, k, a.scale(-FRAC_1_SQRT_2));
                         }
                     }
                     amps = next;
@@ -722,7 +391,8 @@ fn push_op(
     }
 }
 
-fn check_width(n: usize) -> Result<(), SimError> {
+/// Refuses registers wider than the `u64` keys can carry.
+pub(crate) fn check_width(n: usize) -> Result<(), SimError> {
     if n > SPARSE_MAX_QUBITS {
         Err(SimError::SparseWidthExceeded { n })
     } else {
@@ -842,49 +512,31 @@ pub fn estimated_peak_nonzeros(mc: &MappedCircuit, terms: usize) -> Result<u64, 
 mod tests {
     use super::*;
     use crate::batch::StateBatch;
+    use crate::state::StateVector;
     use qft_ir::qft::qft_circuit;
 
     const EPS: f64 = 1e-10;
 
     #[test]
     fn h_twice_cancels_exactly_back_to_one_key() {
-        let mut s = SparseState::basis(3, 0b101);
-        s.apply_h(1);
-        assert_eq!(s.nonzeros(), 2);
-        s.apply_h(1);
+        let gates = [Gate::h(1), Gate::h(1)];
+        let run = |bra| logical_amplitude(3, &gates, &SparseProbe::basis(3, 0b101, bra), 16);
+        let back = run(0b101).unwrap();
+        assert!((back.amplitude - Complex64::ONE).abs() < EPS);
+        assert_eq!(back.peak_nonzeros, 2);
         // Destructive interference must *remove* the other branch, not
         // leave 1e-16 residue behind.
-        assert_eq!(s.nonzeros(), 1);
-        assert!((s.amplitude(0b101).re - 1.0).abs() < EPS);
-        assert_eq!(s.peak_nonzeros(), 2);
+        assert_eq!(run(0b111).unwrap().amplitude, Complex64::ZERO);
     }
 
     #[test]
     fn lazy_swap_relabels_without_touching_amplitudes() {
-        let mut s = SparseState::basis(3, 0b001);
-        s.apply_swap(0, 2);
-        assert_eq!(s.nonzeros(), 1);
-        assert!((s.amplitude(0b100).re - 1.0).abs() < EPS);
-        let terms = s.resolved_terms();
-        assert_eq!(terms.len(), 1);
-        assert_eq!(terms[0].0, 0b100);
-    }
-
-    #[test]
-    fn sparse_qft_matches_dense_on_small_registers() {
-        for n in [2usize, 4, 5] {
-            let c = qft_circuit(n);
-            let mut sparse = SparseState::basis(n, 1);
-            sparse.apply_circuit(&c);
-            let mut dense = StateBatch::from_states(&[StateVector::basis(n, 1)]);
-            dense.apply_circuit(&c);
-            let got = sparse.to_state_vector().unwrap();
-            assert!(
-                (got.fidelity(&dense.to_states()[0]) - 1.0).abs() < EPS,
-                "n={n}"
-            );
-            assert!((sparse.norm2() - 1.0).abs() < EPS);
-        }
+        let gates = [Gate::swap(0, 2)];
+        let run = |bra| logical_amplitude(3, &gates, &SparseProbe::basis(3, 0b001, bra), 16);
+        let moved = run(0b100).unwrap();
+        assert_eq!(moved.amplitude, Complex64::ONE);
+        assert_eq!(moved.peak_nonzeros, 1);
+        assert_eq!(run(0b001).unwrap().amplitude, Complex64::ZERO);
     }
 
     #[test]
@@ -926,7 +578,7 @@ mod tests {
     #[test]
     fn width_ceiling_is_enforced() {
         assert!(matches!(
-            SparseState::try_zero(64),
+            logical_amplitude(64, &[], &SparseProbe::basis(64, 0, 0), 16),
             Err(SimError::SparseWidthExceeded { n: 64 })
         ));
     }

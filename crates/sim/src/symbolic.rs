@@ -8,7 +8,9 @@
 //! 1. **Adjacency** — every two-qubit op acts on a coupling-graph link;
 //! 2. **Layout consistency** — replaying the SWAPs from the initial layout
 //!    reproduces every op's logical annotations and the recorded final
-//!    layout;
+//!    layout (1 and 2 are one pass of [`qft_ir::passes::replay_layout`],
+//!    the replay the `check-layout` pass runs, which also refuses ops
+//!    with the wrong operand count for their kind);
 //! 3. **QFT semantics** — the logical H/CPHASE stream has exactly one H per
 //!    qubit, one CPHASE per pair with the right rotation order, and
 //!    respects Type II dependences (`H(i) < CP(i,j) < H(j)` for `i < j`).
@@ -22,6 +24,7 @@
 use qft_arch::graph::CouplingGraph;
 use qft_ir::circuit::MappedCircuit;
 use qft_ir::gate::GateKind;
+use qft_ir::passes::{replay_layout, PassCtx, ReplayError};
 use qft_ir::qft::{logical_interactions, QftOrderError};
 use std::fmt;
 
@@ -42,7 +45,8 @@ pub enum VerifyError {
     FinalLayoutMismatch,
     /// The interaction stream is not a valid QFT realization.
     Semantics(QftOrderError),
-    /// The device is smaller than the program, sizes disagree, etc.
+    /// The device is smaller than the program, sizes disagree, an op has
+    /// the wrong operand count for its kind, etc.
     Shape(String),
 }
 
@@ -98,38 +102,14 @@ pub fn verify_qft_mapping(
         ));
     }
 
-    // (1) + (2): adjacency and layout replay.
-    let mut layout = mc.initial_layout().clone();
-    let mut two_qubit_ops = 0;
-    let mut swaps = 0;
-    for (i, op) in mc.ops().iter().enumerate() {
-        match op.p2 {
-            None => {
-                if layout.logical(op.p1) != op.l1 {
-                    return Err(VerifyError::WrongAnnotation { op_index: i });
-                }
-            }
-            Some(p2) => {
-                two_qubit_ops += 1;
-                if !graph.are_adjacent(op.p1, p2) {
-                    return Err(VerifyError::NonAdjacent { op_index: i });
-                }
-                if layout.logical(op.p1) != op.l1 || layout.logical(p2) != op.l2 {
-                    return Err(VerifyError::WrongAnnotation { op_index: i });
-                }
-                // Fused CPHASE+SWAP interactions move their operands too.
-                if op.kind.swaps_operands() {
-                    if op.kind == GateKind::Swap {
-                        swaps += 1;
-                    }
-                    layout.swap_phys(op.p1, p2);
-                }
-            }
-        }
-    }
-    if &layout != mc.final_layout() {
-        return Err(VerifyError::FinalLayoutMismatch);
-    }
+    // (1) + (2): adjacency and layout replay, shared with `CheckLayout`.
+    let adjacent = |a, b| graph.are_adjacent(a, b);
+    let counts = replay_layout(mc, &PassCtx::with_adjacency(&adjacent)).map_err(|e| match e {
+        ReplayError::NonAdjacent(op_index, ..) => VerifyError::NonAdjacent { op_index },
+        ReplayError::WrongAnnotation(op_index) => VerifyError::WrongAnnotation { op_index },
+        ReplayError::FinalLayoutMismatch => VerifyError::FinalLayoutMismatch,
+        malformed => VerifyError::Shape(malformed.to_string()),
+    })?;
 
     // (3): QFT semantics over the logical interaction stream.
     let interactions: Vec<_> = logical_interactions(mc.ops()).collect();
@@ -141,8 +121,8 @@ pub fn verify_qft_mapping(
 
     Ok(VerifyReport {
         ops: mc.ops().len(),
-        two_qubit_ops,
-        swaps,
+        two_qubit_ops: counts.two_qubit_ops,
+        swaps: counts.swaps,
         pairs,
     })
 }
@@ -185,6 +165,21 @@ mod tests {
         b.push_2q_phys(GateKind::Cphase { k: 2 }, p(0), p(2)); // not adjacent
         let err = verify_qft_mapping(&b.finish(), &g).unwrap_err();
         assert_eq!(err, VerifyError::NonAdjacent { op_index: 1 });
+    }
+
+    #[test]
+    fn malformed_operands_are_shape_errors() {
+        // The replay shared with `check-layout` refuses an op that names
+        // one qubit twice before any adjacency or annotation check.
+        let mut mc = tiny_valid().finish();
+        let mut ops = mc.ops().to_vec();
+        ops[1].p2 = Some(p(0));
+        mc.set_ops(ops);
+        let err = verify_qft_mapping(&mc, &lnn(2)).unwrap_err();
+        assert!(
+            matches!(err, VerifyError::Shape(ref s) if s.contains("acts twice")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -44,7 +44,7 @@ fn main() {
 
         // The router inspects size and content: at n = 28 every kernel
         // lands on the sparse tier.
-        let tier = plan_tier(&r.circuit, 6).expect("a tier must exist");
+        let tier = plan_tier(&r.circuit).expect("a tier must exist");
         assert_eq!(tier, EngineTier::Sparse);
 
         let mut checker = SparseChecker::for_aqft(n, d, 4).expect("checker");

@@ -18,6 +18,7 @@
 use qft_kernels::baselines::pipeline::logical_qft;
 use qft_kernels::serve::NetServer;
 use qft_kernels::sim::equiv::{self, ReferenceChecker, SparseChecker, FIDELITY_EPS};
+use qft_kernels::sim::sparse::PEAK_BOUND;
 use qft_kernels::sim::state::StateVector;
 use qft_kernels::{
     registry, CompileOptions, CompileRequest, CompileResponse, CompileResult, CompileService,
@@ -31,14 +32,10 @@ use std::time::{Duration, Instant};
 pub const N_RANDOM_STATES: u64 = 3;
 
 /// Random probe *pairs* per sparse matrix-element check (on top of the
-/// three canonical pairs); odd-indexed ones carry 6-term superposition
-/// kets, so the sparse peak-occupancy bound for a checker run is
-/// `2 × 6 = 12` nonzeros.
+/// three canonical pairs); odd-indexed ones carry
+/// `sparse::MAX_PROBE_TERMS`-term superposition kets, so a checker run
+/// stays within `sparse::PEAK_BOUND` nonzeros.
 pub const N_RANDOM_PAIRS: usize = 4;
-
-/// The documented sparsity bound for checker probes: one branching H per
-/// qubit live at a time × the largest probe ket (6 terms).
-pub const SPARSE_PEAK_BOUND: usize = 12;
 
 /// Every compiler the serve suites replay, in registration order.
 pub const SERVE_COMPILERS: [&str; 7] = [
@@ -192,7 +189,7 @@ pub fn check_cell(
 /// any `2^n` plane: compiles the cell, then proves the kernel equivalent
 /// to the degree-`degree` AQFT by closed-form matrix elements — both the
 /// logical interaction stream and the full physical op-stream replay —
-/// and asserts the sparse engine stayed within [`SPARSE_PEAK_BOUND`].
+/// and asserts the sparse engine stayed within [`PEAK_BOUND`].
 pub fn check_sparse_cell(
     compiler: &str,
     target: &Target,
@@ -218,10 +215,9 @@ pub fn check_sparse_cell(
         "{label}: physical replay diverges from the closed-form AQFT"
     );
     assert!(
-        checker.peak_nonzeros() <= SPARSE_PEAK_BOUND,
-        "{label}: sparse peak {} exceeds the documented bound {}",
+        checker.peak_nonzeros() <= PEAK_BOUND,
+        "{label}: sparse peak {} exceeds the documented bound {PEAK_BOUND}",
         checker.peak_nonzeros(),
-        SPARSE_PEAK_BOUND
     );
     assert_eq!(
         r.metrics.cphases,

@@ -42,6 +42,7 @@ mod common;
 
 use common::{artifact_bytes, contended_request, serve_request, wait_until};
 use proptest::prelude::*;
+use qft_kernels::ir::passes::{CheckLayout, Pass, PassCtx};
 use qft_kernels::serve::proto::{
     self, Frame, FrameKind, ProtoError, WireFault, WireRequest, WireResponse, WireWarmupBatch,
     HEADER_LEN, MAGIC, MAX_SERVER_BOUND_PAYLOAD, VERSION,
@@ -707,13 +708,19 @@ fn fuzz_text(tokens: &[(u8, u32)]) -> String {
 }
 
 /// Decodes `payload` as every payload type a peer can send; each must be
-/// a value or a JSON refusal.
+/// a value or a JSON refusal, and every artifact that decodes must be
+/// sound enough to measure and replay without a panic.
 fn decodes_or_refuses(kind: FrameKind, payload: &[u8]) -> Result<(), TestCaseError> {
     let frame = Frame::new(kind, payload.to_vec());
+    let mut artifacts = Vec::new();
     let outcomes = [
         frame.decode::<WireRequest>().map(drop),
-        frame.decode::<WireResponse>().map(drop),
-        frame.decode::<WireWarmupBatch>().map(drop),
+        frame
+            .decode::<WireResponse>()
+            .map(|wire| artifacts.push(wire.response.result)),
+        frame
+            .decode::<WireWarmupBatch>()
+            .map(|batch| artifacts.extend(batch.entries.into_iter().map(|e| e.result))),
     ];
     for outcome in outcomes {
         match outcome {
@@ -725,6 +732,12 @@ fn decodes_or_refuses(kind: FrameKind, payload: &[u8]) -> Result<(), TestCaseErr
                 )))
             }
         }
+    }
+    for artifact in artifacts {
+        let mut circuit = artifact.circuit.clone();
+        circuit.depth_uniform();
+        // A forged annotation is a refusal here, not a panic.
+        let _ = CheckLayout.run(&mut circuit, &PassCtx::new());
     }
     Ok(())
 }
@@ -774,6 +787,35 @@ proptest! {
             }
         }
         decodes_or_refuses(*kind, &bytes)?;
+    }
+}
+
+#[test]
+fn artifacts_with_qubits_outside_their_circuit_are_refused() {
+    // Each forgery is one edit of a real payload that kept it valid JSON
+    // of the right type; before the shape checks, the first decoded and
+    // `depth_uniform` then indexed past the circuit's qubit table.
+    let forgeries = [
+        ("\"p1\":0", "\"p1\":999999"),
+        ("\"phys_of\":[0,1,2,3]", "\"phys_of\":[0,0,2,3]"),
+        ("\"p2\":null", "\"p2\":1"),
+        ("\"l1\":0", "\"l1\":4"),
+        ("\"n\":4", "\"n\":5"),
+    ];
+    for (kind, real) in &real_payloads()[1..] {
+        let text = std::str::from_utf8(real).unwrap();
+        for (from, to) in forgeries {
+            assert!(text.contains(from), "{kind:?} payload lacks {from}: {text}");
+            let forged = Frame::new(*kind, text.replacen(from, to, 1).into_bytes());
+            let refused = match kind {
+                FrameKind::Response => forged.decode::<WireResponse>().map(drop),
+                _ => forged.decode::<WireWarmupBatch>().map(drop),
+            };
+            assert!(
+                matches!(refused, Err(ProtoError::Json { .. })),
+                "{kind:?} with {to} must be refused as JSON: {refused:?}"
+            );
+        }
     }
 }
 

@@ -1,12 +1,13 @@
-//! The sparse simulation tier, end to end (ISSUE 6's headline):
+//! The sparse simulation tier, end to end:
 //!
-//! 1. **Differential suite** — the hash-map [`SparseState`] engine is
-//!    property-tested against both dense engines (the fast one-state
+//! 1. **Differential suite** — the projected matrix-element evaluator
+//!    every sparse check runs (`qft_sim::sparse::logical_amplitude`) is
+//!    property-tested against both dense engines (a one-state
 //!    [`StateBatch`] and the retained `naive` oracle) on random gate
-//!    programs over the full mapped-QFT gate set at n = 4..=12:
-//!    elementwise amplitudes after canonical resolution, norm
-//!    preservation, inverse round-trips, and lazy-SWAP / fused
-//!    CPHASE+SWAP relabeling.
+//!    programs over the full mapped-QFT gate set at n = 4..=12: each
+//!    matrix element `⟨y|C|ψ⟩` for a random 1–6-term ket and a dense random
+//!    ket, over every bra up to n = 10 and a sampled set above, and the
+//!    lazy-SWAP / fused CPHASE+SWAP relabeling on its own.
 //! 2. **Large-n cross-compiler matrix** — every compiler × AQFT degree
 //!    cell at n = 24–36 is proven equivalent to the closed-form AQFT
 //!    matrix elements on the sparse tier (logical stream *and* full
@@ -18,19 +19,27 @@
 
 mod common;
 
-use common::{check_sparse_cell, N_RANDOM_PAIRS, SPARSE_PEAK_BOUND};
+use common::{check_sparse_cell, N_RANDOM_PAIRS};
 use proptest::prelude::*;
 use qft_kernels::ir::gate::{Gate, GateKind, LogicalQubit};
+use qft_kernels::ir::qft::qft_circuit;
 use qft_kernels::sim::equiv::{
     mapped_equals_aqft_auto, plan_tier, EngineTier, ReferenceChecker, SparseChecker,
 };
 use qft_kernels::sim::error::SimError;
 use qft_kernels::sim::naive::NaiveStateVector;
-use qft_kernels::sim::sparse::SparseState;
-use qft_kernels::sim::{StateBatch, StateVector};
+use qft_kernels::sim::sparse::{logical_amplitude, SparseProbe, PEAK_BOUND};
+use qft_kernels::sim::{Complex64, StateBatch, StateVector, SPARSE_DENSITY_CAP};
 use qft_kernels::{registry, CompileOptions, Target};
 
 const EPS: f64 = 1e-9;
+
+/// Registers up to this width have every bra checked; wider ones check
+/// [`SAMPLED_BRAS`] sampled bras.
+const ALL_BRAS_MAX_N: usize = 10;
+
+/// Bras checked per ket above [`ALL_BRAS_MAX_N`].
+const SAMPLED_BRAS: usize = 64;
 
 /// Decodes a sampled `(kind, q1, q2, k)` tuple into a valid gate on `n`
 /// qubits (same decode as the dense differential suite in `sim.rs`).
@@ -48,100 +57,117 @@ fn decode_gate(n: usize, kind: usize, q1: usize, q2: usize, k: u32) -> Gate {
     }
 }
 
-/// Element-wise comparison of the sparse engine (canonical resolution of
-/// its lazy layout) against the naive dense oracle.
-fn assert_sparse_same_state(sparse: &SparseState, oracle: &NaiveStateVector, ctx: &str) {
-    let dense = sparse
-        .to_state_vector()
-        .unwrap_or_else(|e| panic!("{ctx}: {e}"));
-    assert_eq!(dense.amplitudes().len(), oracle.amplitudes().len(), "{ctx}");
-    for (i, (a, b)) in dense
+/// The bras a case checks: every basis index up to [`ALL_BRAS_MAX_N`]
+/// qubits, the sampled indices (masked to the register) above.
+fn bras(n: usize, sample: &[u64]) -> Vec<u64> {
+    if n <= ALL_BRAS_MAX_N {
+        (0..1u64 << n).collect()
+    } else {
+        sample.iter().map(|&y| y & ((1u64 << n) - 1)).collect()
+    }
+}
+
+/// The dense random ket `StateVector::random(n, seed)` as sparse terms.
+fn dense_ket(n: usize, seed: u64) -> Vec<(u64, Complex64)> {
+    StateVector::random(n, seed)
         .amplitudes()
         .iter()
-        .zip(oracle.amplitudes())
         .enumerate()
-    {
-        assert!(
-            (a.re - b.re).abs() < EPS && (a.im - b.im).abs() < EPS,
-            "{ctx}: amplitude {i} diverges (sparse {a:?}, naive {b:?})"
-        );
+        .map(|(x, &a)| (x as u64, a))
+        .collect()
+}
+
+/// Compares the evaluator's `⟨y|C|ψ⟩` for every bra `y` in `bras` with
+/// the same element of `C|ψ⟩` from the naive oracle and from a one-state
+/// [`StateBatch`]; returns the evaluator's largest peak occupancy.
+fn assert_matrix_elements(
+    n: usize,
+    gates: &[Gate],
+    ket: Vec<(u64, Complex64)>,
+    bras: &[u64],
+    ctx: &str,
+) -> Result<usize, TestCaseError> {
+    let mut amps = vec![Complex64::ZERO; 1 << n];
+    for &(x, a) in &ket {
+        amps[x as usize] += a;
     }
+    let input = StateVector::from_amplitudes(n, amps);
+    let mut fast = StateBatch::from_states(std::slice::from_ref(&input));
+    let mut oracle = NaiveStateVector::from_state(&input);
+    for g in gates {
+        fast.apply_gate(g);
+        oracle.apply_gate(g);
+    }
+    let fast = fast.to_states().remove(0);
+    let mut probe = SparseProbe { n, ket, bra: 0 };
+    let mut peak = 0;
+    for &y in bras {
+        probe.bra = y;
+        let run = logical_amplitude(n, gates, &probe, SPARSE_DENSITY_CAP)
+            .map_err(|e| TestCaseError::Fail(format!("{ctx}: {e}")))?;
+        for (engine, want) in [
+            ("naive", oracle.amplitudes()[y as usize]),
+            ("fast", fast.amplitudes()[y as usize]),
+        ] {
+            prop_assert!(
+                (run.amplitude - want).abs() < EPS,
+                "{ctx}: <{y}|C|psi> is {:?}, the {engine} engine gives {want:?}",
+                run.amplitude
+            );
+        }
+        peak = peak.max(run.peak_nonzeros);
+    }
+    Ok(peak)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Random gate programs over the full gate set act identically in the
-    /// sparse, fast, and naive engines (three-way differential), and the
-    /// sparse norm survives branching + pruning.
+    /// Random gate programs over the full gate set give the same matrix
+    /// elements in the sparse evaluator, the fast engine and the naive
+    /// oracle (three-way differential), for sparse and dense kets.
     #[test]
     fn sparse_matches_fast_and_naive_on_random_programs(
         n in 4usize..13,
         seed in 0u64..1000,
+        terms in 1usize..7,
         prog in collection::vec((0usize..7, 0usize..16, 0usize..16, 1u32..45), 1..24),
+        sample in collection::vec(0u64..1 << 12, SAMPLED_BRAS..SAMPLED_BRAS + 1),
     ) {
-        let fast_input = StateVector::random(n, seed);
-        let mut sparse = SparseState::from_state(&fast_input);
-        let mut fast = StateBatch::from_states(std::slice::from_ref(&fast_input));
-        let mut oracle = NaiveStateVector::from_state(&fast_input);
-        for &(kind, q1, q2, k) in &prog {
-            let g = decode_gate(n, kind, q1, q2, k);
-            sparse.apply_gate(&g);
-            fast.apply_gate(&g);
-            oracle.apply_gate(&g);
-        }
-        assert_sparse_same_state(&sparse, &oracle, "sparse vs naive");
-        // And sparse vs fast, through the dense engine's own resolution.
-        let sparse_dense = sparse.to_state_vector().unwrap();
-        prop_assert!((sparse_dense.fidelity(&fast.to_states()[0]) - 1.0).abs() < EPS);
-        prop_assert!((sparse.norm2() - 1.0).abs() < EPS, "norm drifted");
-    }
-
-    /// Applying a program then its inverse in reverse order restores the
-    /// input exactly (through lazy swaps, fused gates, and H pruning).
-    #[test]
-    fn sparse_inverse_round_trip_is_identity(
-        n in 4usize..13,
-        seed in 0u64..1000,
-        prog in collection::vec((0usize..7, 0usize..16, 0usize..16, 1u32..45), 1..20),
-    ) {
-        let orig = SparseState::from_state(&StateVector::random(n, seed));
-        let mut s = orig.clone();
         let gates: Vec<Gate> = prog
             .iter()
             .map(|&(kind, q1, q2, k)| decode_gate(n, kind, q1, q2, k))
             .collect();
-        for g in &gates {
-            s.apply_gate(g);
-        }
-        for g in gates.iter().rev() {
-            s.apply_gate_inverse(g);
-        }
-        prop_assert!((s.fidelity(&orig) - 1.0).abs() < EPS);
+        let bras = bras(n, &sample);
+        let sparse = SparseProbe::random(n, terms, seed).ket;
+        assert_matrix_elements(n, &gates, sparse, &bras, "sparse ket")?;
+        assert_matrix_elements(n, &gates, dense_ket(n, seed), &bras, "dense ket")?;
     }
 
     /// SWAP-heavy programs (lazy relabels, fused CPHASE+SWAP, diagonal
-    /// phases) resolve to the same canonical amplitudes as the eager
-    /// naive engine — the relabeling bookkeeping is exact.
+    /// phases) give the same matrix elements as the eager engines — the
+    /// relabeling bookkeeping is exact.
     #[test]
     fn sparse_lazy_relabeling_matches_eager_swaps(
         n in 4usize..13,
         seed in 0u64..1000,
+        terms in 1usize..7,
         prog in collection::vec((3usize..6, 0usize..16, 0usize..16, 1u32..20), 1..24),
+        sample in collection::vec(0u64..1 << 12, SAMPLED_BRAS..SAMPLED_BRAS + 1),
     ) {
         // kinds 3..6: CPHASE, SWAP, fused CPHASE+SWAP only.
-        let input = StateVector::random(n, seed);
-        let mut sparse = SparseState::from_state(&input);
-        let mut oracle = NaiveStateVector::from_state(&input);
-        for &(kind, q1, q2, k) in &prog {
-            let g = decode_gate(n, kind, q1, q2, k);
-            sparse.apply_gate(&g);
-            oracle.apply_gate(&g);
-        }
-        assert_sparse_same_state(&sparse, &oracle, "relabeling");
-        // Diagonal + permutation gates never grow a sparse basis state's
-        // support: starting dense (2^n) it must stay exactly 2^n.
-        prop_assert_eq!(sparse.peak_nonzeros(), 1usize << n);
+        let gates: Vec<Gate> = prog
+            .iter()
+            .map(|&(kind, q1, q2, k)| decode_gate(n, kind, q1, q2, k))
+            .collect();
+        let bras = bras(n, &sample);
+        let sparse = SparseProbe::random(n, terms, seed).ket;
+        let sparse_peak = assert_matrix_elements(n, &gates, sparse, &bras, "relabeling")?;
+        let dense_peak = assert_matrix_elements(n, &gates, dense_ket(n, seed), &bras, "relabeling")?;
+        // Diagonal + permutation gates never branch, so every slot is
+        // projected before the first op: one ket term at most is live.
+        prop_assert!(sparse_peak <= 1, "sparse ket peak {sparse_peak}");
+        prop_assert_eq!(dense_peak, 1);
     }
 
     /// The sparse and dense checkers agree on compiled kernels across the
@@ -237,7 +263,7 @@ fn sparse_peak_occupancy_stays_polynomial_at_n_32() {
         let mut checker = SparseChecker::for_qft(32, N_RANDOM_PAIRS).unwrap();
         assert!(checker.matches_physically(&r.circuit).unwrap());
         assert!(
-            checker.peak_nonzeros() <= SPARSE_PEAK_BOUND,
+            checker.peak_nonzeros() <= PEAK_BOUND,
             "{compiler}: peak {}",
             checker.peak_nonzeros()
         );
@@ -272,7 +298,7 @@ fn router_selects_tiers_by_size_and_falls_through_descriptively() {
     let small = registry()
         .compile("lnn", &Target::lnn(6).unwrap(), &CompileOptions::default())
         .unwrap();
-    assert_eq!(plan_tier(&small.circuit, 6).unwrap(), EngineTier::Dense);
+    assert_eq!(plan_tier(&small.circuit).unwrap(), EngineTier::Dense);
     // Large compiled QFT kernel → sparse tier, and the auto checker
     // verifies it there.
     let large = registry()
@@ -282,7 +308,7 @@ fn router_selects_tiers_by_size_and_falls_through_descriptively() {
             &CompileOptions::default(),
         )
         .unwrap();
-    assert_eq!(plan_tier(&large.circuit, 6).unwrap(), EngineTier::Sparse);
+    assert_eq!(plan_tier(&large.circuit).unwrap(), EngineTier::Sparse);
     assert!(mapped_equals_aqft_auto(&large.circuit, 28, 4).unwrap());
     assert!(!mapped_equals_aqft_auto(&large.circuit, 2, 4).unwrap());
 }
@@ -297,12 +323,20 @@ fn dense_engines_refuse_oversized_registers_descriptively() {
     let msg = err.to_string();
     assert!(msg.contains("40 qubits"), "{msg}");
     assert!(msg.contains("sparse"), "{msg}");
-    // The sparse engine takes that width without blinking.
-    let s = SparseState::try_zero(40).unwrap();
-    assert_eq!(s.nonzeros(), 1);
+    // The sparse engine takes that width without blinking:
+    // ⟨0|QFT|0⟩ = 2^{-n/2} with two live amplitudes at most.
+    let run = logical_amplitude(
+        40,
+        qft_circuit(40).gates(),
+        &SparseProbe::basis(40, 0, 0),
+        SPARSE_DENSITY_CAP,
+    )
+    .unwrap();
+    assert!((run.amplitude - Complex64::new(2f64.powi(-20), 0.0)).abs() < 1e-15);
+    assert!(run.peak_nonzeros <= 2, "peak {}", run.peak_nonzeros);
     // ... and itself refuses past the u64 key ceiling.
     assert!(matches!(
-        SparseState::try_zero(64),
+        SparseChecker::for_qft(64, N_RANDOM_PAIRS),
         Err(SimError::SparseWidthExceeded { n: 64 })
     ));
 }
