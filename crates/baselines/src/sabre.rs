@@ -13,6 +13,20 @@
 //! As §7.2 notes, SABRE has no notion of heterogeneous link latency: its
 //! distance matrix is plain hop count, which is what we implement (the
 //! paper compares against exactly this behaviour on lattice surgery).
+//!
+//! **Delta scoring.** Each SWAP decision resolves the front-layer and
+//! lookahead pairs to physical positions once and keeps their summed hop
+//! distances; a candidate SWAP is scored by the change in only the pairs
+//! that touch its edge. The lookahead BFS and the candidate
+//! deduplication run in buffers reused across decisions, with generation
+//! stamps in place of per-decision sets.
+//!
+//! **Byte identity.** The distance sums are integers, so every `f64`
+//! score equals a full rescoring of every pair bit for bit; candidates
+//! are collected in the same first-seen order, so ties and RNG draws fall
+//! the same way. The routed circuit therefore depends only on the DAG,
+//! the device and the [`SabreConfig`], and `tests/passes.rs` pins it by
+//! digest across DAG modes, initial layouts, AQFT degrees and opt levels.
 
 use qft_arch::distance::DistanceMatrix;
 use qft_arch::graph::CouplingGraph;
@@ -131,14 +145,19 @@ fn route(
     let mut swaps_since_exec = 0usize;
     let max_swaps = 200 * dag.len() + 10_000;
     let mut total_swaps = 0usize;
+    let mut window = Window::new(dag.len(), n_phys);
+    let mut nodes: Vec<u32> = Vec::new();
+    let mut best: Vec<(PhysicalQubit, PhysicalQubit)> = Vec::new();
 
     while !front.is_done() {
         // 1. Execute every front gate that is executable.
         let mut executed_any = true;
+        let mut executed_round = false;
         while executed_any {
             executed_any = false;
-            let nodes: Vec<u32> = front.front().to_vec();
-            for node in nodes {
+            nodes.clear();
+            nodes.extend_from_slice(front.front());
+            for &node in &nodes {
                 let g = dag.gates()[node as usize];
                 let executable = match g.b {
                     None => true,
@@ -156,11 +175,14 @@ fn route(
                     }
                     front.execute(dag, node);
                     executed_any = true;
-                    decay.iter_mut().for_each(|d| *d = 1.0);
-                    swaps_since_reset = 0;
-                    swaps_since_exec = 0;
                 }
             }
+            executed_round |= executed_any;
+        }
+        if executed_round {
+            decay.fill(1.0);
+            swaps_since_reset = 0;
+            swaps_since_exec = 0;
         }
         if front.is_done() {
             break;
@@ -203,62 +225,14 @@ fn route(
 
         // 2. Blocked: choose the best SWAP among edges touching front-layer
         // qubits.
-        let front_2q: Vec<(LogicalQubit, LogicalQubit)> = front
-            .front()
-            .iter()
-            .filter_map(|&node| {
-                let g = dag.gates()[node as usize];
-                g.b.map(|b| (g.a, b))
-            })
-            .collect();
-        debug_assert!(!front_2q.is_empty(), "blocked front with no 2q gates");
+        window.resolve(dag, &front, builder.layout(), dist, config.extended_size);
+        debug_assert!(window.n_front > 0, "blocked front with no 2q gates");
+        window.collect_candidates(graph);
 
-        let extended = extended_set(dag, &front, config.extended_size);
-        let mut candidates: Vec<(PhysicalQubit, PhysicalQubit)> = Vec::new();
-        for &(a, b) in &front_2q {
-            for l in [a, b] {
-                let p = builder.layout().phys(l);
-                for &(nbr, _) in graph.neighbors(p) {
-                    let e = (p, PhysicalQubit(nbr));
-                    let e = if e.0 <= e.1 { e } else { (e.1, e.0) };
-                    if !candidates.contains(&e) {
-                        candidates.push(e);
-                    }
-                }
-            }
-        }
-
-        let score = |swap: (PhysicalQubit, PhysicalQubit), builder: &MappedCircuitBuilder| -> f64 {
-            let map_p = |l: LogicalQubit| {
-                let p = builder.layout().phys(l);
-                if p == swap.0 {
-                    swap.1
-                } else if p == swap.1 {
-                    swap.0
-                } else {
-                    p
-                }
-            };
-            let mut s = 0.0;
-            for &(a, b) in &front_2q {
-                s += dist.get(map_p(a), map_p(b)) as f64;
-            }
-            s /= front_2q.len() as f64;
-            if !extended.is_empty() {
-                let mut e = 0.0;
-                for &(a, b) in &extended {
-                    e += dist.get(map_p(a), map_p(b)) as f64;
-                }
-                s += config.extended_weight * e / extended.len() as f64;
-            }
-            let d = decay[swap.0.index()].max(decay[swap.1.index()]);
-            d * s
-        };
-
-        let mut best: Vec<(PhysicalQubit, PhysicalQubit)> = Vec::new();
+        best.clear();
         let mut best_score = f64::INFINITY;
-        for &c in &candidates {
-            let s = score(c, &builder);
+        for &c in &window.candidates {
+            let s = window.score(c, dist, &decay, config.extended_weight);
             if s < best_score - 1e-12 {
                 best_score = s;
                 best.clear();
@@ -275,7 +249,7 @@ fn route(
         swaps_since_exec += 1;
         total_swaps += 1;
         if swaps_since_reset >= config.decay_reset {
-            decay.iter_mut().for_each(|d| *d = 1.0);
+            decay.fill(1.0);
             swaps_since_reset = 0;
         }
         assert!(
@@ -290,34 +264,185 @@ fn route(
     (emit.then(|| builder.finish()), final_layout)
 }
 
-/// The lookahead window: descendants of the front layer in BFS order, two-
-/// qubit gates only, capped at `size`.
-fn extended_set(
-    dag: &CircuitDag,
-    front: &Frontier,
-    size: usize,
-) -> Vec<(LogicalQubit, LogicalQubit)> {
-    let mut out = Vec::with_capacity(size);
-    let mut queue: std::collections::VecDeque<u32> = front.front().iter().copied().collect();
-    let mut seen: std::collections::HashSet<u32> = queue.iter().copied().collect();
-    while let Some(node) = queue.pop_front() {
-        if out.len() >= size {
-            break;
+/// One SWAP decision's view of the circuit, in buffers a routing pass
+/// reuses: the front-layer and lookahead pairs at their physical
+/// positions, their summed hop distances, which pairs touch each physical
+/// qubit, and the candidate SWAPs. Generation stamps (`seen`, `expanded`
+/// equal to `stamp`) stand in for per-decision sets.
+struct Window {
+    /// Front-layer pairs, then lookahead pairs: physical positions and
+    /// current hop distance.
+    pairs: Vec<(PhysicalQubit, PhysicalQubit, u32)>,
+    /// How many of `pairs` belong to the front layer.
+    n_front: usize,
+    /// Summed distance of the front pairs.
+    front_sum: i64,
+    /// Summed distance of the lookahead pairs.
+    lookahead_sum: i64,
+    /// `touching[p]`: indices into `pairs` with an endpoint at `p`.
+    touching: Vec<Vec<u32>>,
+    /// Candidate SWAPs `(p, q)`, `p < q`, in first-seen order.
+    candidates: Vec<(PhysicalQubit, PhysicalQubit)>,
+    /// The lookahead BFS queue of DAG nodes.
+    queue: Vec<u32>,
+    /// Per DAG node: reached by this decision's BFS.
+    seen: Vec<u32>,
+    /// Per physical qubit: its edges are already candidates.
+    expanded: Vec<u32>,
+    stamp: u32,
+}
+
+impl Window {
+    fn new(n_nodes: usize, n_phys: usize) -> Self {
+        Window {
+            pairs: Vec::new(),
+            n_front: 0,
+            front_sum: 0,
+            lookahead_sum: 0,
+            touching: vec![Vec::new(); n_phys],
+            candidates: Vec::new(),
+            queue: Vec::new(),
+            seen: vec![0; n_nodes],
+            expanded: vec![0; n_phys],
+            stamp: 0,
         }
-        for &s in dag.succs(node) {
-            if seen.insert(s) {
+    }
+
+    /// Resolves the front layer's two-qubit gates and the lookahead window
+    /// (their descendants in BFS order, two-qubit gates only, capped at
+    /// `lookahead`) to physical pairs under `layout`.
+    fn resolve(
+        &mut self,
+        dag: &CircuitDag,
+        front: &Frontier,
+        layout: &Layout,
+        dist: &DistanceMatrix,
+        lookahead: usize,
+    ) {
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.seen.fill(0);
+            self.expanded.fill(0);
+            self.stamp = 1;
+        }
+        for &(a, b, _) in &self.pairs {
+            self.touching[a.index()].clear();
+            self.touching[b.index()].clear();
+        }
+        self.pairs.clear();
+        let at = |a: LogicalQubit, b: LogicalQubit| {
+            let (pa, pb) = (layout.phys(a), layout.phys(b));
+            (pa, pb, dist.get(pa, pb))
+        };
+
+        self.queue.clear();
+        for &node in front.front() {
+            self.seen[node as usize] = self.stamp;
+            self.queue.push(node);
+            let g = dag.gates()[node as usize];
+            if let Some(b) = g.b {
+                self.pairs.push(at(g.a, b));
+            }
+        }
+        self.n_front = self.pairs.len();
+
+        let mut head = 0;
+        'bfs: while head < self.queue.len() && self.pairs.len() - self.n_front < lookahead {
+            let node = self.queue[head];
+            head += 1;
+            for &s in dag.succs(node) {
+                if self.seen[s as usize] == self.stamp {
+                    continue;
+                }
+                self.seen[s as usize] = self.stamp;
                 let g = dag.gates()[s as usize];
                 if let Some(b) = g.b {
-                    out.push((g.a, b));
-                    if out.len() >= size {
-                        break;
+                    self.pairs.push(at(g.a, b));
+                    if self.pairs.len() - self.n_front >= lookahead {
+                        break 'bfs;
                     }
                 }
-                queue.push_back(s);
+                self.queue.push(s);
+            }
+        }
+
+        self.front_sum = 0;
+        self.lookahead_sum = 0;
+        for (k, &(a, b, d)) in self.pairs.iter().enumerate() {
+            self.touching[a.index()].push(k as u32);
+            self.touching[b.index()].push(k as u32);
+            if k < self.n_front {
+                self.front_sum += i64::from(d);
+            } else {
+                self.lookahead_sum += i64::from(d);
             }
         }
     }
-    out
+
+    /// Collects every edge touching a front-layer qubit once, in the order
+    /// the front pairs first reach it.
+    fn collect_candidates(&mut self, graph: &CouplingGraph) {
+        self.candidates.clear();
+        for &(a, b, _) in &self.pairs[..self.n_front] {
+            for p in [a, b] {
+                if self.expanded[p.index()] == self.stamp {
+                    continue;
+                }
+                self.expanded[p.index()] = self.stamp;
+                for &(nbr, _) in graph.neighbors(p) {
+                    // An edge to an expanded qubit was collected with it.
+                    if self.expanded[nbr as usize] != self.stamp {
+                        let q = PhysicalQubit(nbr);
+                        self.candidates.push(if p <= q { (p, q) } else { (q, p) });
+                    }
+                }
+            }
+        }
+    }
+
+    /// SABRE's score of `swap`: the mean front distance plus the weighted
+    /// mean lookahead distance after the SWAP, times the larger decay of
+    /// its two qubits. Only the pairs touching the swapped edge change,
+    /// and the sums are integers, so the result equals a full rescoring
+    /// bit for bit.
+    fn score(
+        &self,
+        (p, q): (PhysicalQubit, PhysicalQubit),
+        dist: &DistanceMatrix,
+        decay: &[f64],
+        lookahead_weight: f64,
+    ) -> f64 {
+        let moved = |x: PhysicalQubit| {
+            if x == p {
+                q
+            } else if x == q {
+                p
+            } else {
+                x
+            }
+        };
+        let (mut front_sum, mut lookahead_sum) = (self.front_sum, self.lookahead_sum);
+        // A pair with both ends on the edge is counted once, from `p`.
+        let at_q = self.touching[q.index()].iter().filter(|&&k| {
+            let (a, b, _) = self.pairs[k as usize];
+            a != p && b != p
+        });
+        for &k in self.touching[p.index()].iter().chain(at_q) {
+            let (a, b, d) = self.pairs[k as usize];
+            let delta = i64::from(dist.get(moved(a), moved(b))) - i64::from(d);
+            if (k as usize) < self.n_front {
+                front_sum += delta;
+            } else {
+                lookahead_sum += delta;
+            }
+        }
+        let mut s = front_sum as f64 / self.n_front as f64;
+        let n_lookahead = self.pairs.len() - self.n_front;
+        if n_lookahead > 0 {
+            s += lookahead_weight * lookahead_sum as f64 / n_lookahead as f64;
+        }
+        decay[p.index()].max(decay[q.index()]) * s
+    }
 }
 
 #[cfg(test)]

@@ -300,57 +300,83 @@ impl std::error::Error for QftOrderError {}
 /// This is the semantic contract every compiled QFT must satisfy (it is
 /// sufficient for unitary equivalence because all CPHASEs commute — see the
 /// state-vector cross-check in `qft-sim`).
+///
+/// The first failing check is reported: a foreign gate at its position,
+/// then the first qubit with a wrong `H` count, then the first pair in
+/// `(i, j)` order with a wrong count, angle or Type II order. A `CPHASE`
+/// naming one qubit twice belongs to no pair and is not counted.
+///
+/// # Panics
+/// Panics if a gate names a qubit `>= n`.
 pub fn check_qft_order<I>(gates: I, n: usize) -> Result<(), QftOrderError>
 where
     I: IntoIterator<Item = Gate>,
 {
-    let mut h_pos: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut pair_pos: Vec<Vec<usize>> = vec![Vec::new(); n * n];
-    let mut pair_k: Vec<u32> = vec![0; n * n];
-    let mut count = 0usize;
+    // How many gates hit one qubit (its H) or one pair (its CPHASE), where
+    // the first sits, and the first CPHASE's order: one flat table per
+    // qubit and one per pair `i < j`, row-major over the upper triangle.
+    #[derive(Clone, Copy, Default)]
+    struct Tally {
+        count: usize,
+        first: usize,
+        k: u32,
+    }
+    impl Tally {
+        fn record(&mut self, t: usize, k: u32) {
+            if self.count == 0 {
+                self.first = t;
+                self.k = k;
+            }
+            self.count += 1;
+        }
+    }
+    let pair_slot = |i: usize, j: usize| i * (2 * n - i - 1) / 2 + (j - i - 1);
+    let mut hadamards = vec![Tally::default(); n];
+    let mut pairs = vec![Tally::default(); n * n.saturating_sub(1) / 2];
     for (t, g) in gates.into_iter().enumerate() {
-        count += 1;
         match g.kind {
-            GateKind::H => h_pos[g.a.index()].push(t),
+            GateKind::H => hadamards[g.a.index()].record(t, 0),
             GateKind::Cphase { k } => {
-                let (a, b) = (g.a, g.b.expect("2-qubit cphase"));
+                let (a, b) = (g.a.index(), g.b.expect("2-qubit cphase").index());
                 let (i, j) = if a < b { (a, b) } else { (b, a) };
-                let slot = i.index() * n + j.index();
-                pair_pos[slot].push(t);
-                pair_k[slot] = k;
+                assert!(j < n, "CPHASE on q{j} in a {n}-qubit check");
+                if i != j {
+                    pairs[pair_slot(i, j)].record(t, k);
+                }
             }
             _ => return Err(QftOrderError::ForeignGate { position: t }),
         }
     }
-    let _ = count;
-    for (q, positions) in h_pos.iter().enumerate() {
-        if positions.len() != 1 {
+    for (q, h) in hadamards.iter().enumerate() {
+        if h.count != 1 {
             return Err(QftOrderError::HadamardCount {
                 qubit: q as u32,
-                count: positions.len(),
+                count: h.count,
             });
         }
     }
-    for i in 0..n as u32 {
-        for j in (i + 1)..n as u32 {
-            let slot = i as usize * n + j as usize;
-            if pair_pos[slot].len() != 1 {
+    let mut slot = 0;
+    for i in 0..n {
+        for j in (i + 1)..n {
+            let pair = (i as u32, j as u32);
+            let p = pairs[slot];
+            slot += 1;
+            if p.count != 1 {
                 return Err(QftOrderError::PairCount {
-                    pair: (i, j),
-                    count: pair_pos[slot].len(),
+                    pair,
+                    count: p.count,
                 });
             }
-            let expected = rotation_order(i, j);
-            if pair_k[slot] != expected {
+            let expected = rotation_order(pair.0, pair.1);
+            if p.k != expected {
                 return Err(QftOrderError::WrongAngle {
-                    pair: (i, j),
-                    found: pair_k[slot],
+                    pair,
+                    found: p.k,
                     expected,
                 });
             }
-            let t = pair_pos[slot][0];
-            if !(h_pos[i as usize][0] < t && t < h_pos[j as usize][0]) {
-                return Err(QftOrderError::TypeII { pair: (i, j) });
+            if !(hadamards[i].first < p.first && p.first < hadamards[j].first) {
+                return Err(QftOrderError::TypeII { pair });
             }
         }
     }
@@ -485,6 +511,50 @@ mod tests {
         );
     }
 
+    fn check(n: usize, gates: &[Gate]) -> Result<(), QftOrderError> {
+        check_qft_order(gates.iter().copied(), n)
+    }
+
+    #[test]
+    fn checker_pins_hadamard_counts() {
+        assert_eq!(
+            check(2, &[Gate::h(0), Gate::cphase(2, 0, 1)]),
+            Err(QftOrderError::HadamardCount { qubit: 1, count: 0 })
+        );
+        // Hadamard counts are checked for every qubit before any pair.
+        assert_eq!(
+            check(2, &[Gate::h(0), Gate::h(0), Gate::h(1)]),
+            Err(QftOrderError::HadamardCount { qubit: 0, count: 2 })
+        );
+    }
+
+    #[test]
+    fn checker_pins_pair_counts() {
+        // (0,1) is complete and in Type II order; (0,2) never interacts.
+        let missing = [Gate::h(0), Gate::cphase(2, 0, 1), Gate::h(1), Gate::h(2)];
+        assert_eq!(
+            check(3, &missing),
+            Err(QftOrderError::PairCount {
+                pair: (0, 2),
+                count: 0
+            })
+        );
+        // Both operand orders count towards the same unordered pair.
+        let doubled = [
+            Gate::h(0),
+            Gate::cphase(2, 0, 1),
+            Gate::cphase(2, 1, 0),
+            Gate::h(1),
+        ];
+        assert_eq!(
+            check(2, &doubled),
+            Err(QftOrderError::PairCount {
+                pair: (0, 1),
+                count: 2
+            })
+        );
+    }
+
     #[test]
     fn checker_rejects_missing_pair() {
         let mut c = Circuit::new(3);
@@ -492,14 +562,43 @@ mod tests {
             c.push(Gate::h(q));
         }
         c.push(Gate::cphase(2, 0, 1));
-        // This order also breaks TypeII for (0,1), but pair (0,2) count=0
-        // and is detected in pair scanning order... (0,1) TypeII checked
-        // after counts; counts run first for all pairs.
-        let err = check_qft_circuit(&c).unwrap_err();
-        assert!(matches!(
-            err,
-            QftOrderError::PairCount { .. } | QftOrderError::TypeII { .. }
-        ));
+        // Pairs are checked in (i, j) order, each for count, angle and
+        // Type II in turn: (0,1) fails Type II before the scan reaches
+        // the missing (0,2).
+        assert_eq!(
+            check_qft_circuit(&c),
+            Err(QftOrderError::TypeII { pair: (0, 1) })
+        );
+    }
+
+    #[test]
+    fn checker_pins_foreign_gates_and_late_cphases() {
+        // A foreign gate is refused at its position, before any count.
+        let swapped = [Gate::h(0), Gate::swap(0, 1), Gate::cphase(2, 0, 1)];
+        assert_eq!(
+            check(2, &swapped),
+            Err(QftOrderError::ForeignGate { position: 1 })
+        );
+        let trailing = [
+            Gate::h(0),
+            Gate::cphase(2, 0, 1),
+            Gate::h(1),
+            Gate::cnot(0, 1),
+        ];
+        assert_eq!(
+            check(2, &trailing),
+            Err(QftOrderError::ForeignGate { position: 3 })
+        );
+        // CPHASE(i, j) after H(j) breaks Type II as surely as one before H(i).
+        let late = [
+            Gate::h(0),
+            Gate::cphase(2, 0, 1),
+            Gate::h(1),
+            Gate::h(2),
+            Gate::cphase(2, 1, 2),
+            Gate::cphase(3, 0, 2),
+        ];
+        assert_eq!(check(3, &late), Err(QftOrderError::TypeII { pair: (0, 2) }));
     }
 
     #[test]

@@ -112,11 +112,9 @@ pub fn verify_qft_mapping(
     })?;
 
     // (3): QFT semantics over the logical interaction stream.
-    let interactions: Vec<_> = logical_interactions(mc.ops()).collect();
-    let pairs = interactions
-        .iter()
-        .filter(|g| matches!(g.kind, GateKind::Cphase { .. }))
-        .count();
+    let mut pairs = 0;
+    let interactions = logical_interactions(mc.ops())
+        .inspect(|g| pairs += usize::from(matches!(g.kind, GateKind::Cphase { .. })));
     qft_ir::qft::check_qft_order(interactions, mc.n_logical()).map_err(VerifyError::Semantics)?;
 
     Ok(VerifyReport {

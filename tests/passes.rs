@@ -5,6 +5,7 @@
 
 use proptest::prelude::*;
 use qft_kernels::ir::circuit::MappedCircuit;
+use qft_kernels::ir::dag::DagMode;
 use qft_kernels::ir::gate::GateKind;
 use qft_kernels::ir::passes::{CancelAdjacentSwaps, Pass, PassCtx};
 use qft_kernels::ir::{MappedCircuitBuilder, Metrics, PhysicalQubit};
@@ -76,6 +77,77 @@ fn opt_level_1_is_byte_identical_to_the_pre_refactor_compilers() {
             "{compiler} on {spec}: per-pass report must be non-empty"
         );
     }
+}
+
+/// One SABRE cell: target, DAG mode, random initial layout seed (`None`
+/// is the identity layout), AQFT degree (`None` is the exact QFT),
+/// opt_level, and the digest of the routed circuit.
+type SabreCell = (&'static str, DagMode, Option<u64>, Option<u32>, u8, u64);
+
+/// SABRE's output across the options that steer its router, captured
+/// from commit c71a218, whose router rescored every candidate SWAP over
+/// the whole front and lookahead window. Scoring by distance deltas must
+/// reproduce every circuit byte-for-byte (same scores, same tie order,
+/// same RNG draws). `lattice:9` Relaxed exact is the smallest registry
+/// cell found that fires the stall release valve.
+#[rustfmt::skip]
+const SABRE_DIGESTS: &[SabreCell] = &[
+    ("lattice:6", DagMode::Strict, None, None, 1, 0xca45de1afa892850),
+    ("lattice:6", DagMode::Strict, None, Some(3), 1, 0x03a9699ab8165f47),
+    ("lattice:6", DagMode::Strict, Some(7), None, 1, 0x99fb5dd26e4d1751),
+    ("lattice:6", DagMode::Strict, Some(7), Some(3), 1, 0x51c488cae28387ad),
+    ("lattice:6", DagMode::Relaxed, None, None, 1, 0xd4fb6826321c16a9),
+    ("lattice:6", DagMode::Relaxed, None, Some(3), 1, 0x8b1e65f46cb4f99b),
+    ("lattice:6", DagMode::Relaxed, Some(7), None, 1, 0x3dcd17fbbe6018c1),
+    ("lattice:6", DagMode::Relaxed, Some(7), Some(3), 1, 0xf3496911a51723e7),
+    ("heavyhex:4", DagMode::Strict, None, None, 1, 0x8eb0c019bf4d7c4b),
+    ("heavyhex:4", DagMode::Strict, None, Some(3), 1, 0xdb5cc9144d86da8a),
+    ("heavyhex:4", DagMode::Strict, Some(7), None, 1, 0xe968977efa343ff5),
+    ("heavyhex:4", DagMode::Strict, Some(7), Some(3), 1, 0x50ebea1e94fba584),
+    ("heavyhex:4", DagMode::Relaxed, None, None, 1, 0xe7107ecaab8612e1),
+    ("heavyhex:4", DagMode::Relaxed, None, Some(3), 1, 0xc7c1aa9c6e975eb6),
+    ("heavyhex:4", DagMode::Relaxed, Some(7), None, 1, 0xce76de11cef71342),
+    ("heavyhex:4", DagMode::Relaxed, Some(7), Some(3), 1, 0x866d54f668a4fa95),
+    ("lattice:6", DagMode::Relaxed, Some(7), None, 2, 0xf103a56fa3a22b9f),
+    ("heavyhex:4", DagMode::Strict, None, Some(3), 2, 0x10649e29d8b6f944),
+    ("lattice:9", DagMode::Relaxed, None, None, 1, 0x5a2057c0f05d5fae),
+];
+
+#[test]
+fn sabre_output_is_byte_identical_across_dag_modes_layouts_and_degrees() {
+    let diverged: Vec<String> = SABRE_DIGESTS
+        .iter()
+        .filter_map(|&(spec, mode, initial_seed, degree, opt_level, expected)| {
+            let mut opts = CompileOptions::default()
+                .with_dag_mode(mode)
+                .with_opt_level(opt_level);
+            if let Some(seed) = initial_seed {
+                opts = opts.with_seed(seed);
+                opts.random_initial = true;
+            }
+            if let Some(d) = degree {
+                opts = opts.with_approximation(d);
+            }
+            let t = Target::parse(spec).unwrap();
+            let r = registry()
+                .compile("sabre", &t, &opts)
+                .unwrap_or_else(|e| panic!("sabre on {spec}: {e}"));
+            let got = digest(&r.circuit);
+            (got != expected).then(|| {
+                format!(
+                    "{spec} {mode:?} seed={initial_seed:?} degree={degree:?} \
+                     opt_level={opt_level}: {got:#018x}"
+                )
+            })
+        })
+        .collect();
+    assert!(
+        diverged.is_empty(),
+        "SABRE output diverged on {} of {} cells:\n{}",
+        diverged.len(),
+        SABRE_DIGESTS.len(),
+        diverged.join("\n")
+    );
 }
 
 #[test]
