@@ -1,6 +1,7 @@
 //! Pipeline-API integration tests: registry round-trips, descriptive
-//! errors, and `CompileResult` serde round-trips.
+//! errors, and `CompileResult` serde round-trips and pinned bytes.
 
+use qft_kernels::ir::{GateKind, Layout, MappedCircuit, MappedCircuitBuilder, PhysicalQubit};
 use qft_kernels::{
     available_compilers, registry, CompileError, CompileOptions, CompileResult, Target,
 };
@@ -74,6 +75,105 @@ fn compile_result_roundtrips_through_serde() {
     assert_eq!(back.circuit.final_layout(), r.circuit.final_layout());
     // The deserialized artifact is still a live object: QASM export works.
     assert_eq!(back.qasm(), r.qasm());
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf29ce484222325u64, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x100000001b3)
+    })
+}
+
+/// Decoding `json` and encoding the result again must give `json` back.
+fn assert_reencodes<T: serde::Serialize + serde::Deserialize>(json: &str, what: &str) {
+    let back: T = serde_json::from_str(json).unwrap_or_else(|e| panic!("{what}: {e}"));
+    let again = serde_json::to_string(&back).unwrap();
+    assert!(again == json, "{what}: decode + encode changed the bytes");
+}
+
+/// One artifact: compiler, target, opt_level, AQFT degree, random initial
+/// layout seed, and the FNV-1a of the wall-time-stripped artifact JSON.
+type ArtifactCell = (
+    &'static str,
+    &'static str,
+    u8,
+    Option<u32>,
+    Option<u64>,
+    u64,
+);
+
+/// Captured from commit 16934d8, whose `PhysOp` stored each op's logical
+/// annotations; an in-memory change must keep every artifact byte.
+#[rustfmt::skip]
+const ARTIFACT_JSON_DIGESTS: &[ArtifactCell] = &[
+    ("lnn", "lnn:8", 1, None, None, 0xc14c31f2c7059b08),
+    ("sycamore", "sycamore:2", 1, None, None, 0x93138b6c1cc7393e),
+    ("heavyhex", "heavyhex:2", 1, None, None, 0x0af4f31b0142635b),
+    ("lattice", "lattice:3", 1, None, None, 0x92241a90e2df31be),
+    ("sabre", "lattice:3", 1, None, None, 0xcf667efe6a6059aa),
+    ("optimal", "lnn:4", 1, None, None, 0xcd5c0b5733bbd406),
+    ("lnn-path", "lattice:3", 1, None, None, 0x5e23b5f3dfacdc80),
+    ("lnn", "lnn:8", 2, None, None, 0x5db70a4c1e96b371),
+    ("lattice", "lattice:3", 2, None, None, 0x469300f277b033e6),
+    ("sycamore", "sycamore:2", 2, Some(3), None, 0xfffd54f7daca3de3),
+    ("lattice", "lattice:4", 1, Some(3), None, 0xd07477420420c6c0),
+    ("sabre", "heavyhex:2", 1, None, Some(7), 0xd97eba899696594f),
+    ("sabre", "lattice:3", 2, Some(3), Some(7), 0xc338cbf4e6536f7a),
+];
+
+#[test]
+fn artifact_json_bytes_are_pinned_and_reencode_identically() {
+    let diverged: Vec<String> = ARTIFACT_JSON_DIGESTS
+        .iter()
+        .filter_map(|&(compiler, spec, opt_level, degree, seed, expected)| {
+            let mut opts = CompileOptions::default().with_opt_level(opt_level);
+            opts.approximation = degree;
+            if let Some(seed) = seed {
+                opts = opts.with_seed(seed);
+                opts.random_initial = true;
+            }
+            let t = Target::parse(spec).unwrap();
+            let mut r = registry()
+                .compile(compiler, &t, &opts)
+                .unwrap_or_else(|e| panic!("{compiler} on {spec}: {e}"));
+            r.strip_wall_times();
+            let json = serde_json::to_string(&r).unwrap();
+            assert_reencodes::<CompileResult>(&json, &format!("{compiler} on {spec}"));
+            let got = fnv1a(json.as_bytes());
+            (got != expected).then(|| {
+                format!("{compiler} {spec} opt={opt_level} degree={degree:?} seed={seed:?}: {got:#018x}")
+            })
+        })
+        .collect();
+    assert!(
+        diverged.is_empty(),
+        "artifact JSON diverged on {} of {} cells:\n{}",
+        diverged.len(),
+        ARTIFACT_JSON_DIGESTS.len(),
+        diverged.join("\n")
+    );
+
+    // No registry target has spare qubits, so a hand-built circuit pins
+    // the annotation of a SWAP onto a spare: `"l1":null` after the move.
+    let p = PhysicalQubit;
+    let mut b = MappedCircuitBuilder::new(Layout::identity(2, 3));
+    b.push_1q_phys(GateKind::H, p(0));
+    b.push_swap_phys(p(1), p(2));
+    b.push_swap_phys(p(1), p(0));
+    b.push_2q_phys(GateKind::Cphase { k: 2 }, p(1), p(2));
+    let json = serde_json::to_string(&b.finish()).unwrap();
+    assert_eq!(
+        json,
+        concat!(
+            r#"{"n_logical":2,"n_physical":3,"#,
+            r#""initial":{"phys_of":[0,1],"log_of":[0,1,null]},"#,
+            r#""final_layout":{"phys_of":[1,2],"log_of":[null,0,1]},"ops":["#,
+            r#"{"kind":"H","p1":0,"p2":null,"l1":0,"l2":null},"#,
+            r#"{"kind":"Swap","p1":1,"p2":2,"l1":1,"l2":null},"#,
+            r#"{"kind":"Swap","p1":1,"p2":0,"l1":null,"l2":0},"#,
+            r#"{"kind":{"Cphase":{"k":2}},"p1":1,"p2":2,"l1":0,"l2":1}]}"#,
+        )
+    );
+    assert_reencodes::<MappedCircuit>(&json, "spare-qubit circuit");
 }
 
 #[test]
