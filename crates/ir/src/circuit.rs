@@ -2,10 +2,11 @@
 //!
 //! A [`Circuit`] is a gate list on logical qubits with no placement
 //! information — the compiler input. A [`MappedCircuit`] is the compiler
-//! output: a stream of physical operations, each annotated with the logical
-//! qubits it acted on at execution time, together with the initial and final
-//! layouts. Keeping the logical annotation makes verification (coverage,
-//! dependency order) O(gates) without replaying layouts.
+//! output: a stream of physical operations together with the initial and
+//! final layouts. The logical qubits an op acts on are fixed by the initial
+//! layout and the SWAPs before it, so they are derived, not stored:
+//! [`MappedCircuit::replay`] is the one place that computes them, for
+//! verification, rendering and the artifact encoding alike.
 
 use crate::gate::{Gate, GateKind, LogicalQubit, PhysicalQubit};
 use crate::layout::Layout;
@@ -63,11 +64,6 @@ impl Circuit {
         self.gates.is_empty()
     }
 
-    /// Number of two-qubit gates.
-    pub fn two_qubit_count(&self) -> usize {
-        self.gates.iter().filter(|g| g.kind.arity() == 2).count()
-    }
-
     /// Logical-circuit depth: longest chain of gates sharing qubits, each
     /// gate costing one cycle (ASAP layering).
     pub fn depth(&self) -> usize {
@@ -84,13 +80,33 @@ impl Circuit {
     }
 }
 
-/// One operation in a mapped circuit.
-///
-/// `p2`/`l2` are `None` for single-qubit gates. For SWAPs involving a spare
-/// (unoccupied) physical qubit, the corresponding logical annotation is
-/// `None`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// One operation in a mapped circuit. `p2` is `None` for single-qubit
+/// gates. The logical qubits the op acts on come from
+/// [`MappedCircuit::replay`].
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhysOp {
+    /// Gate kind.
+    pub kind: GateKind,
+    /// First physical operand.
+    pub p1: PhysicalQubit,
+    /// Second physical operand, for two-qubit gates.
+    pub p2: Option<PhysicalQubit>,
+}
+
+impl PhysOp {
+    /// Physical operands, in order.
+    #[inline]
+    pub fn phys(&self) -> impl Iterator<Item = PhysicalQubit> + '_ {
+        std::iter::once(self.p1).chain(self.p2)
+    }
+}
+
+/// An op with the logical qubits its operands held when it executed, as
+/// [`MappedCircuit::replay`] yields it; also the op's form in the artifact
+/// encoding. An annotation is `None` on a spare (unoccupied) physical
+/// qubit and for the missing second operand of a single-qubit gate.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct AnnotatedOp {
     /// Gate kind.
     pub kind: GateKind,
     /// First physical operand.
@@ -103,25 +119,69 @@ pub struct PhysOp {
     pub l2: Option<LogicalQubit>,
 }
 
-impl PhysOp {
-    /// Physical operands, in order.
+impl AnnotatedOp {
+    /// The op without its annotations.
     #[inline]
-    pub fn phys(&self) -> impl Iterator<Item = PhysicalQubit> + '_ {
-        std::iter::once(self.p1).chain(self.p2)
-    }
-
-    /// The unordered logical pair for a two-qubit gate, if both sides carry
-    /// program qubits, normalized so the smaller index comes first.
-    pub fn logical_pair(&self) -> Option<(LogicalQubit, LogicalQubit)> {
-        match (self.l1, self.l2) {
-            (Some(a), Some(b)) => Some(if a <= b { (a, b) } else { (b, a) }),
-            _ => None,
+    pub fn op(&self) -> PhysOp {
+        PhysOp {
+            kind: self.kind,
+            p1: self.p1,
+            p2: self.p2,
         }
     }
 }
 
+/// The SWAP replay of a mapped circuit ([`MappedCircuit::replay`]): an
+/// iterator over its ops, each annotated from the layout it executed
+/// under, carrying the layout reached so far.
+#[derive(Debug, Clone)]
+pub struct Replay<'a> {
+    ops: std::slice::Iter<'a, PhysOp>,
+    layout: Layout,
+}
+
+impl<'a> Replay<'a> {
+    /// Replays `ops` from the `initial` layout.
+    pub fn new(initial: &Layout, ops: &'a [PhysOp]) -> Self {
+        Replay {
+            ops: ops.iter(),
+            layout: initial.clone(),
+        }
+    }
+
+    /// Replays the remaining ops and returns the layout after the last.
+    pub fn into_final_layout(mut self) -> Layout {
+        self.by_ref().for_each(drop);
+        self.layout
+    }
+}
+
+impl Iterator for Replay<'_> {
+    type Item = AnnotatedOp;
+
+    #[inline]
+    fn next(&mut self) -> Option<AnnotatedOp> {
+        let &PhysOp { kind, p1, p2 } = self.ops.next()?;
+        let annotated = AnnotatedOp {
+            kind,
+            p1,
+            p2,
+            l1: self.layout.logical(p1),
+            l2: p2.and_then(|p2| self.layout.logical(p2)),
+        };
+        if let (true, Some(p2)) = (kind.swaps_operands(), p2) {
+            self.layout.swap_phys(p1, p2);
+        }
+        Some(annotated)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.ops.size_hint()
+    }
+}
+
 /// A hardware-mapped circuit: the compiler's output artifact.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct MappedCircuit {
     n_logical: usize,
     n_physical: usize,
@@ -161,12 +221,27 @@ impl MappedCircuit {
         &self.ops
     }
 
+    /// Replays the op stream from the initial layout, yielding each op
+    /// with the logical qubits its operands held when it executed. This is
+    /// the one derivation of the annotations; every reader goes through it.
+    pub fn replay(&self) -> Replay<'_> {
+        Replay::new(&self.initial, &self.ops)
+    }
+
     /// The logical H/CPHASE gate stream of this circuit, SWAPs dropped and
-    /// fused `CPHASE+SWAP` interactions contributing their rotation — the
-    /// stream every simulator-backed equivalence check replays. Delegates
-    /// to [`crate::qft::logical_interactions`].
+    /// fused `CPHASE+SWAP` interactions contributing their rotation (the
+    /// swap half moves qubits but is identity on the logical state) — the
+    /// stream the QFT-order check and every simulator-backed equivalence
+    /// check consume.
     pub fn logical_interactions(&self) -> impl Iterator<Item = Gate> + '_ {
-        crate::qft::logical_interactions(self.ops())
+        self.replay()
+            .filter_map(|op| match (op.kind, op.l1, op.l2) {
+                (GateKind::H, Some(l), _) => Some(Gate::one(GateKind::H, l)),
+                (GateKind::Cphase { k } | GateKind::CphaseSwap { k }, Some(a), Some(b)) => {
+                    Some(Gate::two(GateKind::Cphase { k }, a, b))
+                }
+                _ => None,
+            })
     }
 
     /// Number of standalone SWAP gates inserted. A fused
@@ -219,31 +294,20 @@ impl MappedCircuit {
     /// [`crate::passes`] implementations.
     ///
     /// The initial/final layouts and qubit counts are preserved: a pass must
-    /// only apply rewrites that keep the stream consistent with them (every
-    /// op's logical annotations must match SWAP replay from the initial
-    /// layout, and the replayed final layout must be unchanged — a pass
-    /// that deletes layout-moving ops, like `prune-dead-swap-chains`, must
-    /// follow up with [`Self::recompute_final_layout`]). The
-    /// [`crate::passes::CheckLayout`] pass verifies exactly this.
+    /// only apply rewrites that leave the replayed final layout unchanged —
+    /// a pass that deletes layout-moving ops, like `prune-dead-swap-chains`,
+    /// must follow up with [`Self::recompute_final_layout`]. The
+    /// [`crate::passes::CheckLayout`] pass verifies this.
     pub fn set_ops(&mut self, ops: Vec<PhysOp>) {
         self.ops = ops;
     }
 
-    /// Re-derives the recorded final layout by replaying every
-    /// layout-moving op from the initial layout. Passes that *remove*
-    /// SWAPs whose permutation is never consumed again (the
+    /// Re-derives the recorded final layout by [`Self::replay`]. Passes
+    /// that *remove* SWAPs whose permutation is never consumed again (the
     /// `prune-dead-swap-chains` cleanup after AQFT truncation) call this so
     /// the final-layout bookkeeping tracks the shortened stream.
     pub fn recompute_final_layout(&mut self) {
-        let mut layout = self.initial.clone();
-        for op in &self.ops {
-            if op.kind.swaps_operands() {
-                if let Some(p2) = op.p2 {
-                    layout.swap_phys(op.p1, p2);
-                }
-            }
-        }
-        self.final_layout = layout;
+        self.final_layout = self.replay().into_final_layout();
     }
 
     /// Takes the op stream out of the circuit (leaving it empty), avoiding
@@ -272,23 +336,42 @@ impl MappedCircuit {
     }
 }
 
+/// Encodes the artifact with every op's annotations from
+/// [`MappedCircuit::replay`], in the field order of the stored-annotation
+/// encoding, so the bytes do not depend on how the ops are held in memory.
+impl Serialize for MappedCircuit {
+    fn to_value(&self) -> Value {
+        let field = |name: &str, v: Value| (name.to_string(), v);
+        let ops = Value::Array(self.replay().map(|op| op.to_value()).collect());
+        Value::Object(vec![
+            field("n_logical", self.n_logical.to_value()),
+            field("n_physical", self.n_physical.to_value()),
+            field("initial", self.initial.to_value()),
+            field("final_layout", self.final_layout.to_value()),
+            field("ops", ops),
+        ])
+    }
+}
+
 /// Decodes an artifact, refusing one that indexing by its own qubit
-/// counts could overrun: both layouts must have the declared sizes, and
+/// counts could overrun — both layouts must have the declared sizes, and
 /// every op must name physical operands below `n_physical` (two distinct
-/// ones exactly when its kind is two-qubit) and logical annotations below
-/// `n_logical`. Agreement with SWAP replay is left to
+/// ones exactly when its kind is two-qubit) — and one whose logical
+/// annotations are not what [`MappedCircuit::replay`] derives. Agreement
+/// of the final layout with the replay is left to
 /// [`crate::passes::CheckLayout`].
 impl Deserialize for MappedCircuit {
     fn from_value(v: &Value) -> Result<Self, serde::Error> {
         let o = v
             .as_object()
             .ok_or_else(|| serde::Error::msg("expected object for MappedCircuit"))?;
+        let annotated: Vec<AnnotatedOp> = Deserialize::from_value(serde::field(o, "ops"))?;
         let mc = MappedCircuit {
             n_logical: Deserialize::from_value(serde::field(o, "n_logical"))?,
             n_physical: Deserialize::from_value(serde::field(o, "n_physical"))?,
             initial: Deserialize::from_value(serde::field(o, "initial"))?,
             final_layout: Deserialize::from_value(serde::field(o, "final_layout"))?,
-            ops: Deserialize::from_value(serde::field(o, "ops"))?,
+            ops: annotated.iter().map(AnnotatedOp::op).collect(),
         };
         let sized = |l: &Layout| (l.n_logical(), l.n_physical()) == (mc.n_logical, mc.n_physical);
         if !sized(&mc.initial) || !sized(&mc.final_layout) {
@@ -297,12 +380,7 @@ impl Deserialize for MappedCircuit {
             ));
         }
         for (i, op) in mc.ops.iter().enumerate() {
-            let outside = op.phys().any(|p| p.index() >= mc.n_physical)
-                || [op.l1, op.l2]
-                    .iter()
-                    .flatten()
-                    .any(|l| l.index() >= mc.n_logical);
-            if outside {
+            if op.phys().any(|p| p.index() >= mc.n_physical) {
                 return Err(serde::Error::msg(format!(
                     "op #{i} names a qubit outside the circuit"
                 )));
@@ -314,19 +392,20 @@ impl Deserialize for MappedCircuit {
                 )));
             }
         }
+        if let Some(i) = mc.replay().zip(&annotated).position(|(r, a)| r != *a) {
+            return Err(serde::Error::msg(format!(
+                "op #{i}'s logical annotations disagree with the SWAP replay"
+            )));
+        }
         Ok(mc)
     }
 }
 
-/// Incremental builder for [`MappedCircuit`] that tracks the live layout.
-///
-/// All compiler back-ends and baselines emit through this builder, which
-/// guarantees the layout bookkeeping (each op's logical labels follow the
-/// layout replayed through every SWAP before it) by construction.
+/// Incremental builder for [`MappedCircuit`] that tracks the live layout,
+/// so ops can be placed by logical qubit and the final layout is the one
+/// the SWAPs produce. All compiler back-ends and baselines emit through it.
 #[derive(Debug, Clone)]
 pub struct MappedCircuitBuilder {
-    n_logical: usize,
-    n_physical: usize,
     layout: Layout,
     initial: Layout,
     ops: Vec<PhysOp>,
@@ -336,8 +415,6 @@ impl MappedCircuitBuilder {
     /// Starts a mapped circuit from `initial` placement.
     pub fn new(initial: Layout) -> Self {
         MappedCircuitBuilder {
-            n_logical: initial.n_logical(),
-            n_physical: initial.n_physical(),
             layout: initial.clone(),
             initial,
             ops: Vec::new(),
@@ -350,77 +427,38 @@ impl MappedCircuitBuilder {
         &self.layout
     }
 
-    /// Ops emitted so far.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// True if nothing has been emitted.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-
     /// Emits a single-qubit gate on the *logical* qubit `l` (resolved to its
     /// current physical location).
     pub fn push_1q_logical(&mut self, kind: GateKind, l: LogicalQubit) {
-        debug_assert_eq!(kind.arity(), 1);
-        let p = self.layout.phys(l);
-        self.ops.push(PhysOp {
-            kind,
-            p1: p,
-            p2: None,
-            l1: Some(l),
-            l2: None,
-        });
+        self.push_1q_phys(kind, self.layout.phys(l));
     }
 
     /// Emits a two-qubit non-SWAP gate between *logical* qubits.
     pub fn push_2q_logical(&mut self, kind: GateKind, a: LogicalQubit, b: LogicalQubit) {
-        debug_assert_eq!(kind.arity(), 2);
-        debug_assert!(
-            !kind.swaps_operands(),
-            "use push_swap_phys / push_cphase_swap_phys for layout-moving gates"
-        );
-        let (p1, p2) = (self.layout.phys(a), self.layout.phys(b));
-        self.ops.push(PhysOp {
-            kind,
-            p1,
-            p2: Some(p2),
-            l1: Some(a),
-            l2: Some(b),
-        });
+        self.push_2q_phys(kind, self.layout.phys(a), self.layout.phys(b));
     }
 
-    /// Emits a two-qubit non-SWAP gate between *physical* locations; logical
-    /// annotations are taken from the live layout.
+    /// Emits a two-qubit non-SWAP gate between *physical* locations.
     pub fn push_2q_phys(&mut self, kind: GateKind, p1: PhysicalQubit, p2: PhysicalQubit) {
         debug_assert_eq!(kind.arity(), 2);
         debug_assert!(
             !kind.swaps_operands(),
             "use push_swap_phys / push_cphase_swap_phys for layout-moving gates"
         );
-        let (l1, l2) = (self.layout.logical(p1), self.layout.logical(p2));
         self.ops.push(PhysOp {
             kind,
             p1,
             p2: Some(p2),
-            l1,
-            l2,
         });
     }
 
     /// Emits a single-qubit gate at a *physical* location.
     pub fn push_1q_phys(&mut self, kind: GateKind, p: PhysicalQubit) {
         debug_assert_eq!(kind.arity(), 1);
-        let l = self.layout.logical(p);
         self.ops.push(PhysOp {
             kind,
             p1: p,
             p2: None,
-            l1: l,
-            l2: None,
         });
     }
 
@@ -428,41 +466,29 @@ impl MappedCircuitBuilder {
     /// between two physical locations and updates the layout (the fused
     /// gate moves its operands exactly like a SWAP).
     pub fn push_cphase_swap_phys(&mut self, k: u32, p1: PhysicalQubit, p2: PhysicalQubit) {
-        let (l1, l2) = (self.layout.logical(p1), self.layout.logical(p2));
-        self.ops.push(PhysOp {
-            kind: GateKind::CphaseSwap { k },
-            p1,
-            p2: Some(p2),
-            l1,
-            l2,
-        });
-        self.layout.swap_phys(p1, p2);
+        self.push_moving(GateKind::CphaseSwap { k }, p1, p2);
     }
 
     /// Emits a SWAP between two physical locations and updates the layout.
     pub fn push_swap_phys(&mut self, p1: PhysicalQubit, p2: PhysicalQubit) {
-        let (l1, l2) = (self.layout.logical(p1), self.layout.logical(p2));
-        self.ops.push(PhysOp {
-            kind: GateKind::Swap,
-            p1,
-            p2: Some(p2),
-            l1,
-            l2,
-        });
-        self.layout.swap_phys(p1, p2);
+        self.push_moving(GateKind::Swap, p1, p2);
     }
 
-    /// Emits a SWAP between the current locations of two logical qubits.
-    pub fn push_swap_logical(&mut self, a: LogicalQubit, b: LogicalQubit) {
-        let (p1, p2) = (self.layout.phys(a), self.layout.phys(b));
-        self.push_swap_phys(p1, p2);
+    /// Emits a layout-moving two-qubit gate and applies its exchange.
+    fn push_moving(&mut self, kind: GateKind, p1: PhysicalQubit, p2: PhysicalQubit) {
+        self.ops.push(PhysOp {
+            kind,
+            p1,
+            p2: Some(p2),
+        });
+        self.layout.swap_phys(p1, p2);
     }
 
     /// Finalizes into an immutable [`MappedCircuit`].
     pub fn finish(self) -> MappedCircuit {
         MappedCircuit {
-            n_logical: self.n_logical,
-            n_physical: self.n_physical,
+            n_logical: self.initial.n_logical(),
+            n_physical: self.initial.n_physical(),
             initial: self.initial,
             final_layout: self.layout,
             ops: self.ops,
@@ -495,9 +521,10 @@ mod tests {
         );
         let mc = b.finish();
         // After the swap, Q1 holds q0, so the CPHASE acts on (q0, q2).
+        let cp = mc.replay().nth(1).unwrap();
         assert_eq!(
-            mc.ops()[1].logical_pair(),
-            Some((LogicalQubit(0), LogicalQubit(2)))
+            (cp.l1, cp.l2),
+            (Some(LogicalQubit(0)), Some(LogicalQubit(2)))
         );
         assert_eq!(mc.final_layout().phys(LogicalQubit(0)), PhysicalQubit(1));
         assert_eq!(mc.swap_count(), 1);

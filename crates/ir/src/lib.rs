@@ -29,7 +29,7 @@ pub mod qasm;
 pub mod qft;
 pub mod render;
 
-pub use circuit::{Circuit, MappedCircuit, MappedCircuitBuilder, PhysOp};
+pub use circuit::{AnnotatedOp, Circuit, MappedCircuit, MappedCircuitBuilder, PhysOp, Replay};
 pub use dag::{CircuitDag, DagMode, Frontier};
 pub use gate::{Gate, GateKind, LogicalQubit, PhysicalQubit};
 pub use latency::LinkClass;

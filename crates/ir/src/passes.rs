@@ -29,17 +29,17 @@
 //!   whose permutation no later surviving op consumes (the routing chains
 //!   truncation strands), then recomputes the final layout;
 //! * [`CheckLayout`] — verify: [`replay_layout`] replays SWAPs from the
-//!   initial layout and checks every op's logical annotations, operand
-//!   sanity, coupling-graph adjacency (when the [`PassCtx`] carries an
-//!   oracle), and the recorded final layout. Never rewrites. The symbolic
-//!   verifier in `qft-sim` runs the same replay.
+//!   initial layout and checks operand sanity, coupling-graph adjacency
+//!   (when the [`PassCtx`] carries an oracle), and the recorded final
+//!   layout. Never rewrites. The symbolic verifier in `qft-sim` runs the
+//!   same replay.
 //!
 //! Passes are addressable by name through [`named`] (see [`PASS_NAMES`]),
 //! which is how `CompileOptions::extra_passes` strings resolve. The
 //! truncation pass is parameterized and resolves from the form
 //! `aqft-truncate(degree)`, e.g. `aqft-truncate(3)`.
 
-use crate::circuit::{MappedCircuit, PhysOp};
+use crate::circuit::{MappedCircuit, PhysOp, Replay};
 use crate::gate::{GateKind, PhysicalQubit};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -423,6 +423,8 @@ impl Pass for CancelAdjacentSwaps {
 /// [`GateKind::CphaseSwap`] interaction — the paper's combined
 /// SWAP+CPhase two-qubit interaction. Both orders fuse: CPHASE is
 /// diagonal and symmetric, so it commutes with the SWAP on its own pair.
+/// The fused op takes the first op's place, where the pair's occupants
+/// are the ones the CPHASE acted on in either order.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MergeSwapCphase;
 
@@ -438,10 +440,10 @@ impl Pass for MergeSwapCphase {
     fn run(&self, circuit: &mut MappedCircuit, _ctx: &PassCtx) -> Result<PassReport, PassError> {
         let mut ops = circuit.take_ops();
         let rewrites = peephole_scan(&mut ops, |prev, cur| match (prev.kind, cur.kind) {
-            // The fused op keeps the FIRST op's position, operands, and
-            // logical annotations: replay applies the CPHASE and then the
-            // swap, which matches either unfused order exactly (the pair's
-            // occupants only exchange, and CPHASE is symmetric).
+            // The fused op keeps the FIRST op's position and operands:
+            // replay applies the CPHASE and then the swap, which matches
+            // either unfused order exactly (the pair's occupants only
+            // exchange, and CPHASE is symmetric).
             (GateKind::Cphase { k }, GateKind::Swap) | (GateKind::Swap, GateKind::Cphase { k }) => {
                 Some(Some(PhysOp {
                     kind: GateKind::CphaseSwap { k },
@@ -457,8 +459,8 @@ impl Pass for MergeSwapCphase {
 
 /// Scheduling: stable-reorders the op stream into uniform-latency ASAP
 /// layers (ops within a layer keep their original relative order). The
-/// rewrite preserves per-qubit op order, so semantics, annotations, and
-/// layout replay are untouched; it exists to give downstream consumers a
+/// rewrite preserves per-qubit op order, so semantics and layout replay
+/// are untouched; it exists to give downstream consumers a
 /// layer-contiguous stream and to normalize streams emitted out of
 /// schedule order by search-based compilers.
 #[derive(Debug, Clone, Copy, Default)]
@@ -475,9 +477,10 @@ impl Pass for AsapLayering {
 
     fn run(&self, circuit: &mut MappedCircuit, _ctx: &PassCtx) -> Result<PassReport, PassError> {
         let relaid: Vec<PhysOp> = circuit.layers_uniform().into_iter().flatten().collect();
-        let moved = relaid
-            .iter()
-            .zip(circuit.ops())
+        // A position counts as moved when its op differs, annotations
+        // included.
+        let moved = Replay::new(circuit.initial_layout(), &relaid)
+            .zip(circuit.replay())
             .filter(|(a, b)| a != b)
             .count();
         if moved > 0 {
@@ -603,8 +606,6 @@ pub enum ReplayError {
     Malformed(usize, String),
     /// A two-qubit op (index, operands) the adjacency oracle rejects.
     NonAdjacent(usize, PhysicalQubit, PhysicalQubit),
-    /// An op (index) whose logical annotations disagree with the replay.
-    WrongAnnotation(usize),
     /// The recorded final layout is not what the replay produces.
     FinalLayoutMismatch,
 }
@@ -615,9 +616,6 @@ impl fmt::Display for ReplayError {
             ReplayError::Malformed(i, what) => write!(f, "op #{i} {what}"),
             ReplayError::NonAdjacent(i, a, b) => {
                 write!(f, "op #{i} spans non-adjacent qubits {a} and {b}")
-            }
-            ReplayError::WrongAnnotation(i) => {
-                write!(f, "op #{i} annotation disagrees with replay")
             }
             ReplayError::FinalLayoutMismatch => {
                 f.write_str("final layout does not match SWAP replay")
@@ -636,25 +634,20 @@ pub struct ReplayCounts {
     pub swaps: usize,
 }
 
-/// The layout replay behind [`CheckLayout`] and the symbolic verifier:
-/// replays SWAPs from the initial layout in one pass over the ops and
-/// checks every op's operands (arity, no self-loops), two-qubit adjacency
-/// under the context's oracle, logical annotations, and the recorded
-/// final layout.
+/// The layout check behind [`CheckLayout`] and the symbolic verifier: one
+/// pass of [`MappedCircuit::replay`] that checks every op's operands
+/// (arity, no self-loops), two-qubit adjacency under the context's oracle,
+/// and that the replay ends at the recorded final layout.
 pub fn replay_layout(circuit: &MappedCircuit, ctx: &PassCtx) -> Result<ReplayCounts, ReplayError> {
-    let mut layout = circuit.initial_layout().clone();
+    let mut replay = circuit.replay();
     let (mut two_qubit_ops, mut swaps) = (0, 0);
-    for (i, op) in circuit.ops().iter().enumerate() {
+    for (i, op) in replay.by_ref().enumerate() {
         let malformed = |what: String| Err(ReplayError::Malformed(i, what));
         match op.p2 {
             None if op.kind.arity() != 1 => {
                 return malformed(format!("({}) lacks a second operand", op.kind))
             }
-            None => {
-                if layout.logical(op.p1) != op.l1 {
-                    return Err(ReplayError::WrongAnnotation(i));
-                }
-            }
+            None => {}
             Some(_) if op.kind.arity() != 2 => {
                 return malformed(format!("({}) has a spurious operand", op.kind))
             }
@@ -664,19 +657,11 @@ pub fn replay_layout(circuit: &MappedCircuit, ctx: &PassCtx) -> Result<ReplayCou
                 if !ctx.adjacent(op.p1, p2) {
                     return Err(ReplayError::NonAdjacent(i, op.p1, p2));
                 }
-                if layout.logical(op.p1) != op.l1 || layout.logical(p2) != op.l2 {
-                    return Err(ReplayError::WrongAnnotation(i));
-                }
-                if op.kind.swaps_operands() {
-                    if op.kind == GateKind::Swap {
-                        swaps += 1;
-                    }
-                    layout.swap_phys(op.p1, p2);
-                }
+                swaps += usize::from(op.kind == GateKind::Swap);
             }
         }
     }
-    if &layout != circuit.final_layout() {
+    if &replay.into_final_layout() != circuit.final_layout() {
         return Err(ReplayError::FinalLayoutMismatch);
     }
     Ok(ReplayCounts {
@@ -685,9 +670,10 @@ pub fn replay_layout(circuit: &MappedCircuit, ctx: &PassCtx) -> Result<ReplayCou
     })
 }
 
-/// Verify: runs [`replay_layout`] with the context's adjacency oracle
-/// (vacuous without one). Never rewrites; failing any check is a
-/// [`PassError`].
+/// Verify: runs [`replay_layout`] — operand shapes, adjacency under the
+/// context's oracle (vacuous without one), and the recorded final layout.
+/// Logical annotations are derived by the same replay, so there are none
+/// to get wrong. Never rewrites; failing any check is a [`PassError`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CheckLayout;
 
@@ -697,7 +683,7 @@ impl Pass for CheckLayout {
     }
 
     fn description(&self) -> &'static str {
-        "replay SWAPs and verify annotations, adjacency, and final layout"
+        "replay SWAPs and verify operands, adjacency, and final layout"
     }
 
     fn run(&self, circuit: &mut MappedCircuit, ctx: &PassCtx) -> Result<PassReport, PassError> {
@@ -719,6 +705,7 @@ impl Pass for CheckLayout {
 mod tests {
     use super::*;
     use crate::circuit::MappedCircuitBuilder;
+    use crate::gate::LogicalQubit;
     use crate::layout::Layout;
 
     fn p(i: u32) -> PhysicalQubit {
@@ -800,10 +787,11 @@ mod tests {
         assert_eq!(report.rewrites, 1);
         assert_eq!(mc.ops().len(), 1);
         assert_eq!(mc.ops()[0].kind, GateKind::CphaseSwap { k: 2 });
-        // The fused op keeps the SWAP's (pre-exchange) annotations.
+        // The fused op replays with the SWAP's (pre-exchange) occupants.
+        let fused = mc.replay().next().unwrap();
         assert_eq!(
-            mc.ops()[0].logical_pair().map(|(a, b)| (a.0, b.0)),
-            Some((0, 1))
+            (fused.l1, fused.l2),
+            (Some(LogicalQubit(0)), Some(LogicalQubit(1)))
         );
         CheckLayout.run(&mut mc, &PassCtx::new()).unwrap();
     }
@@ -953,16 +941,6 @@ mod tests {
     }
 
     #[test]
-    fn check_layout_rejects_broken_annotations() {
-        let mut mc = with_redundant_swaps();
-        let mut ops = mc.ops().to_vec();
-        ops[1].l1 = Some(crate::gate::LogicalQubit(2)); // lie
-        mc.set_ops(ops);
-        let err = CheckLayout.run(&mut mc, &PassCtx::new()).unwrap_err();
-        assert!(err.reason.contains("annotation"), "{err}");
-    }
-
-    #[test]
     fn check_layout_rejects_broken_final_layout() {
         let mut mc = with_redundant_swaps();
         let mut ops = mc.ops().to_vec();
@@ -970,8 +948,6 @@ mod tests {
             kind: GateKind::Swap,
             p1: p(0),
             p2: Some(p(1)),
-            l1: mc.final_layout().logical(p(0)),
-            l2: mc.final_layout().logical(p(1)),
         });
         mc.set_ops(ops);
         let err = CheckLayout.run(&mut mc, &PassCtx::new()).unwrap_err();

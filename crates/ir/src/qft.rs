@@ -388,23 +388,6 @@ pub fn check_qft_circuit(c: &Circuit) -> Result<(), QftOrderError> {
     check_qft_order(c.gates().iter().copied(), c.n_qubits())
 }
 
-/// Extracts the logical H/CPHASE sequence from per-op logical annotations,
-/// dropping SWAPs. A fused [`GateKind::CphaseSwap`] contributes its CPHASE
-/// (the swap half moves qubits but is identity on the logical state). Used
-/// to check mapped circuits against the QFT contract.
-pub fn logical_interactions<'a>(
-    ops: impl IntoIterator<Item = &'a crate::circuit::PhysOp> + 'a,
-) -> impl Iterator<Item = Gate> + 'a {
-    ops.into_iter().filter_map(|op| match op.kind {
-        GateKind::H => op.l1.map(|l| Gate::one(GateKind::H, l)),
-        GateKind::Cphase { k } | GateKind::CphaseSwap { k } => match (op.l1, op.l2) {
-            (Some(a), Some(b)) => Some(Gate::two(GateKind::Cphase { k }, a, b)),
-            _ => None,
-        },
-        _ => None,
-    })
-}
-
 /// Number of CPHASE gates in a QFT on `n` qubits: `n(n-1)/2`.
 #[inline]
 pub fn qft_pair_count(n: usize) -> usize {

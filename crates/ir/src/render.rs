@@ -10,40 +10,50 @@ use std::fmt::Write as _;
 /// `H`, `C` (CPHASE), `x` (SWAP), `*` (fused CPHASE+SWAP) with the
 /// logical qubit index, `.` idle.
 pub fn render_layers(mc: &MappedCircuit, max_layers: usize) -> String {
-    let layers = mc.layers_uniform();
-    let shown = layers.len().min(max_layers);
     let n = mc.n_physical();
-    // cell[q][t]
-    let mut cells = vec![vec!["   .".to_string(); shown]; n];
-    for (t, layer) in layers.iter().take(shown).enumerate() {
-        for op in layer {
-            let sym = match op.kind {
-                GateKind::H => 'H',
-                GateKind::Cphase { .. } => 'C',
-                GateKind::Swap => 'x',
-                GateKind::CphaseSwap { .. } => '*',
-                GateKind::Cnot => '@',
-                GateKind::X => 'X',
-                GateKind::Rz { .. } => 'Z',
-            };
-            let l1 = op.l1.map(|l| l.0.to_string()).unwrap_or_else(|| "-".into());
-            cells[op.p1.index()][t] = format!("{sym}{l1:>3}");
-            if let (Some(p2), l2) = (op.p2, op.l2) {
-                let l2 = l2.map(|l| l.0.to_string()).unwrap_or_else(|| "-".into());
-                cells[p2.index()][t] = format!("{sym}{l2:>3}");
+    // Each op lands in its ASAP layer as the replay streams it, the
+    // schedule of `MappedCircuit::layers_uniform`. cells[t][q].
+    let mut avail = vec![0usize; n];
+    let mut layers = 0;
+    let mut cells: Vec<Vec<String>> = Vec::new();
+    for op in mc.replay() {
+        let t = op.op().phys().map(|p| avail[p.index()]).max().unwrap_or(0);
+        for p in op.op().phys() {
+            avail[p.index()] = t + 1;
+        }
+        layers = layers.max(t + 1);
+        if t >= max_layers {
+            continue;
+        }
+        if cells.len() <= t {
+            cells.resize(t + 1, vec!["   .".to_string(); n]);
+        }
+        let sym = match op.kind {
+            GateKind::H => 'H',
+            GateKind::Cphase { .. } => 'C',
+            GateKind::Swap => 'x',
+            GateKind::CphaseSwap { .. } => '*',
+            GateKind::Cnot => '@',
+            GateKind::X => 'X',
+            GateKind::Rz { .. } => 'Z',
+        };
+        for (p, l) in [(Some(op.p1), op.l1), (op.p2, op.l2)] {
+            if let Some(p) = p {
+                let l = l.map_or_else(|| "-".to_string(), |l| l.0.to_string());
+                cells[t][p.index()] = format!("{sym}{l:>3}");
             }
         }
     }
     let mut out = String::new();
-    for (q, row) in cells.iter().enumerate() {
+    for q in 0..n {
         let _ = write!(out, "Q{q:<3}|");
-        for c in row {
-            let _ = write!(out, "{c}|");
+        for column in &cells {
+            let _ = write!(out, "{}|", column[q]);
         }
         out.push('\n');
     }
-    if layers.len() > shown {
-        let _ = writeln!(out, "... ({} more layers)", layers.len() - shown);
+    if layers > cells.len() {
+        let _ = writeln!(out, "... ({} more layers)", layers - cells.len());
     }
     out
 }

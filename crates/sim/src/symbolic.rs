@@ -7,11 +7,13 @@
 //!
 //! 1. **Adjacency** — every two-qubit op acts on a coupling-graph link;
 //! 2. **Layout consistency** — replaying the SWAPs from the initial layout
-//!    reproduces every op's logical annotations and the recorded final
-//!    layout (1 and 2 are one pass of [`qft_ir::passes::replay_layout`],
-//!    the replay the `check-layout` pass runs, which also refuses ops
-//!    with the wrong operand count for their kind);
-//! 3. **QFT semantics** — the logical H/CPHASE stream has exactly one H per
+//!    ends at the recorded final layout (1 and 2 are one pass of
+//!    [`qft_ir::passes::replay_layout`], the check the `check-layout` pass
+//!    runs, which also refuses ops with the wrong operand count for their
+//!    kind);
+//! 3. **QFT semantics** — the logical H/CPHASE stream, whose logical
+//!    qubits the same SWAP replay derives
+//!    ([`MappedCircuit::logical_interactions`]), has exactly one H per
 //!    qubit, one CPHASE per pair with the right rotation order, and
 //!    respects Type II dependences (`H(i) < CP(i,j) < H(j)` for `i < j`).
 //!
@@ -25,7 +27,7 @@ use qft_arch::graph::CouplingGraph;
 use qft_ir::circuit::MappedCircuit;
 use qft_ir::gate::GateKind;
 use qft_ir::passes::{replay_layout, PassCtx, ReplayError};
-use qft_ir::qft::{logical_interactions, QftOrderError};
+use qft_ir::qft::QftOrderError;
 use std::fmt;
 
 /// Everything that can be wrong with a mapped circuit.
@@ -33,11 +35,6 @@ use std::fmt;
 pub enum VerifyError {
     /// A two-qubit op spans physically non-adjacent qubits.
     NonAdjacent {
-        /// Index of the op in the stream.
-        op_index: usize,
-    },
-    /// An op's logical annotation disagrees with the replayed layout.
-    WrongAnnotation {
         /// Index of the op in the stream.
         op_index: usize,
     },
@@ -55,12 +52,6 @@ impl fmt::Display for VerifyError {
         match self {
             VerifyError::NonAdjacent { op_index } => {
                 write!(f, "op #{op_index} acts on non-adjacent physical qubits")
-            }
-            VerifyError::WrongAnnotation { op_index } => {
-                write!(
-                    f,
-                    "op #{op_index} has logical annotations inconsistent with SWAP replay"
-                )
             }
             VerifyError::FinalLayoutMismatch => write!(f, "final layout mismatch"),
             VerifyError::Semantics(e) => write!(f, "QFT semantics violated: {e}"),
@@ -106,14 +97,14 @@ pub fn verify_qft_mapping(
     let adjacent = |a, b| graph.are_adjacent(a, b);
     let counts = replay_layout(mc, &PassCtx::with_adjacency(&adjacent)).map_err(|e| match e {
         ReplayError::NonAdjacent(op_index, ..) => VerifyError::NonAdjacent { op_index },
-        ReplayError::WrongAnnotation(op_index) => VerifyError::WrongAnnotation { op_index },
         ReplayError::FinalLayoutMismatch => VerifyError::FinalLayoutMismatch,
         malformed => VerifyError::Shape(malformed.to_string()),
     })?;
 
     // (3): QFT semantics over the logical interaction stream.
     let mut pairs = 0;
-    let interactions = logical_interactions(mc.ops())
+    let interactions = mc
+        .logical_interactions()
         .inspect(|g| pairs += usize::from(matches!(g.kind, GateKind::Cphase { .. })));
     qft_ir::qft::check_qft_order(interactions, mc.n_logical()).map_err(VerifyError::Semantics)?;
 
@@ -168,7 +159,7 @@ mod tests {
     #[test]
     fn malformed_operands_are_shape_errors() {
         // The replay shared with `check-layout` refuses an op that names
-        // one qubit twice before any adjacency or annotation check.
+        // one qubit twice before any adjacency check.
         let mut mc = tiny_valid().finish();
         let mut ops = mc.ops().to_vec();
         ops[1].p2 = Some(p(0));

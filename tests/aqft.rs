@@ -261,12 +261,10 @@ fn extra_pass_form_matches_the_option_form() {
             &CompileOptions::default().with_extra_pass("aqft-truncate(3)"),
         )
         .unwrap();
-    let rotations = |r: &qft_kernels::CompileResult| -> Vec<(Option<u32>, _)> {
+    let rotations = |r: &qft_kernels::CompileResult| -> Vec<_> {
         r.circuit
-            .ops()
-            .iter()
-            .filter(|o| matches!(o.kind, GateKind::Cphase { .. }))
-            .map(|o| (o.kind.cphase_order(), o.logical_pair()))
+            .logical_interactions()
+            .filter(|g| matches!(g.kind, GateKind::Cphase { .. }))
             .collect()
     };
     assert_eq!(rotations(&via_option), rotations(&via_pass));

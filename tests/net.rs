@@ -819,6 +819,26 @@ fn artifacts_with_qubits_outside_their_circuit_are_refused() {
     }
 }
 
+#[test]
+fn artifacts_whose_annotations_disagree_with_the_replay_are_refused() {
+    // The first op of the lnn:4 kernel is the H on q0 at Q0. Naming q1
+    // there stays in range, so only the SWAP replay from the initial
+    // layout can tell the annotation is a lie.
+    for (kind, real) in &real_payloads()[1..] {
+        let text = std::str::from_utf8(real).unwrap();
+        assert!(text.contains("\"l1\":0"), "{kind:?} payload: {text}");
+        let forged = Frame::new(*kind, text.replacen("\"l1\":0", "\"l1\":1", 1).into_bytes());
+        let refused = match kind {
+            FrameKind::Response => forged.decode::<WireResponse>().map(drop),
+            _ => forged.decode::<WireWarmupBatch>().map(drop),
+        };
+        assert!(
+            matches!(refused, Err(ProtoError::Json { .. })),
+            "{kind:?} with a lying annotation must be refused as JSON: {refused:?}"
+        );
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Regression pins for the serve-layer bug sweep.
 // ---------------------------------------------------------------------------

@@ -23,13 +23,21 @@ fn fnv(bytes: &[u8]) -> u64 {
 }
 
 /// A stable digest of everything observable about a mapped circuit: both
-/// layouts and the full op stream (kinds, operands, annotations).
+/// layouts and the full op stream (kinds, operands, annotations). Each op
+/// is written in the `Debug` text of the `PhysOp` that stored its logical
+/// annotations, with the annotations the SWAP replay derives, so digests
+/// taken before annotations were derived still apply.
 fn digest(mc: &MappedCircuit) -> u64 {
     use std::fmt::Write;
     let mut s = String::new();
     write!(s, "{:?}|{:?}|", mc.initial_layout(), mc.final_layout()).unwrap();
-    for op in mc.ops() {
-        write!(s, "{op:?};").unwrap();
+    for op in mc.replay() {
+        write!(
+            s,
+            "PhysOp {{ kind: {:?}, p1: {:?}, p2: {:?}, l1: {:?}, l2: {:?} }};",
+            op.kind, op.p1, op.p2, op.l1, op.l2
+        )
+        .unwrap();
     }
     fnv(s.as_bytes())
 }
