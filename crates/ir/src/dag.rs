@@ -218,11 +218,12 @@ impl Frontier {
         self.executed
     }
 
-    /// Executes a front node, returning the newly-ready nodes.
+    /// Executes a front node, moving the nodes it makes ready into the
+    /// front.
     ///
     /// # Panics
     /// Panics if `node` is not currently in the front.
-    pub fn execute(&mut self, dag: &CircuitDag, node: u32) -> Vec<u32> {
+    pub fn execute(&mut self, dag: &CircuitDag, node: u32) {
         let idx = self
             .front
             .iter()
@@ -230,16 +231,13 @@ impl Frontier {
             .expect("node not in front layer");
         self.front.swap_remove(idx);
         self.executed += 1;
-        let mut ready = Vec::new();
         for &s in dag.succs(node) {
             let d = &mut self.indeg[s as usize];
             *d -= 1;
             if *d == 0 {
-                ready.push(s);
                 self.front.push(s);
             }
         }
-        ready
     }
 }
 
@@ -308,8 +306,8 @@ mod tests {
     fn frontier_executes_in_waves() {
         let dag = CircuitDag::build(&qft3(), DagMode::Relaxed);
         let mut f = dag.frontier();
-        let ready = f.execute(&dag, 0); // H(0)
-        let mut r = ready.clone();
+        f.execute(&dag, 0); // H(0)
+        let mut r = f.front().to_vec();
         r.sort_unstable();
         assert_eq!(r, vec![1, 2]); // both CPHASEs on q0 unlock together
         f.execute(&dag, 1);
