@@ -122,7 +122,7 @@ pub struct AnnotatedOp {
 impl AnnotatedOp {
     /// The op without its annotations.
     #[inline]
-    pub fn op(&self) -> PhysOp {
+    pub(crate) fn op(&self) -> PhysOp {
         PhysOp {
             kind: self.kind,
             p1: self.p1,
@@ -142,7 +142,7 @@ pub struct Replay<'a> {
 
 impl<'a> Replay<'a> {
     /// Replays `ops` from the `initial` layout.
-    pub fn new(initial: &Layout, ops: &'a [PhysOp]) -> Self {
+    pub(crate) fn new(initial: &Layout, ops: &'a [PhysOp]) -> Self {
         Replay {
             ops: ops.iter(),
             layout: initial.clone(),

@@ -478,7 +478,7 @@ impl Pass for AsapLayering {
     fn run(&self, circuit: &mut MappedCircuit, _ctx: &PassCtx) -> Result<PassReport, PassError> {
         let relaid: Vec<PhysOp> = circuit.layers_uniform().into_iter().flatten().collect();
         // A position counts as moved when its op differs, annotations
-        // included.
+        // included: the count is part of the artifact's pass report.
         let moved = Replay::new(circuit.initial_layout(), &relaid)
             .zip(circuit.replay())
             .filter(|(a, b)| a != b)
