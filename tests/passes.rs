@@ -87,6 +87,122 @@ fn opt_level_1_is_byte_identical_to_the_pre_refactor_compilers() {
     }
 }
 
+/// Digests of the constructs the registry defaults above do not reach —
+/// the strict lattice IE, both 2×N blocks, irregular heavy-hex dangler
+/// patterns and a descending line — plus three larger registry cells,
+/// captured at commit ca67b24, before the line schedule streamed and the
+/// Sycamore and lattice unit loops became one driver.
+#[rustfmt::skip]
+const CONSTRUCT_DIGESTS: &[(&str, u64)] = &[
+    ("lattice-strict:3", 0x69083ba262228bc8),
+    ("lattice-strict:4", 0x2d772f1126dd9795),
+    ("lattice-strict:5", 0x7fe3e8635748d807),
+    ("lattice-strict:6", 0xd281c73bc93f5b48),
+    ("lattice-strict:7", 0x3fc8facd45f65a2a),
+    ("lattice-strict:8", 0x989bf2a186c031ee),
+    ("two-row:2", 0x97ac2fafd9ba9a49),
+    ("two-row-interleaved:2", 0xf71dd009c4101349),
+    ("two-row:3", 0x8090a56713208fb0),
+    ("two-row-interleaved:3", 0x671a88889641d2f1),
+    ("two-row:4", 0x7c352c77b418c2e1),
+    ("two-row-interleaved:4", 0x8d34f8ca4d2d3fed),
+    ("two-row:5", 0x1a32444bf82d1b73),
+    ("two-row-interleaved:5", 0x2793e6d6f8342774),
+    ("two-row:6", 0x2255d6f58be2ef45),
+    ("two-row-interleaved:6", 0x35b84291d278bc11),
+    ("two-row:7", 0x760e7706362cc839),
+    ("two-row-interleaved:7", 0x6ab26547525b1602),
+    ("two-row:8", 0x51d279a602b5804f),
+    ("two-row-interleaved:8", 0xe766bb876fcdfca5),
+    ("heavyhex:6[0]", 0x8ce79aa1afa65a54),
+    ("heavyhex:6[5]", 0xc34eef19a18c7818),
+    ("heavyhex:8[2, 3]", 0xc29094fbf6d4b7ea),
+    ("heavyhex:10[0, 4, 9]", 0xdb1149d237e4ab0e),
+    ("heavyhex:12[1, 2, 3, 4]", 0xbf0a2ba3814195ff),
+    ("heavyhex:9[]", 0x210d83a7de521df0),
+    ("line-descending:7", 0x2a0fe7eb805d6fce),
+    ("line-descending:12", 0x77520a39d713c91f),
+    ("sycamore@sycamore:8", 0xb35cea27216d5586),
+    ("lattice@lattice:12", 0xfb5f06c9d28da20f),
+    ("lnn@lnn:64", 0x14aba519c5ce241c),
+];
+
+/// The circuits [`CONSTRUCT_DIGESTS`] pins, labelled in table order.
+fn construct_cells() -> Vec<(String, MappedCircuit)> {
+    use qft_kernels::arch::heavyhex::HeavyHex;
+    use qft_kernels::arch::lattice::LatticeSurgery;
+    use qft_kernels::core::{
+        compile_heavyhex, compile_lattice_with, compile_two_row, compile_two_row_interleaved,
+        run_line_qft, IeMode, PathOrder,
+    };
+    use qft_kernels::ir::Layout;
+
+    let mut cells = Vec::new();
+    for m in 3..=8 {
+        let mc = compile_lattice_with(&LatticeSurgery::new(m), IeMode::Strict);
+        cells.push((format!("lattice-strict:{m}"), mc));
+    }
+    for cols in 2..=8 {
+        cells.push((format!("two-row:{cols}"), compile_two_row(cols)));
+        let mc = compile_two_row_interleaved(cols);
+        cells.push((format!("two-row-interleaved:{cols}"), mc));
+    }
+    let danglers: [(usize, &[usize]); 6] = [
+        (6, &[0]),
+        (6, &[5]),
+        (8, &[2, 3]),
+        (10, &[0, 4, 9]),
+        (12, &[1, 2, 3, 4]),
+        (9, &[]),
+    ];
+    for (n_main, ds) in danglers {
+        let mc = compile_heavyhex(&HeavyHex::with_danglers(n_main, ds));
+        cells.push((format!("heavyhex:{n_main}{ds:?}"), mc));
+    }
+    for n in [7u32, 12] {
+        let phys_of = (0..n).map(|l| PhysicalQubit(n - 1 - l)).collect();
+        let mut b = MappedCircuitBuilder::new(Layout::from_assignment(phys_of, n as usize));
+        let path: Vec<PhysicalQubit> = (0..n).map(PhysicalQubit).collect();
+        run_line_qft(&mut b, &path, 0, PathOrder::Descending);
+        cells.push((format!("line-descending:{n}"), b.finish()));
+    }
+    for (compiler, spec) in [
+        ("sycamore", "sycamore:8"),
+        ("lattice", "lattice:12"),
+        ("lnn", "lnn:64"),
+    ] {
+        let t = Target::parse(spec).unwrap();
+        let r = registry()
+            .compile(compiler, &t, &CompileOptions::default())
+            .unwrap_or_else(|e| panic!("{compiler} on {spec}: {e}"));
+        cells.push((format!("{compiler}@{spec}"), r.circuit));
+    }
+    cells
+}
+
+#[test]
+fn constructs_are_byte_identical_to_the_materialized_schedule() {
+    let cells = construct_cells();
+    let labels: Vec<&str> = cells.iter().map(|(label, _)| label.as_str()).collect();
+    let pinned: Vec<&str> = CONSTRUCT_DIGESTS.iter().map(|&(label, _)| label).collect();
+    assert_eq!(labels, pinned, "construct table out of step with its cells");
+    let diverged: Vec<String> = cells
+        .iter()
+        .zip(CONSTRUCT_DIGESTS)
+        .filter_map(|((label, mc), &(_, expected))| {
+            let got = digest(mc);
+            (got != expected).then(|| format!("{label}: {got:#018x}"))
+        })
+        .collect();
+    assert!(
+        diverged.is_empty(),
+        "constructs diverged on {} of {} cells:\n{}",
+        diverged.len(),
+        CONSTRUCT_DIGESTS.len(),
+        diverged.join("\n")
+    );
+}
+
 /// One SABRE cell: target, DAG mode, random initial layout seed (`None`
 /// is the identity layout), AQFT degree (`None` is the exact QFT),
 /// opt_level, and the digest of the routed circuit.
