@@ -69,7 +69,9 @@ mod tests {
         let m = 8;
         let l = LatticeSurgery::new(m);
         let lnn_depth = l.graph().depth_of(&lnn_on_lattice(&l));
-        let ours_depth = l.graph().depth_of(&qft_core::lattice::compile_lattice(&l));
+        let ours_depth = l
+            .graph()
+            .depth_of(&qft_core::compile_lattice(&l, qft_core::IeMode::Relaxed));
         assert!(
             ours_depth < lnn_depth,
             "ours {ours_depth} !< lnn-path {lnn_depth} at m={m}"

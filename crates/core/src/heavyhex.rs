@@ -31,7 +31,6 @@ use crate::progress::QftProgress;
 use qft_arch::heavyhex::HeavyHex;
 use qft_ir::circuit::{MappedCircuit, MappedCircuitBuilder};
 use qft_ir::gate::{GateKind, PhysicalQubit};
-use qft_ir::qft::rotation_order;
 
 /// Compiles the QFT for all `N` qubits of a heavy-hex device.
 ///
@@ -57,7 +56,7 @@ pub fn compile_heavyhex(hh: &HeavyHex) -> MappedCircuit {
         let mut busy = vec![false; n];
         // Staged ops: collect within the layer so state reads are
         // layer-consistent, then emit.
-        let mut cphases: Vec<(PhysicalQubit, PhysicalQubit, u32, u32)> = Vec::new();
+        let mut cphases: Vec<(PhysicalQubit, PhysicalQubit, u32)> = Vec::new();
         let mut swaps: Vec<(PhysicalQubit, PhysicalQubit)> = Vec::new();
 
         // Phase A — vertical ops at every junction. These take priority over
@@ -69,9 +68,8 @@ pub fn compile_heavyhex(hh: &HeavyHex) -> MappedCircuit {
             let pd = hh.dangler_below(i).expect("dangler position");
             let m = logical_at(&builder, pm);
             let v = logical_at(&builder, pd);
-            if prog.cphase_eligible(m, v) {
-                cphases.push((pm, pd, m, v));
-                prog.mark_pair(m, v);
+            if let Some(k) = prog.try_pair(m, v) {
+                cphases.push((pm, pd, k));
                 busy[pm.index()] = true;
                 busy[pd.index()] = true;
             } else if m < v && prog.pair_done(m, v) {
@@ -87,9 +85,8 @@ pub fn compile_heavyhex(hh: &HeavyHex) -> MappedCircuit {
             if !busy[pm.index()] && !busy[pr.index()] {
                 let a = logical_at(&builder, pm);
                 let b = logical_at(&builder, pr);
-                if prog.cphase_eligible(a, b) {
-                    cphases.push((pm, pr, a, b));
-                    prog.mark_pair(a, b);
+                if let Some(k) = prog.try_pair(a, b) {
+                    cphases.push((pm, pr, k));
                     busy[pm.index()] = true;
                     busy[pr.index()] = true;
                 } else if a < b && prog.pair_done(a, b) {
@@ -137,8 +134,7 @@ pub fn compile_heavyhex(hh: &HeavyHex) -> MappedCircuit {
                 hh.graph().name()
             );
         }
-        for (a, b, la, lb) in cphases {
-            let k = rotation_order(la, lb);
+        for (a, b, k) in cphases {
             builder.push_2q_phys(GateKind::Cphase { k }, a, b);
         }
         for (a, b) in swaps {

@@ -3,7 +3,9 @@
 //! The rotated grid (Fig. 15(a)) has fast intra-row links (SWAP depth 2)
 //! and CNOT-only inter-row links (SWAP = 3 CNOTs = depth 6, plain two-qubit
 //! gates depth 2). Each row is a *unit*; the `m` units follow the same
-//! unit-level LNN QFT wavefront as Sycamore, with FT-specific pieces:
+//! unit-level LNN QFT wavefront as Sycamore — the shared driver
+//! [`run_unit_qft`] (Fig. 14), which owns QFT-IA — with FT-specific pieces
+//! supplied here:
 //!
 //! * **QFT-IA** — intra-row LNN QFT over the fast links;
 //! * **QFT-IE** — the relaxed synced pattern synthesized for the regular 2D
@@ -25,13 +27,11 @@
 //! by `CompileOptions::opt_level`) runs afterwards in
 //! `qft_core::pipeline::finish_result`.
 
-use crate::line::{line_qft_schedule, LineOp};
-use crate::lnn::{run_line_qft, PathOrder};
+use crate::lnn::run_unit_qft;
 use crate::progress::QftProgress;
 use qft_arch::lattice::LatticeSurgery;
 use qft_ir::circuit::{MappedCircuit, MappedCircuitBuilder};
-use qft_ir::gate::{GateKind, LogicalQubit, PhysicalQubit};
-use qft_ir::qft::rotation_order;
+use qft_ir::gate::PhysicalQubit;
 use serde::{Deserialize, Serialize};
 
 /// Which inter-unit interaction schedule to use (§3.3's ablation: the
@@ -47,85 +47,23 @@ pub enum IeMode {
 }
 
 /// Compiles the QFT for all `N = m²` qubits of a lattice-surgery device
-/// (relaxed inter-unit ordering — the paper's QFT configuration).
-pub fn compile_lattice(l: &LatticeSurgery) -> MappedCircuit {
-    compile_lattice_with(l, IeMode::Relaxed)
-}
-
-/// Compiles with an explicit inter-unit mode, for the relaxed-vs-strict
-/// ablation.
-pub fn compile_lattice_with(l: &LatticeSurgery, ie: IeMode) -> MappedCircuit {
-    let m = l.m;
-    let n = l.n_qubits();
+/// with the inter-unit mode `ie` ([`IeMode::Relaxed`] is the paper's QFT
+/// configuration; [`IeMode::Strict`] is the §3.3 ablation).
+pub fn compile_lattice(l: &LatticeSurgery, ie: IeMode) -> MappedCircuit {
+    let rows: Vec<Vec<PhysicalQubit>> = (0..l.m)
+        .map(|r| (0..l.m).map(|c| l.at(r, c)).collect())
+        .collect();
     let mut builder = MappedCircuitBuilder::new(l.initial_layout());
-    let mut prog = QftProgress::new(n);
-
-    let super_schedule = line_qft_schedule(m);
-    for layer in &super_schedule.layers {
-        for op in layer {
-            match *op {
-                LineOp::Activate { item, pos } => {
-                    qft_ia(l, &mut builder, &mut prog, item as u32, pos);
-                }
-                LineOp::Interact { pos_lo, pos_hi, .. } => {
-                    let top = pos_lo.min(pos_hi);
-                    match ie {
-                        IeMode::Relaxed => qft_ie_relaxed(l, &mut builder, &mut prog, top),
-                        IeMode::Strict => qft_ie_strict(l, &mut builder, &mut prog, top),
-                    }
-                }
-                LineOp::Swap { pos_left, .. } => {
-                    unit_swap(l, &mut builder, pos_left);
-                }
-            }
-        }
-    }
-    assert!(
-        prog.complete(),
-        "lattice compile incomplete: {:?}",
-        prog.status()
+    run_unit_qft(
+        &mut builder,
+        &rows,
+        |b, prog, top| match ie {
+            IeMode::Relaxed => qft_ie_relaxed(l, b, prog, top),
+            IeMode::Strict => qft_ie_strict(l, b, prog, top),
+        },
+        |b, top| unit_swap(l, b, top),
     );
     builder.finish()
-}
-
-/// Orientation of the block held by row `r`.
-fn row_orientation(
-    l: &LatticeSurgery,
-    builder: &MappedCircuitBuilder,
-    block: u32,
-    r: usize,
-) -> PathOrder {
-    let m = l.m as u32;
-    let base = block * m;
-    let first = builder.layout().logical(l.at(r, 0)).expect("occupied");
-    if first == LogicalQubit(base) {
-        PathOrder::Ascending
-    } else if first == LogicalQubit(base + m - 1) {
-        PathOrder::Descending
-    } else {
-        panic!("row {r} does not hold block {block} in sorted order (found {first})");
-    }
-}
-
-/// QFT-IA: intra-row LNN QFT on the fast links.
-fn qft_ia(
-    l: &LatticeSurgery,
-    builder: &mut MappedCircuitBuilder,
-    prog: &mut QftProgress,
-    block: u32,
-    r: usize,
-) {
-    let m = l.m;
-    let base = block * m as u32;
-    let order = row_orientation(l, builder, block, r);
-    let path: Vec<PhysicalQubit> = (0..m).map(|c| l.at(r, c)).collect();
-    run_line_qft(builder, &path, base, order);
-    for i in 0..m as u32 {
-        prog.mark_h(base + i);
-        for j in (i + 1)..m as u32 {
-            prog.mark_pair(base + i, base + j);
-        }
-    }
 }
 
 /// QFT-IE-relaxed between rows `top` and `top + 1` (Fig. 30(b)): `m`
@@ -142,14 +80,7 @@ fn qft_ie_relaxed(
 
     let fire_columns = |builder: &mut MappedCircuitBuilder, prog: &mut QftProgress| {
         for c in 0..m {
-            let (pa, pb) = (l.at(top, c), l.at(bot, c));
-            let la = builder.layout().logical(pa).unwrap().0;
-            let lb = builder.layout().logical(pb).unwrap().0;
-            if prog.cphase_eligible(la, lb) {
-                let k = rotation_order(la, lb);
-                builder.push_2q_phys(GateKind::Cphase { k }, pa, pb);
-                prog.mark_pair(la, lb);
-            }
+            prog.fire(builder, l.at(top, c), l.at(bot, c));
         }
     };
 
@@ -188,14 +119,7 @@ fn qft_ie_strict(
 
     let fire_columns = |builder: &mut MappedCircuitBuilder, prog: &mut QftProgress, end: usize| {
         for c in 0..end.min(m) {
-            let (pa, pb) = (l.at(top, c), l.at(bot, c));
-            let la = builder.layout().logical(pa).unwrap().0;
-            let lb = builder.layout().logical(pb).unwrap().0;
-            if prog.cphase_eligible(la, lb) {
-                let k = rotation_order(la, lb);
-                builder.push_2q_phys(GateKind::Cphase { k }, pa, pb);
-                prog.mark_pair(la, lb);
-            }
+            prog.fire(builder, l.at(top, c), l.at(bot, c));
         }
     };
     // Swap pairs (j, j+1) for j = beg, beg+2, … while j+1 ≤ end.
@@ -240,7 +164,7 @@ mod tests {
     fn lattice_verifies_symbolically() {
         for m in [2usize, 3, 4, 5, 6, 8, 10] {
             let l = LatticeSurgery::new(m);
-            let mc = compile_lattice(&l);
+            let mc = compile_lattice(&l, IeMode::Relaxed);
             let n = l.n_qubits();
             let report =
                 verify_qft_mapping(&mc, l.graph()).unwrap_or_else(|e| panic!("m={m}: {e}"));
@@ -252,7 +176,7 @@ mod tests {
     fn lattice_small_unitarily_correct() {
         for m in [2usize, 3] {
             let l = LatticeSurgery::new(m);
-            let mc = compile_lattice(&l);
+            let mc = compile_lattice(&l, IeMode::Relaxed);
             assert!(qft_sim::equiv::mapped_equals_qft(&mc, 3), "m={m}");
         }
     }
@@ -264,7 +188,7 @@ mod tests {
         // above that — assert linearity with headroom and monotone ratio).
         let ratio = |m: usize| {
             let l = LatticeSurgery::new(m);
-            let mc = compile_lattice(&l);
+            let mc = compile_lattice(&l, IeMode::Relaxed);
             l.graph().depth_of(&mc) as f64 / (m * m) as f64
         };
         let r10 = ratio(10);
@@ -278,8 +202,8 @@ mod tests {
         // §3.3: the relaxed inter-unit ordering buys ~2× in the IE stages.
         for m in [4usize, 6, 8] {
             let l = LatticeSurgery::new(m);
-            let relaxed = compile_lattice_with(&l, IeMode::Relaxed);
-            let strict = compile_lattice_with(&l, IeMode::Strict);
+            let relaxed = compile_lattice(&l, IeMode::Relaxed);
+            let strict = compile_lattice(&l, IeMode::Strict);
             verify_qft_mapping(&strict, l.graph()).unwrap_or_else(|e| panic!("m={m}: {e}"));
             let (dr, ds) = (l.graph().depth_of(&relaxed), l.graph().depth_of(&strict));
             assert!(ds > dr, "m={m}: strict {ds} not slower than relaxed {dr}");
@@ -289,7 +213,7 @@ mod tests {
     #[test]
     fn strict_mode_small_unitarily_correct() {
         let l = LatticeSurgery::new(3);
-        let mc = compile_lattice_with(&l, IeMode::Strict);
+        let mc = compile_lattice(&l, IeMode::Strict);
         assert!(qft_sim::equiv::mapped_equals_qft(&mc, 3));
     }
 
@@ -297,7 +221,7 @@ mod tests {
     fn swap_counts_scale_quadratically() {
         // ~N²-ish SWAP totals like Table 1 (2700 @ 10x10 scale).
         let l = LatticeSurgery::new(10);
-        let mc = compile_lattice(&l);
+        let mc = compile_lattice(&l, IeMode::Relaxed);
         let swaps = mc.swap_count();
         assert!(swaps > 1000 && swaps < 20_000, "swaps={swaps}");
     }

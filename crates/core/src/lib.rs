@@ -27,9 +27,9 @@ pub mod target;
 pub mod two_row;
 
 pub use heavyhex::compile_heavyhex;
-pub use lattice::{compile_lattice, compile_lattice_with, IeMode};
-pub use line::{line_qft_schedule, LineOp, LineSchedule};
-pub use lnn::{compile_lnn, run_line_qft, PathOrder};
+pub use lattice::{compile_lattice, IeMode};
+pub use line::{line_qft_schedule, LineOp};
+pub use lnn::{compile_lnn, run_line_qft, run_unit_qft, PathOrder};
 pub use pipeline::{
     finish_result, pass_manager_for, validate_approximation, CompileError, CompileOptions,
     CompileResult, HeavyHexMapper, LatencyModel, LatticeMapper, LnnMapper, QftCompiler,

@@ -1,11 +1,13 @@
-//! The LNN QFT schedule (§2.2, Fig. 3) as an *abstract* line program.
+//! The LNN QFT schedule (§2.2, Fig. 3) as an *abstract* line program,
+//! streamed as the greedy wavefront makes it.
 //!
 //! The generator below produces the activation-wavefront schedule for `n`
 //! items on a line. "Item" is deliberately abstract: at qubit level an item
-//! is a logical qubit and the ops are H/CPHASE/SWAP; at *unit* level
-//! (Fig. 14) an item is a whole unit and the ops become QFT-IA, QFT-IE and
-//! a unit SWAP. Both Sycamore (§5) and lattice surgery (§6) instantiate the
-//! same schedule at unit granularity — this is the paper's sub-kernel
+//! is a logical qubit and the ops are H/CPHASE/SWAP
+//! ([`crate::lnn::run_line_qft`]); at *unit* level (Fig. 14) an item is a
+//! whole unit and the ops become QFT-IA, QFT-IE and a unit SWAP
+//! ([`crate::lnn::run_unit_qft`], which Sycamore (§5) and lattice surgery
+//! (§6) instantiate). This one generator is the paper's sub-kernel
 //! reduction to the low-dimensional base case.
 //!
 //! ## The schedule
@@ -21,19 +23,17 @@
 //!   `H`.
 //!
 //! The eligibility gating (`H(i)` before `CP(i,j)` before `H(j)`) is exactly
-//! Type II of §3.1, and is what staggers the wavefront into the familiar
-//! 4N−6 two-qubit-layer triangle rather than a 2N sorting network.
-//!
-//! This module is a *construct* stage of the pass pipeline: it emits the
-//! raw analytical schedule, and the shared `qft_ir::passes` tail (chosen
-//! by `CompileOptions::opt_level`) runs afterwards in
-//! `qft_core::pipeline::finish_result`.
+//! Type II of §3.1, tracked by [`QftProgress`], and is what staggers the
+//! wavefront into the familiar 4N−6 two-qubit-layer triangle rather than a
+//! 2N sorting network. Nothing in it needs search state (Maslov,
+//! quant-ph/0703211), so each op goes to the caller as soon as it is made
+//! and no schedule is ever stored.
 
-use serde::{Deserialize, Serialize};
+use crate::progress::QftProgress;
 
 /// One abstract operation on the line. Items are labeled by their *initial*
 /// position (`0..n`); `pos_*` fields give current positions at execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LineOp {
     /// The single-item op (H at qubit level, QFT-IA at unit level).
     Activate {
@@ -66,156 +66,70 @@ pub enum LineOp {
     },
 }
 
-/// A parallel layer of line ops (disjoint positions).
-pub type LineLayer = Vec<LineOp>;
-
-/// Full LNN QFT schedule for `n` items, plus the final permutation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LineSchedule {
-    /// Parallel layers in time order.
-    pub layers: Vec<LineLayer>,
-    /// `perm[pos]` = item ending at `pos` (always the reversal `n-1-pos`).
-    pub final_order: Vec<usize>,
-}
-
-impl LineSchedule {
-    /// Number of layers containing at least one two-item op (the paper's
-    /// cycle count; 4N−6 for `n ≥ 2`).
-    pub fn two_item_depth(&self) -> usize {
-        self.layers
-            .iter()
-            .filter(|l| l.iter().any(|op| !matches!(op, LineOp::Activate { .. })))
-            .count()
-    }
-
-    /// Number of swaps in the schedule (`n(n-1)/2`).
-    pub fn swap_count(&self) -> usize {
-        self.layers
-            .iter()
-            .flatten()
-            .filter(|op| matches!(op, LineOp::Swap { .. }))
-            .count()
-    }
-
-    /// Number of pairwise interactions (`n(n-1)/2`).
-    pub fn interaction_count(&self) -> usize {
-        self.layers
-            .iter()
-            .flatten()
-            .filter(|op| matches!(op, LineOp::Interact { .. }))
-            .count()
-    }
-}
-
-/// Generates the LNN QFT schedule for `n` items.
+/// Runs the LNN QFT schedule for `n` items, handing each op to `emit` with
+/// the index of its parallel layer (ops of one layer touch disjoint
+/// positions). Layers arrive in time order; within a layer the two-item
+/// ops come left→right, then the activations. The items end reversed:
+/// position `p` holds item `n-1-p`. `n = 0` emits nothing.
 ///
 /// # Panics
-/// Panics (debug assertion of a structural bug) if the greedy wavefront ever
-/// stalls — by construction it cannot for `n ≥ 1`.
-pub fn line_qft_schedule(n: usize) -> LineSchedule {
-    let mut layers: Vec<LineLayer> = Vec::new();
+/// Panics (a structural bug) if the greedy wavefront ever stalls — by
+/// construction it cannot for `n ≥ 1`.
+pub fn line_qft_schedule(n: usize, mut emit: impl FnMut(usize, LineOp)) {
     if n == 0 {
-        return LineSchedule {
-            layers,
-            final_order: Vec::new(),
-        };
+        return;
     }
-    // at[pos] = item; pos_of[item] = pos.
+    // at[pos] = item.
     let mut at: Vec<usize> = (0..n).collect();
-    let mut pair_done = PairSet::new(n);
-    let mut activated = vec![false; n];
-    let mut low_done = vec![0usize; n]; // # done pairs (k, q), k < q
-    let mut n_pairs_done = 0usize;
-    let mut n_activated = 0usize;
-    let total_pairs = n * (n - 1) / 2;
-
-    while n_pairs_done < total_pairs || n_activated < n {
-        let mut layer: LineLayer = Vec::new();
-        let mut busy = vec![false; n];
-        let mut i = 0usize;
+    let mut prog = QftProgress::new(n);
+    let mut busy = vec![false; n];
+    let mut layer = 0;
+    while !prog.complete() {
+        busy.fill(false);
+        let mut emitted = false;
+        let mut i = 0;
         while i + 1 < n {
             let (a, b) = (at[i], at[i + 1]);
-            let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-            if !pair_done.get(lo, hi) && activated[lo] {
-                layer.push(LineOp::Interact {
+            let op = if prog.try_pair(a as u32, b as u32).is_some() {
+                let (lo, hi, pos_lo, pos_hi) = if a < b {
+                    (a, b, i, i + 1)
+                } else {
+                    (b, a, i + 1, i)
+                };
+                LineOp::Interact {
                     lo,
                     hi,
-                    pos_lo: if a == lo { i } else { i + 1 },
-                    pos_hi: if a == hi { i } else { i + 1 },
-                });
-                pair_done.set(lo, hi);
-                low_done[hi] += 1;
-                n_pairs_done += 1;
-                busy[i] = true;
-                busy[i + 1] = true;
-                i += 2;
-            } else if pair_done.get(lo, hi) && a < b {
-                layer.push(LineOp::Swap {
+                    pos_lo,
+                    pos_hi,
+                }
+            } else if a < b && prog.pair_done(a as u32, b as u32) {
+                at.swap(i, i + 1);
+                LineOp::Swap {
                     a,
                     b,
                     pos_left: i,
                     pos_right: i + 1,
-                });
-                at.swap(i, i + 1);
-                busy[i] = true;
-                busy[i + 1] = true;
-                i += 2;
+                }
             } else {
                 i += 1;
-            }
+                continue;
+            };
+            emit(layer, op);
+            emitted = true;
+            busy[i] = true;
+            busy[i + 1] = true;
+            i += 2;
         }
         // Activation (H) on idle, eligible items.
         for (pos, &item) in at.iter().enumerate() {
-            if !busy[pos] && !activated[item] && low_done[item] == item {
-                layer.push(LineOp::Activate { item, pos });
-                activated[item] = true;
-                n_activated += 1;
+            if !busy[pos] && prog.h_eligible(item as u32) {
+                prog.mark_h(item as u32);
+                emit(layer, LineOp::Activate { item, pos });
+                emitted = true;
             }
         }
-        assert!(
-            !layer.is_empty(),
-            "LNN schedule stalled at {n_pairs_done}/{total_pairs} pairs, {n_activated}/{n} activations"
-        );
-        layers.push(layer);
-    }
-    LineSchedule {
-        layers,
-        final_order: at,
-    }
-}
-
-/// Compact triangular bitset over unordered pairs.
-#[derive(Debug, Clone)]
-pub(crate) struct PairSet {
-    n: usize,
-    bits: Vec<u64>,
-}
-
-impl PairSet {
-    pub(crate) fn new(n: usize) -> Self {
-        let words = (n * n).div_ceil(64);
-        PairSet {
-            n,
-            bits: vec![0; words],
-        }
-    }
-
-    #[inline]
-    fn idx(&self, lo: usize, hi: usize) -> usize {
-        debug_assert!(lo < hi && hi < self.n);
-        lo * self.n + hi
-    }
-
-    #[inline]
-    pub(crate) fn get(&self, lo: usize, hi: usize) -> bool {
-        let i = self.idx(lo, hi);
-        self.bits[i / 64] >> (i % 64) & 1 == 1
-    }
-
-    #[inline]
-    pub(crate) fn set(&mut self, lo: usize, hi: usize) {
-        let i = self.idx(lo, hi);
-        self.bits[i / 64] |= 1 << (i % 64);
+        assert!(emitted, "LNN schedule stalled: {:?}", prog.status());
+        layer += 1;
     }
 }
 
@@ -223,13 +137,25 @@ impl PairSet {
 mod tests {
     use super::*;
 
-    /// Replays a schedule, checking structural invariants; returns the
-    /// final item order.
-    fn replay(n: usize, s: &LineSchedule) -> Vec<usize> {
+    /// The schedule for `n` items, collected into its parallel layers.
+    fn layers(n: usize) -> Vec<Vec<LineOp>> {
+        let mut layers: Vec<Vec<LineOp>> = Vec::new();
+        line_qft_schedule(n, |layer, op| {
+            if layer == layers.len() {
+                layers.push(Vec::new());
+            }
+            layers[layer].push(op);
+        });
+        layers
+    }
+
+    /// Replays a schedule, checking structural invariants and Type-II
+    /// order with a tracker of its own; returns the final item order.
+    fn replay(n: usize, layers: &[Vec<LineOp>]) -> Vec<usize> {
         let mut at: Vec<usize> = (0..n).collect();
         let mut act = vec![false; n];
-        let mut done = PairSet::new(n.max(1));
-        for layer in &s.layers {
+        let mut done = vec![false; n * n];
+        for layer in layers {
             let mut used = vec![false; n];
             let claim = |pos: usize, used: &mut Vec<bool>| {
                 assert!(!used[pos], "position {pos} used twice in a layer");
@@ -242,7 +168,7 @@ mod tests {
                         claim(pos, &mut used);
                         // Type II: all lower pairs done.
                         for k in 0..item {
-                            assert!(done.get(k, item), "H({item}) before pair ({k},{item})");
+                            assert!(done[k * n + item], "H({item}) before pair ({k},{item})");
                         }
                         assert!(!act[item]);
                         act[item] = true;
@@ -260,8 +186,8 @@ mod tests {
                         claim(pos_hi, &mut used);
                         assert!(act[lo], "CP({lo},{hi}) before H({lo})");
                         assert!(!act[hi], "CP({lo},{hi}) after H({hi})");
-                        assert!(!done.get(lo, hi), "duplicate pair");
-                        done.set(lo, hi);
+                        assert!(!done[lo * n + hi], "duplicate pair");
+                        done[lo * n + hi] = true;
                     }
                     LineOp::Swap {
                         a,
@@ -283,7 +209,7 @@ mod tests {
         for (lo, &active) in act.iter().enumerate() {
             assert!(active, "item {lo} never activated");
             for hi in lo + 1..n {
-                assert!(done.get(lo, hi), "pair ({lo},{hi}) missing");
+                assert!(done[lo * n + hi], "pair ({lo},{hi}) missing");
             }
         }
         at
@@ -292,40 +218,42 @@ mod tests {
     #[test]
     fn schedules_are_valid_and_reverse_the_line() {
         for n in 1..=40 {
-            let s = line_qft_schedule(n);
-            let fin = replay(n, &s);
+            let layers = layers(n);
+            let fin = replay(n, &layers);
             let expect: Vec<usize> = (0..n).rev().collect();
             assert_eq!(fin, expect, "n={n}");
-            assert_eq!(s.final_order, expect);
-            assert_eq!(s.swap_count(), n * (n - 1) / 2);
-            assert_eq!(s.interaction_count(), n * (n - 1) / 2);
+            let count = |f: fn(&LineOp) -> bool| layers.iter().flatten().filter(|op| f(op)).count();
+            assert_eq!(
+                count(|op| matches!(op, LineOp::Swap { .. })),
+                n * (n - 1) / 2
+            );
+            assert_eq!(
+                count(|op| matches!(op, LineOp::Interact { .. })),
+                n * (n - 1) / 2
+            );
         }
     }
 
     #[test]
-    fn two_item_depth_is_4n_minus_6() {
+    fn two_item_depth_is_4n_minus_6_in_4n_minus_4_layers() {
         // The paper's LNN cycle count (Appendix 3 Part I): 2N-3 interaction
-        // layers + 2N-3 swap layers.
+        // layers + 2N-3 swap layers. Activation-only layers add exactly 2
+        // (the first H and the last H).
         for n in 2..=40 {
-            let s = line_qft_schedule(n);
-            assert_eq!(s.two_item_depth(), 4 * n - 6, "n={n}");
+            let layers = layers(n);
+            let two_item = layers
+                .iter()
+                .filter(|l| l.iter().any(|op| !matches!(op, LineOp::Activate { .. })))
+                .count();
+            assert_eq!(two_item, 4 * n - 6, "n={n}");
+            assert_eq!(layers.len(), 4 * n - 4, "n={n}");
         }
     }
 
     #[test]
-    fn total_layers_close_to_two_item_depth() {
-        // Activation-only layers add exactly 2 (the first H and the last H).
-        for n in 2..=20 {
-            let s = line_qft_schedule(n);
-            assert_eq!(s.layers.len(), 4 * n - 4, "n={n}");
-        }
-    }
-
-    #[test]
-    fn n1_is_single_activation() {
-        let s = line_qft_schedule(1);
-        assert_eq!(s.layers.len(), 1);
-        assert_eq!(s.layers[0], vec![LineOp::Activate { item: 0, pos: 0 }]);
+    fn n0_is_empty_and_n1_is_single_activation() {
+        assert!(layers(0).is_empty());
+        assert_eq!(layers(1), vec![vec![LineOp::Activate { item: 0, pos: 0 }]]);
     }
 
     #[test]
@@ -334,26 +262,11 @@ mod tests {
         // the top, it stops for one time step" — every H (except possibly
         // q0's, also at the top initially) fires at position 0.
         for n in 2..=12 {
-            let s = line_qft_schedule(n);
-            for layer in &s.layers {
-                for op in layer {
-                    if let LineOp::Activate { pos, .. } = op {
-                        assert_eq!(*pos, 0, "n={n}");
-                    }
+            line_qft_schedule(n, |_, op| {
+                if let LineOp::Activate { pos, .. } = op {
+                    assert_eq!(pos, 0, "n={n}");
                 }
-            }
+            });
         }
-    }
-
-    #[test]
-    fn pairset_roundtrip() {
-        let mut ps = PairSet::new(10);
-        assert!(!ps.get(2, 7));
-        ps.set(2, 7);
-        assert!(ps.get(2, 7));
-        assert!(!ps.get(2, 8));
-        ps.set(0, 1);
-        ps.set(8, 9);
-        assert!(ps.get(0, 1) && ps.get(8, 9));
     }
 }

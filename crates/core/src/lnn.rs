@@ -1,12 +1,21 @@
-//! The concrete LNN QFT compiler: instantiates the abstract line schedule
-//! ([`crate::line`]) on a physical path with real gates.
+//! The LNN QFT compiler and the two drivers of the one line schedule
+//! ([`crate::line`]):
 //!
-//! This module is a *construct* stage of the pass pipeline: it emits the
-//! raw analytical schedule, and the shared `qft_ir::passes` tail (chosen
-//! by `CompileOptions::opt_level`) runs afterwards in
+//! * [`run_line_qft`] runs it at qubit level on a physical path — the
+//!   paper's base case (§2.2), and the QFT-IA of every unit;
+//! * [`run_unit_qft`] runs it at unit level (Fig. 14): the units of a
+//!   device form a line, and the same wavefront fires QFT-IA, the device's
+//!   QFT-IE pattern and its unit SWAP. Sycamore (§5) and lattice surgery
+//!   (§6) supply only those last two.
+//!
+//! Both consume the schedule as it is generated. This module is a
+//! *construct* stage of the pass pipeline: it emits the raw analytical
+//! schedule, and the shared `qft_ir::passes` tail (chosen by
+//! `CompileOptions::opt_level`) runs afterwards in
 //! `qft_core::pipeline::finish_result`.
 
 use crate::line::{line_qft_schedule, LineOp};
+use crate::progress::QftProgress;
 use qft_ir::circuit::{MappedCircuit, MappedCircuitBuilder};
 use qft_ir::gate::{GateKind, LogicalQubit, PhysicalQubit};
 use qft_ir::layout::Layout;
@@ -37,67 +46,95 @@ pub fn run_line_qft(
     order: PathOrder,
 ) {
     let len = path.len();
-    if len == 0 {
-        return;
-    }
-    // Check the precondition: path position p holds the expected logical.
-    let logical_of_item = |item: usize| -> LogicalQubit { LogicalQubit(base + item as u32) };
-    let item_pos = |pos: usize| match order {
-        PathOrder::Ascending => pos,
-        PathOrder::Descending => len - 1 - pos,
+    // The physical site of schedule position `pos`, which initially holds
+    // logical `base + pos`.
+    let site = |pos: usize| match order {
+        PathOrder::Ascending => path[pos],
+        PathOrder::Descending => path[len - 1 - pos],
     };
-    for (pos, &phys) in path.iter().enumerate() {
-        let expect = logical_of_item(item_pos(pos));
+    for pos in 0..len {
+        let expect = LogicalQubit(base + pos as u32);
         debug_assert_eq!(
-            builder.layout().logical(phys),
+            builder.layout().logical(site(pos)),
             Some(expect),
-            "path position {pos} does not hold {expect}"
+            "schedule position {pos} does not hold {expect}"
         );
     }
+    line_qft_schedule(len, |_, op| match op {
+        LineOp::Activate { pos, .. } => builder.push_1q_phys(GateKind::H, site(pos)),
+        LineOp::Interact {
+            lo,
+            hi,
+            pos_lo,
+            pos_hi,
+        } => {
+            let k = rotation_order(base + lo as u32, base + hi as u32);
+            builder.push_2q_phys(GateKind::Cphase { k }, site(pos_lo), site(pos_hi));
+        }
+        LineOp::Swap {
+            pos_left,
+            pos_right,
+            ..
+        } => builder.push_swap_phys(site(pos_left), site(pos_right)),
+    });
+}
 
-    let schedule = line_qft_schedule(len);
-    for layer in &schedule.layers {
-        for op in layer {
-            match *op {
-                LineOp::Activate { item, pos } => {
-                    let _ = item;
-                    builder.push_1q_phys(GateKind::H, path[item_pos_inv(pos, order, len)]);
-                }
-                LineOp::Interact {
-                    lo,
-                    hi,
-                    pos_lo,
-                    pos_hi,
-                } => {
-                    let (a, b) = (
-                        path[item_pos_inv(pos_lo, order, len)],
-                        path[item_pos_inv(pos_hi, order, len)],
-                    );
-                    let k = rotation_order(base + lo as u32, base + hi as u32);
-                    builder.push_2q_phys(GateKind::Cphase { k }, a, b);
-                }
-                LineOp::Swap {
-                    pos_left,
-                    pos_right,
-                    ..
-                } => {
-                    builder.push_swap_phys(
-                        path[item_pos_inv(pos_left, order, len)],
-                        path[item_pos_inv(pos_right, order, len)],
-                    );
+/// Runs the full QFT on a device whose `units` form a line (Fig. 14):
+/// `units[u]` is the line of physical qubits of the unit at position `u`,
+/// every unit has the same length `L`, and unit position `u` must
+/// initially hold the logical block `u·L .. (u+1)·L` in either order along
+/// its line.
+///
+/// The unit-level wavefront of [`line_qft_schedule`] drives three stages:
+///
+/// * **QFT-IA** (activate a unit) — [`run_line_qft`] along the unit's line,
+///   in whichever orientation its block currently has;
+/// * **QFT-IE** (interact two units) — `ie(builder, progress, top)` between
+///   unit positions `top` and `top + 1`. It must fire every pair across
+///   the two blocks through `progress` (see [`QftProgress::fire`]) and
+///   leave each unit holding its block in sorted order;
+/// * **unit SWAP** — `unit_swap(builder, left)` exchanges the blocks at
+///   unit positions `left` and `left + 1`.
+///
+/// # Panics
+/// Panics if a unit holds its block out of order at its QFT-IA, or if the
+/// stages leave a pair or an H undone.
+pub fn run_unit_qft(
+    builder: &mut MappedCircuitBuilder,
+    units: &[Vec<PhysicalQubit>],
+    mut ie: impl FnMut(&mut MappedCircuitBuilder, &mut QftProgress, usize),
+    mut unit_swap: impl FnMut(&mut MappedCircuitBuilder, usize),
+) {
+    let ul = units.first().map_or(0, Vec::len) as u32;
+    let mut prog = QftProgress::new(units.len() * ul as usize);
+    line_qft_schedule(units.len(), |_, op| match op {
+        LineOp::Activate { item, pos } => {
+            let line = &units[pos];
+            let base = item as u32 * ul;
+            let first = builder.layout().logical(line[0]).expect("occupied");
+            let order = if first == LogicalQubit(base) {
+                PathOrder::Ascending
+            } else if first == LogicalQubit(base + ul - 1) {
+                PathOrder::Descending
+            } else {
+                panic!("unit {pos} does not hold block {item} in sorted order (found {first})");
+            };
+            run_line_qft(builder, line, base, order);
+            for q in base..base + ul {
+                prog.mark_h(q);
+                for r in q + 1..base + ul {
+                    prog.mark_pair(q, r);
                 }
             }
         }
-    }
-}
-
-/// Maps an abstract schedule position to a path index honouring orientation.
-#[inline]
-fn item_pos_inv(pos: usize, order: PathOrder, len: usize) -> usize {
-    match order {
-        PathOrder::Ascending => pos,
-        PathOrder::Descending => len - 1 - pos,
-    }
+        LineOp::Interact { pos_lo, pos_hi, .. } => ie(builder, &mut prog, pos_lo.min(pos_hi)),
+        LineOp::Swap { pos_left, .. } => unit_swap(builder, pos_left),
+    });
+    assert!(
+        prog.complete(),
+        "unit-level QFT incomplete: {:?}",
+        prog.status()
+    );
 }
 
 /// Compiles the full QFT for `n` qubits on the LNN line (identity initial

@@ -17,7 +17,7 @@
 //! breakdown in [`CompileResult::passes`].
 
 use crate::target::{Target, TargetSpec};
-use crate::{compile_heavyhex, compile_lattice_with, compile_lnn, compile_sycamore, IeMode};
+use crate::{compile_heavyhex, compile_lattice, compile_lnn, compile_sycamore, IeMode};
 use qft_ir::circuit::MappedCircuit;
 use qft_ir::dag::DagMode;
 use qft_ir::metrics::Metrics;
@@ -612,17 +612,6 @@ fn wrong_family(compiler: &'static str, target: &Target, expected: &str) -> Comp
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LnnMapper;
 
-impl LnnMapper {
-    /// The construct stage: emits the raw wavefront schedule with no pass
-    /// tail (what `opt_level = 0` compiles reduce to).
-    pub fn construct(&self, target: &Target) -> Result<MappedCircuit, CompileError> {
-        let TargetSpec::Lnn { n } = target.spec() else {
-            return Err(wrong_family(self.name(), target, "LNN"));
-        };
-        Ok(compile_lnn(n))
-    }
-}
-
 impl QftCompiler for LnnMapper {
     fn name(&self) -> &'static str {
         "lnn"
@@ -642,24 +631,16 @@ impl QftCompiler for LnnMapper {
         opts: &CompileOptions,
     ) -> Result<CompileResult, CompileError> {
         let t0 = Instant::now();
-        let mc = self.construct(target)?;
-        finish_result(self.name(), target, opts, mc, t0)
+        let TargetSpec::Lnn { n } = target.spec() else {
+            return Err(wrong_family(self.name(), target, "LNN"));
+        };
+        finish_result(self.name(), target, opts, compile_lnn(n), t0)
     }
 }
 
 /// The Sycamore two-row-unit mapper (§5).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SycamoreMapper;
-
-impl SycamoreMapper {
-    /// The construct stage: emits the raw two-row-unit schedule.
-    pub fn construct(&self, target: &Target) -> Result<MappedCircuit, CompileError> {
-        let s = target
-            .as_sycamore()
-            .ok_or_else(|| wrong_family(self.name(), target, "Sycamore"))?;
-        Ok(compile_sycamore(s))
-    }
-}
 
 impl QftCompiler for SycamoreMapper {
     fn name(&self) -> &'static str {
@@ -680,24 +661,16 @@ impl QftCompiler for SycamoreMapper {
         opts: &CompileOptions,
     ) -> Result<CompileResult, CompileError> {
         let t0 = Instant::now();
-        let mc = self.construct(target)?;
-        finish_result(self.name(), target, opts, mc, t0)
+        let s = target
+            .as_sycamore()
+            .ok_or_else(|| wrong_family(self.name(), target, "Sycamore"))?;
+        finish_result(self.name(), target, opts, compile_sycamore(s), t0)
     }
 }
 
 /// The heavy-hex main-line-plus-danglers mapper (§4).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct HeavyHexMapper;
-
-impl HeavyHexMapper {
-    /// The construct stage: emits the raw main-line-plus-danglers schedule.
-    pub fn construct(&self, target: &Target) -> Result<MappedCircuit, CompileError> {
-        let hh = target
-            .as_heavy_hex()
-            .ok_or_else(|| wrong_family(self.name(), target, "heavy-hex"))?;
-        Ok(compile_heavyhex(hh))
-    }
-}
 
 impl QftCompiler for HeavyHexMapper {
     fn name(&self) -> &'static str {
@@ -718,28 +691,16 @@ impl QftCompiler for HeavyHexMapper {
         opts: &CompileOptions,
     ) -> Result<CompileResult, CompileError> {
         let t0 = Instant::now();
-        let mc = self.construct(target)?;
-        finish_result(self.name(), target, opts, mc, t0)
+        let hh = target
+            .as_heavy_hex()
+            .ok_or_else(|| wrong_family(self.name(), target, "heavy-hex"))?;
+        finish_result(self.name(), target, opts, compile_heavyhex(hh), t0)
     }
 }
 
 /// The lattice-surgery unit mapper (§6), latency-aware by construction.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LatticeMapper;
-
-impl LatticeMapper {
-    /// The construct stage: emits the raw unit schedule under `ie_mode`.
-    pub fn construct(
-        &self,
-        target: &Target,
-        ie_mode: IeMode,
-    ) -> Result<MappedCircuit, CompileError> {
-        let l = target
-            .as_lattice_surgery()
-            .ok_or_else(|| wrong_family(self.name(), target, "lattice-surgery"))?;
-        Ok(compile_lattice_with(l, ie_mode))
-    }
-}
 
 impl QftCompiler for LatticeMapper {
     fn name(&self) -> &'static str {
@@ -760,7 +721,10 @@ impl QftCompiler for LatticeMapper {
         opts: &CompileOptions,
     ) -> Result<CompileResult, CompileError> {
         let t0 = Instant::now();
-        let mc = self.construct(target, opts.ie_mode)?;
+        let l = target
+            .as_lattice_surgery()
+            .ok_or_else(|| wrong_family(self.name(), target, "lattice-surgery"))?;
+        let mc = compile_lattice(l, opts.ie_mode);
         finish_result(self.name(), target, opts, mc, t0)
     }
 }

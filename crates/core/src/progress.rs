@@ -1,14 +1,21 @@
-//! Global QFT progress tracking shared by the structured compilers: which
-//! pairs have interacted, which qubits are *active* (H fired), and the
-//! Type-II eligibility rules of §3.1.
+//! QFT progress tracking — the one Type-II tracker of the analytical
+//! mappers: which pairs have interacted, which qubits are *active* (H
+//! fired), and the eligibility rules of §3.1. The line schedule
+//! ([`crate::line`]) runs its wavefront on it at item level; every mapper
+//! that places CPHASEs outside that schedule (the unit-level IE patterns,
+//! the interleaved 2×N block, heavy-hex) fires them through
+//! [`QftProgress::fire`] or [`QftProgress::try_pair`].
 
-use crate::line::PairSet;
+use qft_ir::circuit::MappedCircuitBuilder;
+use qft_ir::gate::{GateKind, PhysicalQubit};
+use qft_ir::qft::rotation_order;
 
 /// Tracks interaction/activation state for an `n`-qubit QFT build.
 #[derive(Debug, Clone)]
 pub struct QftProgress {
     n: usize,
-    pair_done: PairSet,
+    /// Bit `lo·n + hi` is set once the pair `lo < hi` has interacted.
+    pair_bits: Vec<u64>,
     activated: Vec<bool>,
     /// Number of done pairs `(k, q)` with `k < q`, per `q`.
     low_done: Vec<u32>,
@@ -21,7 +28,7 @@ impl QftProgress {
     pub fn new(n: usize) -> Self {
         QftProgress {
             n,
-            pair_done: PairSet::new(n.max(1)),
+            pair_bits: vec![0; (n * n).div_ceil(64)],
             activated: vec![false; n],
             low_done: vec![0; n],
             n_pairs_done: 0,
@@ -35,11 +42,20 @@ impl QftProgress {
         self.n
     }
 
+    /// The word index and mask of the unordered pair `{a, b}`'s bit.
+    #[inline]
+    fn pair_bit(&self, a: u32, b: u32) -> (usize, u64) {
+        let (lo, hi) = if a < b { (a, b) } else { (b, a) };
+        debug_assert!(lo < hi && (hi as usize) < self.n);
+        let i = lo as usize * self.n + hi as usize;
+        (i / 64, 1 << (i % 64))
+    }
+
     /// Whether the unordered pair `{a, b}` has interacted.
     #[inline]
     pub fn pair_done(&self, a: u32, b: u32) -> bool {
-        let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-        self.pair_done.get(lo as usize, hi as usize)
+        let (word, mask) = self.pair_bit(a, b);
+        self.pair_bits[word] & mask != 0
     }
 
     /// Whether `H(q)` has fired.
@@ -52,8 +68,7 @@ impl QftProgress {
     /// qubit already active.
     #[inline]
     pub fn cphase_eligible(&self, a: u32, b: u32) -> bool {
-        let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-        !self.pair_done.get(lo as usize, hi as usize) && self.activated[lo as usize]
+        !self.pair_done(a, b) && self.activated[a.min(b) as usize]
     }
 
     /// Type-II eligibility of `H(q)`: not yet active and all pairs `(k, q)`,
@@ -68,14 +83,48 @@ impl QftProgress {
     /// # Panics
     /// Panics if the pair was already recorded (duplicate interaction).
     pub fn mark_pair(&mut self, a: u32, b: u32) {
-        let (lo, hi) = if a < b { (a, b) } else { (b, a) };
+        let (word, mask) = self.pair_bit(a, b);
         assert!(
-            !self.pair_done.get(lo as usize, hi as usize),
-            "pair ({lo},{hi}) already done"
+            self.pair_bits[word] & mask == 0,
+            "pair ({},{}) already done",
+            a.min(b),
+            a.max(b)
         );
-        self.pair_done.set(lo as usize, hi as usize);
-        self.low_done[hi as usize] += 1;
+        self.pair_bits[word] |= mask;
+        self.low_done[a.max(b) as usize] += 1;
         self.n_pairs_done += 1;
+    }
+
+    /// Fires `CPHASE(a, b)` if it is Type-II eligible: records the pair
+    /// and returns its rotation order. `None` (nothing recorded) when the
+    /// pair is done or its smaller qubit is not yet active.
+    #[inline]
+    pub fn try_pair(&mut self, a: u32, b: u32) -> Option<u32> {
+        if !self.cphase_eligible(a, b) {
+            return None;
+        }
+        self.mark_pair(a, b);
+        Some(rotation_order(a, b))
+    }
+
+    /// [`QftProgress::try_pair`] for the logical occupants of the physical
+    /// sites `pa` and `pb`, emitting the CPHASE into `builder` when it
+    /// fires. Returns whether it fired.
+    ///
+    /// # Panics
+    /// Panics if either site is empty.
+    pub fn fire(
+        &mut self,
+        builder: &mut MappedCircuitBuilder,
+        pa: PhysicalQubit,
+        pb: PhysicalQubit,
+    ) -> bool {
+        let logical = |p| builder.layout().logical(p).expect("site occupied").0;
+        let Some(k) = self.try_pair(logical(pa), logical(pb)) else {
+            return false;
+        };
+        builder.push_2q_phys(GateKind::Cphase { k }, pa, pb);
+        true
     }
 
     /// Records `H(q)`.
@@ -117,10 +166,12 @@ mod tests {
         p.mark_h(0);
         assert!(p.cphase_eligible(0, 1));
         assert!(p.cphase_eligible(1, 0)); // symmetric
-        p.mark_pair(0, 1);
-        assert!(!p.cphase_eligible(0, 1)); // done
+        assert_eq!(p.try_pair(1, 0), Some(2));
+        assert_eq!(p.try_pair(0, 1), None); // done
         assert!(p.h_eligible(1));
         assert!(!p.h_eligible(2)); // needs (0,2) and (1,2)
+        assert_eq!(p.try_pair(1, 2), None); // needs H(1)
+        assert!(!p.pair_done(0, 2) && !p.pair_done(1, 2));
         p.mark_pair(2, 0);
         p.mark_h(1);
         p.mark_pair(1, 2);

@@ -14,108 +14,40 @@
 //! * **unit SWAP** = the 3-step transversal row-exchange of Fig. 12.
 //!
 //! Every IA and IE mirrors the contents of the units it touches, which the
-//! paper notes is exactly what the next stage wants; orientation is tracked
-//! through the live layout.
+//! paper notes is exactly what the next stage wants. The unit-level loop,
+//! the orientation tracking and QFT-IA are the shared driver
+//! [`run_unit_qft`]; this module supplies the IE pattern and the unit SWAP.
 //!
 //! This module is a *construct* stage of the pass pipeline: it emits the
 //! raw analytical schedule, and the shared `qft_ir::passes` tail (chosen
 //! by `CompileOptions::opt_level`) runs afterwards in
 //! `qft_core::pipeline::finish_result`.
 
-use crate::line::{line_qft_schedule, LineOp};
-use crate::lnn::{run_line_qft, PathOrder};
+use crate::lnn::run_unit_qft;
 use crate::progress::QftProgress;
 use qft_arch::sycamore::Sycamore;
 use qft_ir::circuit::{MappedCircuit, MappedCircuitBuilder};
-use qft_ir::gate::{GateKind, LogicalQubit, PhysicalQubit};
+use qft_ir::gate::PhysicalQubit;
 use qft_ir::layout::Layout;
-use qft_ir::qft::rotation_order;
 
 /// Compiles the QFT for all `N = m²` qubits of a Sycamore device using the
 /// relaxed (commutativity-exploiting) inter-unit pattern.
 pub fn compile_sycamore(s: &Sycamore) -> MappedCircuit {
     let ul = s.unit_len();
-    let n_units = s.n_units();
-    let n = s.n_qubits();
-
+    let units: Vec<Vec<PhysicalQubit>> = (0..s.n_units())
+        .map(|u| (0..ul).map(|i| s.unit_line(u, i)).collect())
+        .collect();
     // Initial mapping: unit u's line holds logical block [u·2m, (u+1)·2m)
     // in ascending line order.
-    let mut phys_of: Vec<PhysicalQubit> = vec![PhysicalQubit(0); n];
-    for u in 0..n_units {
-        for i in 0..ul {
-            phys_of[u * ul + i] = s.unit_line(u, i);
-        }
-    }
-    let mut builder = MappedCircuitBuilder::new(Layout::from_assignment(phys_of, n));
-    let mut prog = QftProgress::new(n);
-
-    let super_schedule = line_qft_schedule(n_units);
-    for layer in &super_schedule.layers {
-        for op in layer {
-            match *op {
-                LineOp::Activate { item, pos } => {
-                    qft_ia(s, &mut builder, &mut prog, item as u32, pos);
-                }
-                LineOp::Interact { pos_lo, pos_hi, .. } => {
-                    let top = pos_lo.min(pos_hi);
-                    qft_ie_relaxed(s, &mut builder, &mut prog, top);
-                }
-                LineOp::Swap { pos_left, .. } => {
-                    unit_swap(s, &mut builder, pos_left);
-                }
-            }
-        }
-    }
-    assert!(
-        prog.complete(),
-        "Sycamore compile incomplete: {:?}",
-        prog.status()
+    let layout = Layout::from_assignment(units.concat(), s.n_qubits());
+    let mut builder = MappedCircuitBuilder::new(layout);
+    run_unit_qft(
+        &mut builder,
+        &units,
+        |b, prog, top| qft_ie_relaxed(s, b, prog, top),
+        |b, left| unit_swap(s, b, left),
     );
     builder.finish()
-}
-
-/// Detects whether physical unit `u` currently holds logical block `block`
-/// ascending or descending along its line.
-fn unit_orientation(
-    s: &Sycamore,
-    builder: &MappedCircuitBuilder,
-    block: u32,
-    u: usize,
-) -> PathOrder {
-    let ul = s.unit_len();
-    let base = block * ul as u32;
-    let first = builder
-        .layout()
-        .logical(s.unit_line(u, 0))
-        .expect("occupied");
-    if first == LogicalQubit(base) {
-        PathOrder::Ascending
-    } else if first == LogicalQubit(base + ul as u32 - 1) {
-        PathOrder::Descending
-    } else {
-        panic!("unit {u} does not hold block {block} in sorted order (found {first})");
-    }
-}
-
-/// QFT-IA: the intra-unit LNN QFT, then record its gates in `prog`.
-fn qft_ia(
-    s: &Sycamore,
-    builder: &mut MappedCircuitBuilder,
-    prog: &mut QftProgress,
-    block: u32,
-    u: usize,
-) {
-    let ul = s.unit_len();
-    let base = block * ul as u32;
-    let order = unit_orientation(s, builder, block, u);
-    let path: Vec<PhysicalQubit> = (0..ul).map(|i| s.unit_line(u, i)).collect();
-    run_line_qft(builder, &path, base, order);
-    for i in 0..ul as u32 {
-        prog.mark_h(base + i);
-        for j in (i + 1)..ul as u32 {
-            prog.mark_pair(base + i, base + j);
-        }
-    }
 }
 
 /// QFT-IE-relaxed between physical units `top` and `top + 1` (Fig. 13 and
@@ -143,14 +75,7 @@ fn qft_ie_relaxed(
                 if b >= ul {
                     continue;
                 }
-                let (pa, pb) = (tp(a), bp(b));
-                let la = builder.layout().logical(pa).unwrap().0;
-                let lb = builder.layout().logical(pb).unwrap().0;
-                if prog.cphase_eligible(la, lb) {
-                    let k = rotation_order(la, lb);
-                    builder.push_2q_phys(GateKind::Cphase { k }, pa, pb);
-                    prog.mark_pair(la, lb);
-                }
+                prog.fire(builder, tp(a), bp(b));
             }
         }
     };
@@ -185,14 +110,7 @@ fn qft_ie_relaxed(
         }
         let mut i = 0;
         while i + 1 < ul {
-            let (pa, pb) = (tp(i + 1), bp(i));
-            let la = builder.layout().logical(pa).unwrap().0;
-            let lb = builder.layout().logical(pb).unwrap().0;
-            if prog.cphase_eligible(la, lb) {
-                let k = rotation_order(la, lb);
-                builder.push_2q_phys(GateKind::Cphase { k }, pa, pb);
-                prog.mark_pair(la, lb);
-            }
+            prog.fire(builder, tp(i + 1), bp(i));
             i += 2;
         }
         let mut i = 0;

@@ -62,7 +62,6 @@ pub fn compile_two_row(cols: usize) -> MappedCircuit {
 pub fn compile_two_row_interleaved(cols: usize) -> MappedCircuit {
     use crate::progress::QftProgress;
     use qft_ir::gate::GateKind;
-    use qft_ir::qft::rotation_order;
 
     let n = 2 * cols;
     let at = |r: usize, c: usize| PhysicalQubit((r * cols + c) as u32);
@@ -83,38 +82,17 @@ pub fn compile_two_row_interleaved(cols: usize) -> MappedCircuit {
         let logical = |b: &MappedCircuitBuilder, p: PhysicalQubit| b.layout().logical(p).unwrap().0;
         // (a) vertical CPHASE layer.
         for c in 0..cols {
-            let (pa, pb) = (at(0, c), at(1, c));
-            let (la, lb) = (logical(&b, pa), logical(&b, pb));
-            if prog.cphase_eligible(la, lb) {
-                b.push_2q_phys(
-                    GateKind::Cphase {
-                        k: rotation_order(la, lb),
-                    },
-                    pa,
-                    pb,
-                );
-                prog.mark_pair(la, lb);
-            }
+            prog.fire(&mut b, at(0, c), at(1, c));
         }
         // (b) horizontal CPHASE layer, greedy scan per row.
         for r in 0..2 {
             let mut c = 0;
             while c + 1 < cols {
-                let (pa, pb) = (at(r, c), at(r, c + 1));
-                let (la, lb) = (logical(&b, pa), logical(&b, pb));
-                if prog.cphase_eligible(la, lb) {
-                    b.push_2q_phys(
-                        GateKind::Cphase {
-                            k: rotation_order(la, lb),
-                        },
-                        pa,
-                        pb,
-                    );
-                    prog.mark_pair(la, lb);
-                    c += 2;
+                c += if prog.fire(&mut b, at(r, c), at(r, c + 1)) {
+                    2
                 } else {
-                    c += 1;
-                }
+                    1
+                };
             }
         }
         // (c) horizontal SWAP layer: pairs that interacted and sit ascending.

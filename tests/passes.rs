@@ -132,14 +132,14 @@ fn construct_cells() -> Vec<(String, MappedCircuit)> {
     use qft_kernels::arch::heavyhex::HeavyHex;
     use qft_kernels::arch::lattice::LatticeSurgery;
     use qft_kernels::core::{
-        compile_heavyhex, compile_lattice_with, compile_two_row, compile_two_row_interleaved,
+        compile_heavyhex, compile_lattice, compile_two_row, compile_two_row_interleaved,
         run_line_qft, IeMode, PathOrder,
     };
     use qft_kernels::ir::Layout;
 
     let mut cells = Vec::new();
     for m in 3..=8 {
-        let mc = compile_lattice_with(&LatticeSurgery::new(m), IeMode::Strict);
+        let mc = compile_lattice(&LatticeSurgery::new(m), IeMode::Strict);
         cells.push((format!("lattice-strict:{m}"), mc));
     }
     for cols in 2..=8 {

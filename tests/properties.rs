@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use qft_kernels::arch::heavyhex::HeavyHex;
 use qft_kernels::arch::lattice::LatticeSurgery;
 use qft_kernels::baselines::sabre::{sabre_qft, SabreConfig};
-use qft_kernels::core::{compile_heavyhex, compile_lattice_with, IeMode};
+use qft_kernels::core::{compile_heavyhex, compile_lattice, IeMode};
 use qft_kernels::ir::dag::{CircuitDag, DagMode};
 use qft_kernels::ir::gate::PhysicalQubit;
 use qft_kernels::ir::layout::Layout;
@@ -97,7 +97,7 @@ proptest! {
     fn lattice_both_ie_modes_verify(m in 2usize..8) {
         for mode in [IeMode::Relaxed, IeMode::Strict] {
             let l = LatticeSurgery::new(m);
-            let mc = compile_lattice_with(&l, mode);
+            let mc = compile_lattice(&l, mode);
             verify_qft_mapping(&mc, l.graph()).unwrap();
         }
     }

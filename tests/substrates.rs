@@ -116,14 +116,32 @@ proptest! {
     /// compilers at both granularities rest on this).
     #[test]
     fn line_schedule_internal_consistency(n in 1usize..60) {
-        let s = qft_kernels::core::line_qft_schedule(n);
-        prop_assert_eq!(s.swap_count(), n * (n - 1) / 2);
-        prop_assert_eq!(s.interaction_count(), n * (n - 1) / 2);
+        use qft_kernels::core::LineOp;
+        let (mut swaps, mut interactions) = (0, 0);
+        // Layers holding a two-item op, and the last such layer seen.
+        let (mut two_item_depth, mut last) = (0, None);
+        let mut at: Vec<usize> = (0..n).collect();
+        qft_kernels::core::line_qft_schedule(n, |layer, op| {
+            match op {
+                LineOp::Activate { .. } => return,
+                LineOp::Interact { .. } => interactions += 1,
+                LineOp::Swap { pos_left, pos_right, .. } => {
+                    swaps += 1;
+                    at.swap(pos_left, pos_right);
+                }
+            }
+            if last != Some(layer) {
+                two_item_depth += 1;
+                last = Some(layer);
+            }
+        });
+        prop_assert_eq!(swaps, n * (n - 1) / 2);
+        prop_assert_eq!(interactions, n * (n - 1) / 2);
         if n >= 2 {
-            prop_assert_eq!(s.two_item_depth(), 4 * n - 6);
+            prop_assert_eq!(two_item_depth, 4 * n - 6);
         }
         let expect: Vec<usize> = (0..n).rev().collect();
-        prop_assert_eq!(s.final_order, expect);
+        prop_assert_eq!(at, expect);
     }
 
     /// QASM round-trip is the identity on random logical circuits drawn
