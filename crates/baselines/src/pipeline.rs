@@ -83,8 +83,17 @@ impl QftCompiler for OptimalMapper {
         opts: &CompileOptions,
     ) -> Result<CompileResult, CompileError> {
         validate_approximation(self.name(), opts)?;
+        let deadline = Duration::try_from_secs_f64(opts.deadline_s.max(0.0)).map_err(|_| {
+            CompileError::UnsupportedOption {
+                compiler: self.name().to_string(),
+                option: format!(
+                    "deadline_s = {} (a deadline must be a finite number of seconds)",
+                    opts.deadline_s
+                ),
+            }
+        })?;
         let config = OptimalConfig {
-            deadline: Duration::from_secs_f64(opts.deadline_s.max(0.0)),
+            deadline,
             max_nodes: opts.max_nodes,
         };
         let t0 = Instant::now();
@@ -244,6 +253,14 @@ mod tests {
         let tiny = Target::lnn(4).unwrap();
         let r = OptimalMapper.compile(&tiny, &verified()).unwrap();
         assert!(r.metrics.swaps <= 6);
+        let forever = CompileOptions {
+            deadline_s: f64::INFINITY,
+            ..Default::default()
+        };
+        assert!(matches!(
+            OptimalMapper.compile(&tiny, &forever),
+            Err(CompileError::UnsupportedOption { .. })
+        ));
 
         let big = Target::lnn(10).unwrap();
         let opts = CompileOptions {

@@ -64,6 +64,14 @@ pub struct Target {
     device: Device,
 }
 
+/// The most physical qubits a spec parsed by [`Target::parse`] may ask
+/// for: the paper's largest instance (`lnn:1024`, `lattice:32`). Specs
+/// arrive from outside the program (a compile request names one), and a
+/// device constructor allocates its coupling graph before anything
+/// checks the size, so an oversize spec is refused before construction.
+/// The constructors themselves stay uncapped for in-process callers.
+pub const MAX_SPEC_QUBITS: usize = 1024;
+
 fn invalid(reason: impl Into<String>) -> CompileError {
     CompileError::InvalidTarget {
         reason: reason.into(),
@@ -155,7 +163,9 @@ impl Target {
     }
 
     /// Parses a compact `family:param` spec: `lnn:16`, `sycamore:6`,
-    /// `heavyhex:4` (groups), `lattice:10`.
+    /// `heavyhex:4` (groups), `lattice:10`. A spec whose device would have
+    /// more than [`MAX_SPEC_QUBITS`] physical qubits is refused before
+    /// anything is allocated.
     pub fn parse(s: &str) -> Result<Target, CompileError> {
         let (family, param) = s
             .split_once(':')
@@ -163,13 +173,23 @@ impl Target {
         let p: usize = param
             .parse()
             .map_err(|_| invalid(format!("target parameter '{param}' is not a number")))?;
-        match family {
-            "lnn" => Target::lnn(p),
-            "sycamore" => Target::sycamore(p),
-            "heavyhex" => Target::heavy_hex_groups(p),
-            "lattice" => Target::lattice_surgery(p),
-            other => Err(invalid(format!(
-                "unknown target family '{other}' (expected lnn, sycamore, heavyhex, or lattice)"
+        type Build = fn(usize) -> Result<Target, CompileError>;
+        let (build, qubits): (Build, Option<usize>) = match family {
+            "lnn" => (Target::lnn, Some(p)),
+            "sycamore" => (Target::sycamore, p.checked_mul(p)),
+            "heavyhex" => (Target::heavy_hex_groups, p.checked_mul(5)),
+            "lattice" => (Target::lattice_surgery, p.checked_mul(p)),
+            other => {
+                return Err(invalid(format!(
+                    "unknown target family '{other}' (expected lnn, sycamore, heavyhex, or lattice)"
+                )))
+            }
+        };
+        match qubits {
+            Some(q) if q <= MAX_SPEC_QUBITS => build(p),
+            _ => Err(invalid(format!(
+                "target spec '{s}' asks for more than {MAX_SPEC_QUBITS} physical qubits, \
+                 the cap on parsed specs"
             ))),
         }
     }
@@ -277,6 +297,25 @@ mod tests {
         assert!(Target::parse("lnn").is_err());
         assert!(Target::parse("lnn:x").is_err());
         assert!(Target::parse("toric:3").is_err());
+    }
+
+    #[test]
+    fn parse_refuses_specs_over_the_qubit_cap_before_building() {
+        for spec in ["lnn:1024", "sycamore:32", "heavyhex:204", "lattice:32"] {
+            assert!(Target::parse(spec).unwrap().n_qubits() <= MAX_SPEC_QUBITS);
+        }
+        for spec in [
+            "lnn:1025",
+            "sycamore:34",
+            "heavyhex:205",
+            "lattice:33",
+            "lnn:18446744073709551615",
+            "lattice:4294967296",
+        ] {
+            let err = Target::parse(spec).expect_err(spec);
+            assert!(matches!(err, CompileError::InvalidTarget { .. }), "{spec}");
+            assert!(err.to_string().contains("more than 1024"), "{spec}: {err}");
+        }
     }
 
     #[test]

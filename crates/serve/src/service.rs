@@ -9,6 +9,7 @@ use crate::types::{CompileRequest, CompileResponse, ServeError, ServeStats};
 use crate::warmup::{OwnedPredicate, WarmupEntry, WarmupImport};
 use qft_core::Registry;
 use std::fmt;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
@@ -139,16 +140,24 @@ impl ServiceInner {
                         false,
                     ));
                 }
-                let outcome = req
-                    .validate(self.registry)
-                    .and_then(|(compiler, target)| compiler.compile(&target, &req.options));
+                // A compile that panics must still publish, or its
+                // followers wait forever and the pool loses a worker.
+                // Unwind-safe: the closure reads only the request and the
+                // immutable registry; the service's own state is touched
+                // after it returns.
+                let outcome = match panic::catch_unwind(AssertUnwindSafe(|| {
+                    req.validate(self.registry)
+                        .and_then(|(compiler, target)| compiler.compile(&target, &req.options))
+                })) {
+                    Ok(compiled) => compiled.map_err(ServeError::from),
+                    Err(payload) => Err(ServeError::internal(payload.as_ref())),
+                };
                 Metrics::bump(&self.metrics.misses);
                 match outcome {
                     Err(e) => {
                         // Broadcast the failure so followers fail the
                         // same way; errors are never cached, so the next
                         // request for this key starts a fresh flight.
-                        let e = ServeError::from(e);
                         self.flights.publish(key, &slot, Err(e.clone()));
                         Metrics::bump(&self.metrics.errors);
                         self.metrics.latency.record(t0.elapsed().as_secs_f64());

@@ -5,6 +5,7 @@ use qft_core::{
     Target,
 };
 use serde::{Deserialize, Serialize};
+use std::any::Any;
 use std::fmt;
 use std::sync::Arc;
 
@@ -123,9 +124,11 @@ pub struct ServeError {
     /// the client's own goodbye frame, `unavailable` for a routed request
     /// that found no live backend (see [`crate::router`]), `protocol`
     /// for a connection whose byte stream violated the wire framing (see
-    /// [`crate::proto`]), or `invalid-config` for a router membership
+    /// [`crate::proto`]), `invalid-config` for a router membership
     /// operation that can never be correct (empty/duplicate backend
-    /// lists, removing the last member).
+    /// lists, removing the last member), or `internal` for a compile that
+    /// panicked (a bug in a compiler, caught so the service keeps
+    /// serving; never cached).
     pub kind: String,
     /// Human-readable diagnosis (the [`CompileError`] display text).
     pub error: String,
@@ -199,6 +202,21 @@ impl ServeError {
         ServeError {
             kind: "invalid-config".to_string(),
             error: reason.to_string(),
+        }
+    }
+
+    /// A compile that panicked, from the panic's `payload`. The service
+    /// catches the panic on the serving thread, so the pool keeps its
+    /// worker and the flight's followers receive this error.
+    pub(crate) fn internal(payload: &(dyn Any + Send)) -> Self {
+        let message = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("(no message)");
+        ServeError {
+            kind: "internal".to_string(),
+            error: format!("the compile panicked: {message}"),
         }
     }
 }

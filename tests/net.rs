@@ -48,7 +48,7 @@ use qft_kernels::serve::proto::{
     HEADER_LEN, MAGIC, MAX_SERVER_BOUND_PAYLOAD, VERSION,
 };
 use qft_kernels::serve::warmup::OwnedPredicate;
-use qft_kernels::serve::{shared_registry, NetEvent, NetServer, ServerConfig};
+use qft_kernels::serve::{shared_registry, ClientError, NetEvent, NetServer, ServerConfig};
 use qft_kernels::{
     ClientConfig, CompileOptions, CompileRequest, CompileService, NetClient, QftCompiler, Registry,
     Target,
@@ -994,4 +994,53 @@ fn stats_round_trips_correlate_after_a_bare_submit_stats() {
     drop(observer);
     drop(worker);
     server.shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// Hostile request values: an error frame, and the connection keeps serving.
+// ---------------------------------------------------------------------------
+
+/// Sends `req` on a fresh connection, expects an error frame of `kind`,
+/// then expects the same connection to serve `lnn:8`. The bounded read
+/// timeout makes a server that never answers fail the test instead of
+/// hanging it. Returns the refusal.
+fn refused_then_serves_lnn8(req: &CompileRequest, kind: &str) -> qft_kernels::ServeError {
+    let server = NetServer::bind("127.0.0.1:0", Arc::new(CompileService::new())).unwrap();
+    let config = ClientConfig {
+        read_timeout: Duration::from_secs(10),
+        ..ClientConfig::default()
+    };
+    let mut client = NetClient::connect_with(server.local_addr(), config).unwrap();
+    let refusal = match client.request(req) {
+        Err(ClientError::Server(e)) => e,
+        other => panic!("expected a {kind} error frame, got {other:?}"),
+    };
+    assert_eq!(refusal.kind, kind, "{refusal}");
+    let lnn8 = serve_request("lnn", "lnn:8", CompileOptions::default());
+    assert_eq!(client.request(&lnn8).unwrap().result.n, 8);
+    server.shutdown();
+    refusal
+}
+
+#[test]
+fn deadlines_no_duration_can_hold_are_refused_and_the_connection_keeps_serving() {
+    // 1e300 s reached `Duration::from_secs_f64`, whose panic unwound the
+    // pool worker before any reply was written.
+    let forever = CompileOptions {
+        deadline_s: 1e300,
+        ..CompileOptions::default()
+    };
+    let refusal = refused_then_serves_lnn8(
+        &serve_request("optimal", "lnn:4", forever),
+        "unsupported-option",
+    );
+    assert!(refusal.error.contains("deadline_s"), "{refusal}");
+}
+
+#[test]
+fn target_specs_over_the_qubit_cap_are_refused_and_the_connection_keeps_serving() {
+    // 10^10 qubits: refused by the spec parser before any device is built.
+    let huge = serve_request("lattice", "lattice:100000", CompileOptions::default());
+    let refusal = refused_then_serves_lnn8(&huge, "invalid-target");
+    assert!(refusal.error.contains("more than 1024"), "{refusal}");
 }

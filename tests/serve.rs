@@ -16,13 +16,18 @@
 
 mod common;
 
-use common::{contended_request, serve_request, serve_request_from_fields, SERVE_COMPILERS};
-use proptest::prelude::*;
-use qft_kernels::serve::shared_registry;
-use qft_kernels::{
-    registry, CompileOptions, CompileRequest, CompileService, IeMode, ServeError, ServeStats,
+use common::{
+    contended_request, serve_request, serve_request_from_fields, wait_until, SERVE_COMPILERS,
 };
-use std::sync::{mpsc, Arc, Barrier};
+use proptest::prelude::*;
+use qft_kernels::serve::{shared_registry, Reply};
+use qft_kernels::{
+    registry, CompileError, CompileOptions, CompileRequest, CompileResult, CompileService, IeMode,
+    QftCompiler, Registry, ServeError, ServeStats, Target,
+};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Barrier, Condvar, Mutex};
+use std::time::Duration;
 
 #[test]
 fn registry_is_one_process_wide_instance() {
@@ -275,6 +280,86 @@ fn malformed_requests_are_descriptive_json_errors_not_panics() {
     let stats = service.stats();
     assert_eq!(stats.errors, 5);
     assert_eq!(stats.cache_entries, 0);
+}
+
+static PANIC_OPEN: Mutex<bool> = Mutex::new(false);
+static PANIC_CV: Condvar = Condvar::new();
+static PANIC_ENTERED: AtomicUsize = AtomicUsize::new(0);
+
+/// A compiler with a bug: it blocks until its gate opens, then panics.
+struct PanickingCompiler;
+
+impl QftCompiler for PanickingCompiler {
+    fn name(&self) -> &'static str {
+        "panics"
+    }
+    fn description(&self) -> &'static str {
+        "test compiler that panics once its gate opens"
+    }
+    fn compile(&self, _: &Target, _: &CompileOptions) -> Result<CompileResult, CompileError> {
+        PANIC_ENTERED.fetch_add(1, Ordering::SeqCst);
+        let mut open = PANIC_OPEN.lock().expect("gate mutex");
+        while !*open {
+            open = PANIC_CV.wait(open).expect("gate condvar");
+        }
+        drop(open);
+        panic!("deliberate compiler bug");
+    }
+}
+
+#[test]
+fn a_panicking_compile_fails_its_flight_and_keeps_the_worker() {
+    let mut registry = Registry::with_core();
+    registry.register(Box::new(PanickingCompiler));
+    let service = CompileService::builder()
+        .registry(Box::leak(Box::new(registry)))
+        .workers(1)
+        .build();
+    let service = Arc::new(service);
+    let req = CompileRequest::new("panics", "lnn:4");
+    // Every wait is bounded, so a service that never answers fails the
+    // test instead of hanging it.
+    let within = Duration::from_secs(10);
+    let (tx, rx) = mpsc::channel::<Reply>();
+
+    // The leader parks at the gate on the pool's one worker; a concurrent
+    // request for the same key on another thread joins its flight.
+    service.submit(0, req.clone(), &tx).unwrap();
+    wait_until("the leader to enter the compile", || {
+        PANIC_ENTERED.load(Ordering::SeqCst) == 1
+    });
+    let follower = {
+        let (service, req, tx) = (Arc::clone(&service), req.clone(), tx.clone());
+        std::thread::spawn(move || drop(tx.send((1, service.compile(&req)))))
+    };
+    wait_until("the follower to join the flight", || {
+        service.stats().dedup_joins == 1
+    });
+    *PANIC_OPEN.lock().unwrap() = true;
+    PANIC_CV.notify_all();
+    for _ in 0..2 {
+        let (seq, outcome) = rx
+            .recv_timeout(within)
+            .expect("leader and follower answered");
+        let err = outcome.expect_err("a panicking compile fails");
+        assert_eq!(err.kind, "internal", "seq {seq}: {err}");
+        assert!(err.error.contains("deliberate compiler bug"), "{err}");
+    }
+    follower.join().unwrap();
+
+    // The failure is not cached: the next request for the key leads a
+    // fresh flight. And the pool's one worker still serves valid work.
+    service.submit(2, req, &tx).unwrap();
+    let (_, outcome) = rx.recv_timeout(within).expect("a fresh flight answered");
+    assert_eq!(outcome.unwrap_err().kind, "internal");
+    service
+        .submit(3, CompileRequest::new("lnn", "lnn:8"), &tx)
+        .unwrap();
+    let (_, outcome) = rx.recv_timeout(within).expect("the worker survived");
+    assert_eq!(outcome.unwrap().result.n, 8);
+    let stats = service.stats();
+    assert_eq!((stats.misses, stats.dedup_joins, stats.errors), (3, 1, 3));
+    assert_eq!((stats.in_flight, stats.cache_entries), (0, 1));
 }
 
 #[test]
