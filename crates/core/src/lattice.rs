@@ -76,32 +76,14 @@ fn qft_ie_relaxed(
     top: usize,
 ) {
     let m = l.m;
-    let bot = top + 1;
-
-    let fire_columns = |builder: &mut MappedCircuitBuilder, prog: &mut QftProgress| {
-        for c in 0..m {
-            prog.fire(builder, l.at(top, c), l.at(bot, c));
-        }
-    };
-
     for i in 0..m {
-        fire_columns(builder, prog);
+        fire_columns(l, builder, prog, top, m);
         // Staggered intra-row transpositions: top offset (i+1) mod 2,
         // bottom offset i mod 2 (the Appendix-7 stagger).
-        let beg_u = (i + 1) % 2;
-        let beg_d = i % 2;
-        let mut c = beg_u;
-        while c + 1 < m {
-            builder.push_swap_phys(l.at(top, c), l.at(top, c + 1));
-            c += 2;
-        }
-        let mut c = beg_d;
-        while c + 1 < m {
-            builder.push_swap_phys(l.at(bot, c), l.at(bot, c + 1));
-            c += 2;
-        }
+        swap_row(l, builder, top, (i as i64 + 1) % 2, m as i64);
+        swap_row(l, builder, top + 1, i as i64 % 2, m as i64);
     }
-    fire_columns(builder, prog);
+    fire_columns(l, builder, prog, top, m);
 }
 
 /// QFT-IE-strict between rows `top` and `top + 1` (Fig. 29(b), re-derived
@@ -115,36 +97,44 @@ fn qft_ie_strict(
     top: usize,
 ) {
     let m = l.m;
-    let bot = top + 1;
-
-    let fire_columns = |builder: &mut MappedCircuitBuilder, prog: &mut QftProgress, end: usize| {
-        for c in 0..end.min(m) {
-            prog.fire(builder, l.at(top, c), l.at(bot, c));
-        }
-    };
-    // Swap pairs (j, j+1) for j = beg, beg+2, … while j+1 ≤ end.
-    let swap_row = |builder: &mut MappedCircuitBuilder, r: usize, beg: i64, end: i64| {
-        let mut j = beg.max(0);
-        while j < end && ((j + 1) as usize) < m {
-            builder.push_swap_phys(l.at(r, j as usize), l.at(r, (j + 1) as usize));
-            j += 2;
-        }
-    };
-
     let t_total = 2 * m as i64 - 1;
     for i in 0..t_total {
         let end_cp = (i + 1).min(2 * m as i64 - 1 - i);
         if end_cp > 0 {
-            fire_columns(builder, prog, end_cp as usize);
+            fire_columns(l, builder, prog, top, end_cp as usize);
         }
         let bu = i % 2;
         let bd = (bu + 1) % 2;
         let end_u = (i + 1).min(2 * m as i64 - 2 - i);
         let end_d = i.min(2 * m as i64 - 2 - i);
-        swap_row(builder, top, bu, end_u);
-        swap_row(builder, bot, bd, end_d);
+        swap_row(l, builder, top, bu, end_u);
+        swap_row(l, builder, top + 1, bd, end_d);
     }
-    fire_columns(builder, prog, m);
+    fire_columns(l, builder, prog, top, m);
+}
+
+/// Fires every eligible vertical CPHASE between rows `top` and `top + 1`
+/// in columns `0..end`.
+fn fire_columns(
+    l: &LatticeSurgery,
+    builder: &mut MappedCircuitBuilder,
+    prog: &mut QftProgress,
+    top: usize,
+    end: usize,
+) {
+    for c in 0..end.min(l.m) {
+        prog.fire(builder, l.at(top, c), l.at(top + 1, c));
+    }
+}
+
+/// Swaps the pairs `(j, j+1)` of row `r` for `j = beg, beg+2, …` while
+/// `j < end` and `j + 1 < m`.
+fn swap_row(l: &LatticeSurgery, builder: &mut MappedCircuitBuilder, r: usize, beg: i64, end: i64) {
+    let mut j = beg.max(0);
+    while j < end && ((j + 1) as usize) < l.m {
+        builder.push_swap_phys(l.at(r, j as usize), l.at(r, (j + 1) as usize));
+        j += 2;
+    }
 }
 
 /// Transversal unit SWAP: one layer of vertical SWAPs between two adjacent

@@ -12,6 +12,14 @@
 //! shared `qft_ir::passes` tail (assembled by [`pass_manager_for`] from
 //! [`CompileOptions::opt_level`] / `extra_passes`), optional symbolic
 //! verification, and metrics.
+//!
+//! The analytical construct stage has one engine. [`line_qft_schedule`]
+//! streams the Type-II-gated LNN wavefront, tracked by [`QftProgress`];
+//! [`run_line_qft`] runs it on a physical path (the LNN base case and
+//! every unit's QFT-IA), and [`run_unit_qft`] runs it over a line of
+//! units — Fig. 14, instantiated by [`compile_sycamore`] and
+//! [`compile_lattice`] with their IE pattern and unit SWAP. Heavy-hex
+//! and the 2×N blocks fire their CPHASEs through the same tracker.
 
 #![warn(missing_docs)]
 

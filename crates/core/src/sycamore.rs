@@ -97,31 +97,17 @@ fn qft_ie_relaxed(
     // Round A handles even positions by displacing the *top* qubit one slot
     // right; round B handles odd positions by displacing the *bottom* qubit
     // one slot left. Both rounds use the (odd top, even bottom) left links.
-    for round in 0..2 {
-        let swap_top = round == 0;
-        let mut i = 0;
-        while i + 1 < ul {
-            if swap_top {
-                builder.push_swap_phys(tp(i), tp(i + 1));
-            } else {
-                builder.push_swap_phys(bp(i), bp(i + 1));
+    for shifted in [top, bot] {
+        let shift = |builder: &mut MappedCircuitBuilder| {
+            for i in (0..ul - 1).step_by(2) {
+                builder.push_swap_phys(s.unit_line(shifted, i), s.unit_line(shifted, i + 1));
             }
-            i += 2;
-        }
-        let mut i = 0;
-        while i + 1 < ul {
+        };
+        shift(builder);
+        for i in (0..ul - 1).step_by(2) {
             prog.fire(builder, tp(i + 1), bp(i));
-            i += 2;
         }
-        let mut i = 0;
-        while i + 1 < ul {
-            if swap_top {
-                builder.push_swap_phys(tp(i), tp(i + 1));
-            } else {
-                builder.push_swap_phys(bp(i), bp(i + 1));
-            }
-            i += 2;
-        }
+        shift(builder);
     }
 }
 
