@@ -141,11 +141,6 @@ impl CouplingGraph {
     pub fn depth_of(&self, mc: &qft_ir::circuit::MappedCircuit) -> u64 {
         mc.depth_with(|op| self.op_latency(op))
     }
-
-    /// Metrics of a mapped circuit with this device's latencies.
-    pub fn metrics_of(&self, mc: &qft_ir::circuit::MappedCircuit) -> qft_ir::metrics::Metrics {
-        qft_ir::metrics::Metrics::of_weighted(mc, |op| self.op_latency(op))
-    }
 }
 
 #[cfg(test)]

@@ -132,7 +132,10 @@ fn route(
     rng: &mut StdRng,
     emit: bool,
 ) -> (Option<MappedCircuit>, Layout) {
-    let mut builder = MappedCircuitBuilder::new(initial);
+    // The refinement passes read only the final layout, so only an
+    // emitting pass records ops.
+    let mut builder = emit.then(|| MappedCircuitBuilder::new(initial.clone()));
+    let mut layout = initial;
     let mut front: Frontier = dag.frontier();
     let n_phys = graph.n_qubits();
     let mut decay = vec![1.0f64; n_phys];
@@ -162,12 +165,12 @@ fn route(
                 let executable = match g.b {
                     None => true,
                     Some(b) => {
-                        let (pa, pb) = (builder.layout().phys(g.a), builder.layout().phys(b));
+                        let (pa, pb) = (layout.phys(g.a), layout.phys(b));
                         graph.are_adjacent(pa, pb)
                     }
                 };
                 if executable {
-                    if emit {
+                    if let Some(builder) = &mut builder {
                         match g.b {
                             None => builder.push_1q_logical(g.kind, g.a),
                             Some(b) => builder.push_2q_logical(g.kind, g.a, b),
@@ -196,26 +199,24 @@ fn route(
                 .iter()
                 .filter_map(|n| {
                     let g = dag.gates()[*n as usize];
-                    g.b.map(|b| {
-                        (
-                            n,
-                            dist.get(builder.layout().phys(g.a), builder.layout().phys(b)),
-                        )
-                    })
+                    g.b.map(|b| (n, dist.get(layout.phys(g.a), layout.phys(b))))
                 })
                 .min_by_key(|&(_, d)| d)
                 .expect("blocked front has a 2q gate");
             let g = dag.gates()[node as usize];
             let b = g.b.unwrap();
-            let mut pa = builder.layout().phys(g.a);
-            let pb = builder.layout().phys(b);
+            let mut pa = layout.phys(g.a);
+            let pb = layout.phys(b);
             while dist.get(pa, pb) > 1 {
                 let &(next, _) = graph
                     .neighbors(pa)
                     .iter()
                     .min_by_key(|&&(nbr, _)| dist.get(PhysicalQubit(nbr), pb))
                     .expect("connected graph");
-                builder.push_swap_phys(pa, PhysicalQubit(next));
+                layout.swap_phys(pa, PhysicalQubit(next));
+                if let Some(builder) = &mut builder {
+                    builder.push_swap_phys(pa, PhysicalQubit(next));
+                }
                 total_swaps += 1;
                 pa = PhysicalQubit(next);
             }
@@ -225,7 +226,7 @@ fn route(
 
         // 2. Blocked: choose the best SWAP among edges touching front-layer
         // qubits.
-        window.resolve(dag, &front, builder.layout(), dist, config.extended_size);
+        window.resolve(dag, &front, &layout, dist, config.extended_size);
         debug_assert!(window.n_front > 0, "blocked front with no 2q gates");
         window.collect_candidates(graph);
 
@@ -242,7 +243,10 @@ fn route(
             }
         }
         let chosen = best[rng.gen_range(0..best.len())];
-        builder.push_swap_phys(chosen.0, chosen.1);
+        layout.swap_phys(chosen.0, chosen.1);
+        if let Some(builder) = &mut builder {
+            builder.push_swap_phys(chosen.0, chosen.1);
+        }
         decay[chosen.0.index()] += config.decay_delta;
         decay[chosen.1.index()] += config.decay_delta;
         swaps_since_reset += 1;
@@ -260,8 +264,7 @@ fn route(
         );
     }
 
-    let final_layout = builder.layout().clone();
-    (emit.then(|| builder.finish()), final_layout)
+    (builder.map(MappedCircuitBuilder::finish), layout)
 }
 
 /// One SWAP decision's view of the circuit, in buffers a routing pass
@@ -523,7 +526,7 @@ mod tests {
         let n = 12;
         let g = lnn(n);
         let mc = sabre_qft(n, &g, DagMode::Strict, &SabreConfig::default());
-        let m = Metrics::of(&mc);
+        let m = Metrics::of(&mc, |_| 1);
         assert_eq!(m.cphases, n * (n - 1) / 2);
         assert_eq!(m.hadamards, n);
         assert!(m.swaps > 0);

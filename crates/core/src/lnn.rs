@@ -182,7 +182,7 @@ mod tests {
     #[test]
     fn lnn_swap_count_is_n_choose_2() {
         for n in [2, 5, 10, 25] {
-            let m = Metrics::of(&compile_lnn(n));
+            let m = Metrics::of(&compile_lnn(n), |_| 1);
             assert_eq!(m.swaps, n * (n - 1) / 2);
             assert_eq!(m.cphases, n * (n - 1) / 2);
             assert_eq!(m.hadamards, n);

@@ -564,8 +564,8 @@ pub fn finish_result(
         }
     }
     let metrics = match opts.latency {
-        LatencyModel::TargetDefault => target.graph().metrics_of(&circuit),
-        LatencyModel::Uniform => Metrics::of(&circuit),
+        LatencyModel::TargetDefault => Metrics::of(&circuit, |op| graph.op_latency(op)),
+        LatencyModel::Uniform => Metrics::of(&circuit, |_| 1),
     };
     Ok(CompileResult {
         compiler: compiler.to_string(),

@@ -271,6 +271,17 @@ impl MappedCircuit {
     /// Depth under a per-operation latency function (ASAP schedule over the
     /// op stream, respecting per-qubit ordering).
     pub fn depth_with(&self, latency: impl Fn(&PhysOp) -> u64) -> u64 {
+        self.asap(latency, |_, _| {})
+    }
+
+    /// The one ASAP schedule: each op starts once every qubit it touches is
+    /// free and holds them for `latency(op)` cycles. Hands each op and its
+    /// start cycle to `place`, in stream order, and returns the depth.
+    pub(crate) fn asap(
+        &self,
+        latency: impl Fn(&PhysOp) -> u64,
+        mut place: impl FnMut(&PhysOp, u64),
+    ) -> u64 {
         let mut avail = vec![0u64; self.n_physical];
         let mut depth = 0;
         for op in &self.ops {
@@ -280,6 +291,7 @@ impl MappedCircuit {
                 avail[p.index()] = end;
             }
             depth = depth.max(end);
+            place(op, start);
         }
         depth
     }
@@ -320,18 +332,16 @@ impl MappedCircuit {
     /// Groups the op stream into ASAP layers of unit latency, for display
     /// and for layer-structure tests.
     pub fn layers_uniform(&self) -> Vec<Vec<PhysOp>> {
-        let mut avail = vec![0u64; self.n_physical];
         let mut layers: Vec<Vec<PhysOp>> = Vec::new();
-        for op in &self.ops {
-            let start = op.phys().map(|p| avail[p.index()]).max().unwrap_or(0);
-            for p in op.phys() {
-                avail[p.index()] = start + 1;
-            }
-            if layers.len() <= start as usize {
-                layers.resize_with(start as usize + 1, Vec::new);
-            }
-            layers[start as usize].push(*op);
-        }
+        self.asap(
+            |_| 1,
+            |op, start| {
+                if layers.len() <= start as usize {
+                    layers.resize_with(start as usize + 1, Vec::new);
+                }
+                layers[start as usize].push(*op);
+            },
+        );
         layers
     }
 }

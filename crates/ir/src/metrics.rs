@@ -1,6 +1,6 @@
 //! Compilation-quality metrics: the columns of every table and figure.
 
-use crate::circuit::MappedCircuit;
+use crate::circuit::{MappedCircuit, PhysOp};
 use crate::gate::GateKind;
 use serde::{Deserialize, Serialize};
 
@@ -24,28 +24,27 @@ pub struct Metrics {
 }
 
 impl Metrics {
-    /// Computes metrics with uniform latencies (NISQ backends).
-    pub fn of(mc: &MappedCircuit) -> Metrics {
+    /// Computes metrics with a per-op latency function for the depth
+    /// column: `|_| 1` for uniform latencies (NISQ backends), the device's
+    /// link latencies for FT backends. The kind counts ride on the depth's
+    /// ASAP walk; the two-qubit depth takes a second.
+    pub fn of(mc: &MappedCircuit, latency: impl Fn(&PhysOp) -> u64) -> Metrics {
+        let (mut swaps, mut cphases, mut hadamards) = (0, 0, 0);
+        let depth = mc.asap(latency, |op, _| match op.kind {
+            GateKind::Swap => swaps += 1,
+            GateKind::H => hadamards += 1,
+            GateKind::Cphase { .. } | GateKind::CphaseSwap { .. } => cphases += 1,
+            _ => {}
+        });
         Metrics {
             n: mc.n_logical(),
-            depth: mc.depth_uniform(),
+            depth,
             two_qubit_depth: mc.two_qubit_depth(),
-            swaps: mc.swap_count(),
-            cphases: mc.cphase_count(),
-            hadamards: mc.ops().iter().filter(|o| o.kind == GateKind::H).count(),
+            swaps,
+            cphases,
+            hadamards,
             total_ops: mc.ops().len(),
         }
-    }
-
-    /// Computes metrics with a per-op latency function (FT backends; the
-    /// depth field uses the weighted schedule).
-    pub fn of_weighted(
-        mc: &MappedCircuit,
-        latency: impl Fn(&crate::circuit::PhysOp) -> u64,
-    ) -> Metrics {
-        let mut m = Metrics::of(mc);
-        m.depth = mc.depth_with(latency);
-        m
     }
 }
 
@@ -66,7 +65,7 @@ mod tests {
             PhysicalQubit(1),
         );
         b.push_swap_phys(PhysicalQubit(0), PhysicalQubit(1));
-        let m = Metrics::of(&b.finish());
+        let m = Metrics::of(&b.finish(), |_| 1);
         assert_eq!(m.swaps, 1);
         assert_eq!(m.cphases, 1);
         assert_eq!(m.hadamards, 1);

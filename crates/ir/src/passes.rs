@@ -254,26 +254,36 @@ impl PassManager {
         ctx: &PassCtx,
     ) -> Result<Vec<PassReport>, PassError> {
         let mut reports = Vec::with_capacity(self.passes.len());
+        // One pass's "after" is the next one's "before".
+        let mut before = None;
         for pass in &self.passes {
-            let (ops_before, swaps_before, depth_before) = (
-                circuit.ops().len(),
-                circuit.swap_count(),
-                circuit.depth_uniform(),
-            );
+            let (ops_before, swaps_before, depth_before) =
+                before.unwrap_or_else(|| measure(circuit));
             let t0 = Instant::now();
             let mut report = pass.run(circuit, ctx)?;
             report.wall_s = t0.elapsed().as_secs_f64();
+            let after = measure(circuit);
             report.pass = pass.name().to_string();
             report.ops_before = ops_before;
             report.swaps_before = swaps_before;
             report.depth_before = depth_before;
-            report.ops_after = circuit.ops().len();
-            report.swaps_after = circuit.swap_count();
-            report.depth_after = circuit.depth_uniform();
+            (report.ops_after, report.swaps_after, report.depth_after) = after;
+            before = Some(after);
             reports.push(report);
         }
         Ok(reports)
     }
+}
+
+/// The op count, standalone SWAP count and uniform depth a
+/// [`PassReport`] records, from one walk of the stream.
+fn measure(circuit: &MappedCircuit) -> (usize, usize, u64) {
+    let mut swaps = 0;
+    let depth = circuit.asap(
+        |_| 1,
+        |op, _| swaps += usize::from(op.kind == GateKind::Swap),
+    );
+    (circuit.ops().len(), swaps, depth)
 }
 
 impl fmt::Debug for PassManager {
@@ -329,15 +339,10 @@ fn same_pair(a: &PhysOp, b: &PhysOp) -> bool {
 /// lets `rewrite` fuse or cancel the pair. Returns rewrites applied.
 fn peephole_scan(
     ops: &mut Vec<PhysOp>,
+    n_phys: usize,
     mut rewrite: impl FnMut(&PhysOp, &PhysOp) -> Option<Option<PhysOp>>,
 ) -> usize {
     // last_touch[p] = index in `ops` of the most recent live op touching p.
-    let n_phys = ops
-        .iter()
-        .flat_map(|o| o.phys())
-        .map(|p| p.index() + 1)
-        .max()
-        .unwrap_or(0);
     let mut last_touch: Vec<Option<usize>> = vec![None; n_phys];
     let mut removed = vec![false; ops.len()];
     let mut rewrites = 0;
@@ -405,7 +410,7 @@ impl Pass for CancelAdjacentSwaps {
         // Chains (SWAP SWAP SWAP SWAP) cancel across iterations; each scan
         // is O(ops), and real compiler output converges in one.
         loop {
-            let n = peephole_scan(&mut ops, |prev, cur| {
+            let n = peephole_scan(&mut ops, circuit.n_physical(), |prev, cur| {
                 (prev.kind == GateKind::Swap && cur.kind == GateKind::Swap).then_some(None)
             });
             total += n;
@@ -439,7 +444,8 @@ impl Pass for MergeSwapCphase {
 
     fn run(&self, circuit: &mut MappedCircuit, _ctx: &PassCtx) -> Result<PassReport, PassError> {
         let mut ops = circuit.take_ops();
-        let rewrites = peephole_scan(&mut ops, |prev, cur| match (prev.kind, cur.kind) {
+        let n_phys = circuit.n_physical();
+        let rewrites = peephole_scan(&mut ops, n_phys, |prev, cur| match (prev.kind, cur.kind) {
             // The fused op keeps the FIRST op's position and operands:
             // replay applies the CPHASE and then the swap, which matches
             // either unfused order exactly (the pair's occupants only

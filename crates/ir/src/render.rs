@@ -11,39 +11,38 @@ use std::fmt::Write as _;
 /// logical qubit index, `.` idle.
 pub fn render_layers(mc: &MappedCircuit, max_layers: usize) -> String {
     let n = mc.n_physical();
-    // Each op lands in its ASAP layer as the replay streams it, the
-    // schedule of `MappedCircuit::layers_uniform`. cells[t][q].
-    let mut avail = vec![0usize; n];
-    let mut layers = 0;
+    // Each op lands in its ASAP layer, annotated by the replay that
+    // streams beside the schedule. cells[t][q].
+    let mut replay = mc.replay();
     let mut cells: Vec<Vec<String>> = Vec::new();
-    for op in mc.replay() {
-        let t = op.op().phys().map(|p| avail[p.index()]).max().unwrap_or(0);
-        for p in op.op().phys() {
-            avail[p.index()] = t + 1;
-        }
-        layers = layers.max(t + 1);
-        if t >= max_layers {
-            continue;
-        }
-        if cells.len() <= t {
-            cells.resize(t + 1, vec!["   .".to_string(); n]);
-        }
-        let sym = match op.kind {
-            GateKind::H => 'H',
-            GateKind::Cphase { .. } => 'C',
-            GateKind::Swap => 'x',
-            GateKind::CphaseSwap { .. } => '*',
-            GateKind::Cnot => '@',
-            GateKind::X => 'X',
-            GateKind::Rz { .. } => 'Z',
-        };
-        for (p, l) in [(Some(op.p1), op.l1), (op.p2, op.l2)] {
-            if let Some(p) = p {
-                let l = l.map_or_else(|| "-".to_string(), |l| l.0.to_string());
-                cells[t][p.index()] = format!("{sym}{l:>3}");
+    let layers = mc.asap(
+        |_| 1,
+        |_, t| {
+            let op = replay.next().expect("the replay yields every scheduled op");
+            let t = t as usize;
+            if t >= max_layers {
+                return;
             }
-        }
-    }
+            if cells.len() <= t {
+                cells.resize(t + 1, vec!["   .".to_string(); n]);
+            }
+            let sym = match op.kind {
+                GateKind::H => 'H',
+                GateKind::Cphase { .. } => 'C',
+                GateKind::Swap => 'x',
+                GateKind::CphaseSwap { .. } => '*',
+                GateKind::Cnot => '@',
+                GateKind::X => 'X',
+                GateKind::Rz { .. } => 'Z',
+            };
+            for (p, l) in [(Some(op.p1), op.l1), (op.p2, op.l2)] {
+                if let Some(p) = p {
+                    let l = l.map_or_else(|| "-".to_string(), |l| l.0.to_string());
+                    cells[t][p.index()] = format!("{sym}{l:>3}");
+                }
+            }
+        },
+    ) as usize;
     let mut out = String::new();
     for q in 0..n {
         let _ = write!(out, "Q{q:<3}|");

@@ -1,28 +1,36 @@
-//! The sharded keyed LRU cache over compiled artifacts.
+//! The sharded keyed LRU cache over compiled artifacts, and the one
+//! admission decision: hit, follow or lead.
 //!
-//! Two generations of fixes live here:
-//!
-//! * **O(1) recency** — the old cache kept a logical clock per entry and
-//!   scanned every entry for the stalest one on eviction (`O(len)`, plus
-//!   a key `String` clone per eviction). Each shard now threads its
-//!   entries on an intrusive doubly-linked recency list over a slab:
-//!   get/insert/evict are all O(1) pointer splices, no allocation on the
-//!   hot path beyond the slab slot itself.
-//! * **Sharding** — one global `Mutex<LruCache>` serialized every cache
-//!   hit across every thread. The cache is now N independently-locked
-//!   shards; a key's shard is picked from the high bits of its 128-bit
-//!   digest ([`crate::digest::fnv1a_128`] of the canonical request
-//!   JSON), so M threads hitting distinct keys convoy only when their
-//!   keys land on the same shard (1/N of the time for random keys).
+//! * **O(1) recency** — each shard threads its entries on an intrusive
+//!   doubly-linked recency list over a slab: lookup/insert/evict are all
+//!   O(1) pointer splices, no allocation on the hot path beyond the slab
+//!   slot itself.
+//! * **Sharding** — the cache is N independently-locked shards; a key's
+//!   shard is picked from the high bits of its 128-bit digest
+//!   ([`crate::digest::fnv1a_128`] of the canonical request JSON), so M
+//!   threads hitting distinct keys convoy only when their keys land on
+//!   the same shard (1/N of the time for random keys).
+//! * **Singleflight in the shard** — a shard holds each key's in-flight
+//!   compile beside its resident entry, under the same lock, so one
+//!   critical section ([`ShardedCache::lookup`]) answers a hit, joins
+//!   the key's [`Flight`] as a follower, or registers a new flight for
+//!   the caller to lead. The leader's [`ShardedCache::publish`] inserts
+//!   a successful entry and retires the flight in one critical section,
+//!   so no lookup finds the key between its flight and its entry: a
+//!   storm of N identical concurrent requests performs exactly one
+//!   compile.
+//!   Errors reach the followers but are never cached, so the next
+//!   request for the key leads a fresh flight.
 //!
 //! Map entries are keyed by the 16-byte digest, not the JSON string; the
 //! JSON pre-image is retained in the entry and verified on every hit in
 //! debug builds (the collision audit — see [`crate::digest`]).
 
 use crate::digest::fnv1a_128;
+use crate::types::ServeError;
 use qft_core::CompileResult;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::collections::hash_map::{Entry, HashMap};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// Sentinel for "no node" in the intrusive recency list.
 const NIL: usize = usize::MAX;
@@ -38,6 +46,39 @@ pub(crate) struct CacheEntry {
     pub key_json: Arc<str>,
 }
 
+/// What a flight hands its followers: the entry its leader cached, or
+/// the leader's error.
+pub(crate) type FlightOutcome = Result<CacheEntry, ServeError>;
+
+/// One in-flight compile: followers wait on `done` flipping to `Some`.
+#[derive(Debug, Default)]
+pub(crate) struct Flight {
+    done: Mutex<Option<FlightOutcome>>,
+    cv: Condvar,
+}
+
+impl Flight {
+    /// Blocks until the leader publishes, then returns a clone of the
+    /// outcome (`Arc` bumps, no deep copy).
+    pub fn wait(&self) -> FlightOutcome {
+        let mut done = self.done.lock().expect("flight mutex");
+        while done.is_none() {
+            done = self.cv.wait(done).expect("flight condvar");
+        }
+        done.clone().expect("flight published")
+    }
+}
+
+/// What [`ShardedCache::lookup`] decided for one request.
+pub(crate) enum Lookup {
+    /// The key is resident (recency bumped).
+    Hit(CacheEntry),
+    /// Another request is compiling the key: wait on its flight.
+    Follow(Arc<Flight>),
+    /// Nobody is: compile, then [`ShardedCache::publish`] this flight.
+    Lead(Arc<Flight>),
+}
+
 /// One slab node: the digest it is filed under, the entry, and its
 /// neighbours on the recency list (head = most recent, tail = stalest).
 #[derive(Debug)]
@@ -48,11 +89,13 @@ struct Node {
     next: usize,
 }
 
-/// One independently-locked LRU shard with O(1) get/insert/evict.
+/// One independently-locked LRU shard with O(1) get/insert/evict, and
+/// the flights of its keys that are being compiled.
 #[derive(Debug)]
 pub(crate) struct LruShard {
     capacity: usize,
     map: HashMap<u128, usize>,
+    flights: HashMap<u128, Arc<Flight>>,
     slab: Vec<Node>,
     free: Vec<usize>,
     head: usize,
@@ -66,6 +109,7 @@ impl LruShard {
         LruShard {
             capacity,
             map: HashMap::with_capacity(capacity),
+            flights: HashMap::new(),
             slab: Vec::with_capacity(capacity),
             free: Vec::new(),
             head: NIL,
@@ -112,7 +156,7 @@ impl LruShard {
     /// canonical pre-image of the digest; debug builds verify it against
     /// the stored pre-image so a 128-bit collision can never silently
     /// serve the wrong artifact.
-    pub fn get(&mut self, key: u128, key_json: &str) -> Option<&CacheEntry> {
+    fn get(&mut self, key: u128, key_json: &str) -> Option<&CacheEntry> {
         let i = *self.map.get(&key)?;
         debug_assert_eq!(
             &*self.slab[i].entry.key_json, key_json,
@@ -126,10 +170,22 @@ impl LruShard {
         Some(&self.slab[i].entry)
     }
 
+    /// The admission decision for `key`: a hit, else the key's flight to
+    /// follow, else a new flight registered here for the caller to lead.
+    fn lookup(&mut self, key: u128, key_json: &str) -> Lookup {
+        if let Some(entry) = self.get(key, key_json) {
+            return Lookup::Hit(entry.clone());
+        }
+        match self.flights.entry(key) {
+            Entry::Occupied(flight) => Lookup::Follow(Arc::clone(flight.get())),
+            Entry::Vacant(slot) => Lookup::Lead(Arc::clone(slot.insert(Arc::default()))),
+        }
+    }
+
     /// Inserts (or refreshes) `key`, evicting the stalest entry first if
     /// the shard is full. Returns how many entries were evicted (0 or 1;
     /// refreshing an existing key never evicts).
-    pub fn insert(&mut self, key: u128, entry: CacheEntry) -> u64 {
+    fn insert(&mut self, key: u128, entry: CacheEntry) -> u64 {
         if let Some(&i) = self.map.get(&key) {
             self.slab[i].entry = entry;
             if self.head != i {
@@ -253,11 +309,19 @@ impl ShardedCache {
         }
     }
 
-    /// The digest's shard: high bits, so the low bits keep their entropy
-    /// for the shard-local `HashMap`.
-    fn shard_of(&self, key: u128) -> &Mutex<LruShard> {
+    /// The digest's shard, locked: high bits pick it, so the low bits keep
+    /// their entropy for the shard-local `HashMap`.
+    fn shard(&self, key: u128) -> MutexGuard<'_, LruShard> {
         let idx = ((key >> 96) as usize) & (self.shards.len() - 1);
-        &self.shards[idx]
+        self.shards[idx].lock().expect("cache shard mutex")
+    }
+
+    /// Sums `count` over the shards, locking each briefly, in order.
+    fn sum(&self, count: impl Fn(&LruShard) -> usize) -> usize {
+        self.shards
+            .iter()
+            .map(|s| count(&s.lock().expect("cache shard mutex")))
+            .sum()
     }
 
     pub fn capacity(&self) -> usize {
@@ -268,49 +332,50 @@ impl ShardedCache {
         self.shards.len()
     }
 
-    /// Total resident entries (locks each shard briefly, in order).
+    /// Total resident entries.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("cache shard mutex").len())
-            .sum()
+        self.sum(LruShard::len)
     }
 
-    /// Looks up the digest of `key_json`, bumping recency on a hit. Only
-    /// the owning shard is locked.
-    pub fn get(&self, key: u128, key_json: &str) -> Option<CacheEntry> {
-        self.shard_of(key)
-            .lock()
-            .expect("cache shard mutex")
-            .get(key, key_json)
-            .cloned()
+    /// Total flights, one per key being compiled.
+    pub fn in_flight(&self) -> usize {
+        self.sum(|s| s.flights.len())
     }
 
-    /// Inserts (or refreshes) under `key`, returning how many entries the
-    /// owning shard evicted.
-    pub fn insert(&self, key: u128, entry: CacheEntry) -> u64 {
-        self.shard_of(key)
-            .lock()
-            .expect("cache shard mutex")
-            .insert(key, entry)
+    /// Decides, under the owning shard's lock, whether the request for
+    /// the digest of `key_json` is a hit, follows the key's flight, or
+    /// leads a new one.
+    pub fn lookup(&self, key: u128, key_json: &str) -> Lookup {
+        self.shard(key).lookup(key, key_json)
+    }
+
+    /// Leader-only: caches a successful `outcome` (refreshing any entry
+    /// imported while the flight compiled) and retires the flight in one
+    /// critical section, then wakes the followers. Returns how many
+    /// entries the owning shard evicted.
+    pub fn publish(&self, key: u128, flight: &Flight, outcome: FlightOutcome) -> u64 {
+        let evicted = {
+            let mut shard = self.shard(key);
+            shard.flights.remove(&key);
+            outcome
+                .as_ref()
+                .map_or(0, |entry| shard.insert(key, entry.clone()))
+        };
+        *flight.done.lock().expect("flight mutex") = Some(outcome);
+        flight.cv.notify_all();
+        evicted
     }
 
     /// Whether `key` is resident (no recency bump).
     pub fn contains(&self, key: u128) -> bool {
-        self.shard_of(key)
-            .lock()
-            .expect("cache shard mutex")
-            .contains(key)
+        self.shard(key).contains(key)
     }
 
     /// Inserts under `key` only if absent. `None` when the key was
     /// already resident (the resident entry wins), else the owning
     /// shard's eviction count.
     pub fn insert_if_absent(&self, key: u128, entry: CacheEntry) -> Option<u64> {
-        self.shard_of(key)
-            .lock()
-            .expect("cache shard mutex")
-            .insert_if_absent(key, entry)
+        self.shard(key).insert_if_absent(key, entry)
     }
 
     /// Snapshot of every resident entry whose digest satisfies `keep`,
@@ -424,12 +489,50 @@ mod tests {
         let mut evicted = 0;
         for k in 0..200u32 {
             let json = format!("req-{k}");
-            evicted += cache.insert(key_digest(&json), entry(&json));
+            let key = key_digest(&json);
+            let Lookup::Lead(flight) = cache.lookup(key, &json) else {
+                panic!("a new key leads");
+            };
+            evicted += cache.publish(key, &flight, Ok(entry(&json)));
         }
         assert!(cache.len() <= 32);
         assert_eq!(cache.len() as u64 + evicted, 200);
+        assert_eq!(cache.in_flight(), 0);
         // Everything resident is retrievable through the digest path.
         let json = "req-199";
-        assert!(cache.get(key_digest(json), json).is_some());
+        assert!(matches!(
+            cache.lookup(key_digest(json), json),
+            Lookup::Hit(_)
+        ));
+    }
+
+    #[test]
+    fn a_lookup_leads_follows_or_hits_and_errors_are_never_cached() {
+        let cache = ShardedCache::new(4);
+        let (key, json) = (key_digest("k"), "k");
+        let Lookup::Lead(flight) = cache.lookup(key, json) else {
+            panic!("the first lookup leads");
+        };
+        let followers: Vec<_> = (0..4)
+            .map(|_| match cache.lookup(key, json) {
+                Lookup::Follow(f) => std::thread::spawn(move || f.wait()),
+                _ => panic!("a lookup during the flight follows"),
+            })
+            .collect();
+        assert_eq!(cache.in_flight(), 1);
+        let err = ServeError::bad_request("boom");
+        assert_eq!(cache.publish(key, &flight, Err(err.clone())), 0);
+        for f in followers {
+            assert_eq!(f.join().unwrap().unwrap_err(), err);
+        }
+        assert_eq!((cache.in_flight(), cache.len()), (0, 0));
+        // The failure is not cached: the next lookup leads a fresh flight,
+        // and its success is.
+        let Lookup::Lead(flight) = cache.lookup(key, json) else {
+            panic!("a failed flight leaves the key absent");
+        };
+        cache.publish(key, &flight, Ok(entry(json)));
+        assert!(matches!(cache.lookup(key, json), Lookup::Hit(_)));
+        assert_eq!((cache.in_flight(), cache.len()), (0, 1));
     }
 }

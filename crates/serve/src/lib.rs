@@ -9,18 +9,18 @@
 //!   O(1) recency, keyed by a 128-bit digest of the canonical request
 //!   JSON ([`crate::digest`]), so cached hits scale with threads instead
 //!   of convoying on one global mutex;
-//! * **Singleflight miss dedup** — a duplicate storm
-//!   of N identical concurrent requests performs exactly **one** compile;
-//!   the other N−1 block on the in-flight entry and share the same
-//!   `Arc<CompileResult>`;
+//! * **Miss dedup in the shard** — a shard holds each key's in-flight
+//!   compile beside its resident entry, and one lookup under its lock
+//!   decides hit, follow or lead: a duplicate storm of N identical
+//!   concurrent requests performs exactly **one** compile, and the other
+//!   N−1 follow its flight and share the same `Arc<CompileResult>`;
 //! * **Persistent worker pool** — `workers` threads spawned once at
 //!   service construction drain a bounded admission queue; a full queue
 //!   blocks the submitter until a worker frees a slot;
-//! * **Streaming + batch traffic** — [`CompileService::compile`] for
-//!   synchronous single requests, [`CompileService::submit`] for
-//!   pipelined traffic (the caller's seq and reply channel, so one
-//!   thread can submit while another receives), and
-//!   [`CompileService::compile_batch`] for order-preserving batches;
+//! * **Two entry points** — [`CompileService::compile`] serves one
+//!   request on the caller's thread, and [`CompileService::submit`]
+//!   queues one for the pool (the caller's seq and reply channel, so
+//!   one thread can submit while another receives);
 //! * [`ServeStats`] — lock-free admission metrics: hits, misses,
 //!   dedup joins, evictions, queue depth, in-flight compiles, and
 //!   a p50/p99 latency window, serde-able for dashboards, plus a
@@ -35,7 +35,7 @@
 //!   horizontal scale-out: a [`Router`] consistent-hashes
 //!   [`CompileRequest::key_digest`] across N backend [`NetServer`]
 //!   addresses (digest affinity concentrates each key's cache entry and
-//!   singleflight in one process), multiplexing a bounded [`PoolClient`]
+//!   flight in one process), multiplexing a bounded [`PoolClient`]
 //!   per backend, marking backends down on transport failure, probing
 //!   them back, and replaying failed requests to the next backend on
 //!   the ring — killing a backend mid-traffic loses zero accepted
@@ -53,7 +53,7 @@
 //!
 //! Cached results are **byte-deterministic**: wall times are stripped
 //! from the artifact (they live in the response metadata instead), so a
-//! cache hit — or a singleflight join — returns bytes identical to the
+//! cache hit — or a joined flight — returns bytes identical to the
 //! cold miss, and N threads compiling the same request all serialize the
 //! same artifact.
 //!
@@ -77,7 +77,6 @@
 mod cache;
 pub mod client;
 pub mod digest;
-mod flight;
 mod metrics;
 pub mod pool;
 pub mod proto;

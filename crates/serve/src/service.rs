@@ -1,8 +1,7 @@
 //! The compile service: shared registry + persistent worker pool +
-//! sharded result cache + singleflight miss deduplication.
+//! sharded result cache whose shards deduplicate in-flight misses.
 
-use crate::cache::{self, CacheEntry, ShardedCache};
-use crate::flight::{FlightRole, Singleflight};
+use crate::cache::{self, CacheEntry, Lookup, ShardedCache};
 use crate::metrics::Metrics;
 use crate::queue::BoundedQueue;
 use crate::types::{CompileRequest, CompileResponse, ServeError, ServeStats};
@@ -74,13 +73,12 @@ impl fmt::Debug for Job {
 struct ServiceInner {
     registry: &'static Registry,
     cache: ShardedCache,
-    flights: Singleflight,
     metrics: Metrics,
 }
 
 impl ServiceInner {
-    /// The full serve path: sharded-cache probe → singleflight join →
-    /// (leader only) validate + compile + publish. Runs on whichever
+    /// The full serve path: one shard lookup decides hit, follow or lead;
+    /// the leader validates, compiles and publishes. Runs on whichever
     /// thread calls it — a pool worker for queued traffic, the caller
     /// for [`CompileService::compile`].
     fn serve(&self, req: &CompileRequest) -> Result<CompileResponse, ServeError> {
@@ -88,58 +86,16 @@ impl ServiceInner {
         Metrics::bump(&self.metrics.requests);
         let key_json = req.cache_key();
         let key = cache::key_digest(&key_json);
-
-        // Hot path: one shard lock, O(1) recency bump, Arc clone out.
-        if let Some(entry) = self.cache.get(key, &key_json) {
-            Metrics::bump(&self.metrics.hits);
-            return Ok(self.respond(
-                t0,
-                key_json,
-                entry.cold_compile_s,
-                entry.result,
-                true,
-                false,
-            ));
-        }
-
-        match self.flights.join(key) {
-            FlightRole::Follower(slot) => {
-                // Someone is already compiling this key: wait for their
-                // broadcast instead of recompiling.
-                Metrics::bump(&self.metrics.dedup_joins);
-                match slot.wait() {
-                    Ok((result, cold_s)) => {
-                        Ok(self.respond(t0, key_json, cold_s, result, true, true))
-                    }
-                    Err(e) => {
-                        Metrics::bump(&self.metrics.errors);
-                        self.metrics.latency.record(t0.elapsed().as_secs_f64());
-                        Err(e)
-                    }
-                }
+        let (outcome, cached, deduped) = match self.cache.lookup(key, &key_json) {
+            Lookup::Hit(entry) => {
+                Metrics::bump(&self.metrics.hits);
+                (Ok(entry), true, false)
             }
-            FlightRole::Leader(slot) => {
-                // Double-check: the previous leader retires its flight
-                // only *after* inserting into the cache, so a key that
-                // landed between our miss and our join is found here —
-                // this is what makes "exactly one compile per distinct
-                // key" exact rather than probabilistic.
-                if let Some(entry) = self.cache.get(key, &key_json) {
-                    self.flights.publish(
-                        key,
-                        &slot,
-                        Ok((Arc::clone(&entry.result), entry.cold_compile_s)),
-                    );
-                    Metrics::bump(&self.metrics.hits);
-                    return Ok(self.respond(
-                        t0,
-                        key_json,
-                        entry.cold_compile_s,
-                        entry.result,
-                        true,
-                        false,
-                    ));
-                }
+            Lookup::Follow(flight) => {
+                Metrics::bump(&self.metrics.dedup_joins);
+                (flight.wait(), true, true)
+            }
+            Lookup::Lead(flight) => {
                 // A compile that panics must still publish, or its
                 // followers wait forever and the pool loses a worker.
                 // Unwind-safe: the closure reads only the request and the
@@ -152,83 +108,59 @@ impl ServiceInner {
                     Ok(compiled) => compiled.map_err(ServeError::from),
                     Err(payload) => Err(ServeError::internal(payload.as_ref())),
                 };
+                let outcome = outcome.map(|mut result| {
+                    let cold_compile_s = result.compile_s;
+                    result.strip_wall_times();
+                    CacheEntry {
+                        result: Arc::new(result),
+                        cold_compile_s,
+                        key_json: Arc::from(key_json.as_str()),
+                    }
+                });
                 Metrics::bump(&self.metrics.misses);
-                match outcome {
-                    Err(e) => {
-                        // Broadcast the failure so followers fail the
-                        // same way; errors are never cached, so the next
-                        // request for this key starts a fresh flight.
-                        self.flights.publish(key, &slot, Err(e.clone()));
-                        Metrics::bump(&self.metrics.errors);
-                        self.metrics.latency.record(t0.elapsed().as_secs_f64());
-                        Err(e)
-                    }
-                    Ok(mut result) => {
-                        let cold_s = result.compile_s;
-                        result.strip_wall_times();
-                        let result = Arc::new(result);
-                        let evicted = self.cache.insert(
-                            key,
-                            CacheEntry {
-                                result: Arc::clone(&result),
-                                cold_compile_s: cold_s,
-                                key_json: Arc::from(key_json.as_str()),
-                            },
-                        );
-                        self.metrics.evictions.fetch_add(evicted, Ordering::Relaxed);
-                        // Cache first, then retire the flight (see the
-                        // double-check above for why this order matters).
-                        self.flights
-                            .publish(key, &slot, Ok((Arc::clone(&result), cold_s)));
-                        Ok(self.respond(t0, key_json, cold_s, result, false, false))
-                    }
-                }
+                let evicted = self.cache.publish(key, &flight, outcome.clone());
+                self.metrics.evictions.fetch_add(evicted, Ordering::Relaxed);
+                (outcome, false, false)
             }
-        }
-    }
-
-    fn respond(
-        &self,
-        t0: Instant,
-        cache_key: String,
-        cold_compile_s: f64,
-        result: Arc<qft_core::CompileResult>,
-        cached: bool,
-        deduped: bool,
-    ) -> CompileResponse {
+        };
         let wall_s = t0.elapsed().as_secs_f64();
         self.metrics.latency.record(wall_s);
-        CompileResponse {
-            cached,
-            deduped,
-            cache_key,
-            wall_s,
-            compile_s: cold_compile_s,
-            result,
+        match outcome {
+            Ok(entry) => Ok(CompileResponse {
+                cached,
+                deduped,
+                cache_key: key_json,
+                wall_s,
+                compile_s: entry.cold_compile_s,
+                result: entry.result,
+            }),
+            Err(e) => {
+                Metrics::bump(&self.metrics.errors);
+                Err(e)
+            }
         }
     }
 }
 
 /// A thread-safe compile service over one shared [`Registry`].
 ///
-/// Three tiers of admission, from hottest to coldest:
+/// Two tiers of admission, from hottest to coldest:
 ///
 /// 1. **Sharded cache** — results live in N independently-locked LRU
 ///    shards keyed by the 128-bit digest of the canonical request JSON,
 ///    so cached hits from M threads convoy only on same-shard keys
-///    instead of one global mutex.
-/// 2. **Singleflight** — concurrent misses on the same key perform
-///    exactly one compile: the first thread leads, duplicates block on
-///    the in-flight slot and receive the same `Arc<CompileResult>`.
-/// 3. **Persistent worker pool** — `workers` threads spawned once at
-///    construction (not per batch) drain a bounded admission queue fed
-///    by [`CompileService::submit`] and
-///    [`CompileService::compile_batch`]; a full queue blocks the
-///    submitter until a worker frees a slot.
+///    instead of one global mutex. The same shard lock decides a miss:
+///    concurrent misses on one key perform exactly one compile — the
+///    first request leads its flight, duplicates follow it and receive
+///    the same `Arc<CompileResult>`.
+/// 2. **Persistent worker pool** — `workers` threads spawned once at
+///    construction drain a bounded admission queue fed by
+///    [`CompileService::submit`]; a full queue blocks the submitter
+///    until a worker frees a slot.
 ///
 /// Artifacts are byte-deterministic: wall times are stripped before an
 /// entry is cached, so every response for a given request — cold miss,
-/// cache hit, or singleflight join, on any thread, from any service —
+/// cache hit, or joined flight, on any thread, from any service —
 /// serializes identically. [`ServeStats`] surfaces the admission
 /// metrics (hits/misses/dedup-joins/evictions, queue depth, p50/p99
 /// latency) from lock-free counters.
@@ -284,7 +216,6 @@ impl ServiceBuilder {
         let inner = Arc::new(ServiceInner {
             registry: self.registry,
             cache: ShardedCache::new(self.cache_capacity),
-            flights: Singleflight::new(),
             metrics: Metrics::new(),
         });
         let queue = Arc::new(BoundedQueue::<Job>::new(QUEUE_CAPACITY));
@@ -351,7 +282,7 @@ impl CompileService {
     /// Serves one request synchronously **on the caller's thread** —
     /// the lowest-latency path, bypassing the admission queue (the
     /// caller's thread *is* the capacity being spent). Still goes
-    /// through the sharded cache and singleflight, so concurrent callers
+    /// through the sharded cache and its flights, so concurrent callers
     /// deduplicate exactly like queued traffic.
     pub fn compile(&self, req: &CompileRequest) -> Result<CompileResponse, ServeError> {
         self.inner.serve(req)
@@ -389,40 +320,9 @@ impl CompileService {
     where
         T: From<Reply> + Send + 'static,
     {
-        self.enqueue(Job::new(req, seq, reply))
-    }
-
-    /// Queues one job, blocking while the admission queue is full.
-    fn enqueue(&self, job: Job) -> Result<(), ServeError> {
         self.queue
-            .push(job)
+            .push(Job::new(req, seq, reply))
             .map_err(|_| ServeError::bad_request("service is shutting down"))
-    }
-
-    /// Serves a batch through the persistent pool: every request is
-    /// enqueued and the responses come back in request order;
-    /// per-request errors stay per-request.
-    pub fn compile_batch(
-        &self,
-        reqs: &[CompileRequest],
-    ) -> Vec<Result<CompileResponse, ServeError>> {
-        let mut out: Vec<Option<Result<CompileResponse, ServeError>>> =
-            (0..reqs.len()).map(|_| None).collect();
-        let (reply_tx, reply_rx) = mpsc::channel::<Reply>();
-        for (seq, req) in reqs.iter().enumerate() {
-            let job = Job::new(req.clone(), seq as u64, &reply_tx);
-            if let Err(e) = self.enqueue(job) {
-                // Shutdown mid-batch: answer what we must, not panic.
-                out[seq] = Some(Err(e));
-            }
-        }
-        drop(reply_tx);
-        for (seq, response) in reply_rx {
-            out[seq as usize] = Some(response);
-        }
-        out.into_iter()
-            .map(|slot| slot.expect("every batch job is answered exactly once"))
-            .collect()
     }
 
     /// Exports every cache entry whose key digest the predicate claims,
@@ -486,7 +386,7 @@ impl CompileService {
 
     /// A snapshot of the admission metrics. Lock-free: counters are
     /// atomics and the latency window is a reservoir — only the cache
-    /// occupancy sum briefly takes each shard lock in turn.
+    /// occupancy and in-flight sums briefly take each shard lock in turn.
     pub fn stats(&self) -> ServeStats {
         let m = &self.inner.metrics;
         let (p50_s, p99_s) = m.latency.percentiles();
@@ -497,7 +397,7 @@ impl CompileService {
             cache_shards: self.inner.cache.shard_count(),
             queue_capacity: self.queue.capacity(),
             queue_depth: self.queue.len() as u64,
-            in_flight: self.inner.flights.len() as u64,
+            in_flight: self.inner.cache.in_flight() as u64,
             requests: m.requests.load(Ordering::Relaxed),
             hits: m.hits.load(Ordering::Relaxed),
             misses: m.misses.load(Ordering::Relaxed),
@@ -558,22 +458,9 @@ mod tests {
     }
 
     #[test]
-    fn batch_preserves_request_order() {
-        let service = CompileService::with_config(16, 4);
-        let reqs: Vec<CompileRequest> = (4..12)
-            .map(|n| CompileRequest::new("lnn", format!("lnn:{n}")))
-            .collect();
-        let responses = service.compile_batch(&reqs);
-        assert_eq!(responses.len(), reqs.len());
-        for (n, resp) in (4..12).zip(&responses) {
-            assert_eq!(resp.as_ref().unwrap().result.n, n);
-        }
-    }
-
-    #[test]
-    fn one_bad_request_never_poisons_a_batch() {
+    fn one_bad_request_never_poisons_the_next() {
         let service = CompileService::new();
-        let reqs = vec![
+        let reqs = [
             CompileRequest::new("lnn", "lnn:6"),
             CompileRequest::new("nope", "lnn:6"),
             CompileRequest::new("sycamore", "sycamore:3"),
@@ -581,7 +468,7 @@ mod tests {
                 .with_options(CompileOptions::default().with_approximation(0)),
             CompileRequest::new("lnn", "lnn:8"),
         ];
-        let responses = service.compile_batch(&reqs);
+        let responses: Vec<_> = reqs.iter().map(|req| service.compile(req)).collect();
         assert!(responses[0].is_ok() && responses[4].is_ok());
         assert_eq!(responses[1].as_ref().unwrap_err().kind, "unknown-compiler");
         assert_eq!(responses[2].as_ref().unwrap_err().kind, "invalid-target");

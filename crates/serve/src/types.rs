@@ -9,6 +9,12 @@ use std::any::Any;
 use std::fmt;
 use std::sync::Arc;
 
+/// Most `extra_passes` a served request may name: each extra pass re-walks
+/// the whole op stream on a pool worker (tens of milliseconds a pass on a
+/// 1,024-qubit kernel), so an uncapped list could hold a worker for
+/// minutes.
+pub const MAX_EXTRA_PASSES: usize = 16;
+
 /// One compile request: a compiler name (resolved through the shared
 /// [`Registry`]), a compact target spec (`family:param`, e.g. `"lnn:16"`
 /// or `"sycamore:6"` — parsed and validated by [`Target::parse`]), and a
@@ -68,7 +74,11 @@ impl CompileRequest {
     /// `Target` constructors' validation — odd Sycamore `m`, zero
     /// heavy-hex groups, … come back as [`CompileError::InvalidTarget`]),
     /// and runs [`validate_approximation`] so a degree-0 AQFT is rejected
-    /// before any work.
+    /// before any work. It also bounds what one request may spend on a
+    /// pool worker: a `deadline_s` above the default's (10 s) and more
+    /// than [`MAX_EXTRA_PASSES`] extra passes are refused as
+    /// [`CompileError::UnsupportedOption`]. In-process [`CompileOptions`]
+    /// stay uncapped.
     pub fn validate<'r>(
         &self,
         registry: &'r Registry,
@@ -76,6 +86,24 @@ impl CompileRequest {
         let compiler = registry.resolve(&self.compiler)?;
         let target = Target::parse(&self.target)?;
         validate_approximation(&self.compiler, &self.options)?;
+        let refuse = |option: String| CompileError::UnsupportedOption {
+            compiler: self.compiler.clone(),
+            option,
+        };
+        let deadline_cap = CompileOptions::default().deadline_s;
+        if self.options.deadline_s > deadline_cap {
+            return Err(refuse(format!(
+                "deadline_s {} (a served compile may search for at most {deadline_cap} s)",
+                self.options.deadline_s
+            )));
+        }
+        if self.options.extra_passes.len() > MAX_EXTRA_PASSES {
+            return Err(refuse(format!(
+                "extra_passes naming {} passes (a served request may name at most \
+                 {MAX_EXTRA_PASSES})",
+                self.options.extra_passes.len()
+            )));
+        }
         Ok((compiler, target))
     }
 }
@@ -89,12 +117,12 @@ impl CompileRequest {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CompileResponse {
     /// Whether this response was served without compiling: a cache hit,
-    /// or a singleflight join on another thread's in-flight compile.
+    /// or a follower of another request's in-flight compile.
     pub cached: bool,
-    /// Whether this response specifically *joined an in-flight compile*
-    /// (singleflight dedup): the request missed the cache while another
-    /// thread was already compiling the same key, so it waited and
-    /// received that thread's artifact instead of recompiling.
+    /// Whether this response *followed an in-flight compile*: its lookup
+    /// found the key absent but already being compiled for another
+    /// request, so it waited for that flight and received its artifact
+    /// instead of recompiling.
     pub deduped: bool,
     /// The request's cache key (see [`CompileRequest::cache_key`]).
     pub cache_key: String,
@@ -268,7 +296,8 @@ pub struct ServeStats {
     pub queue_capacity: usize,
     /// Jobs waiting in the admission queue right now.
     pub queue_depth: u64,
-    /// Distinct keys being compiled right now (singleflight leaders).
+    /// Distinct keys being compiled right now: the flights held in the
+    /// cache shards, one per leader.
     pub in_flight: u64,
     /// Requests accepted (`hits + misses + dedup_joins`).
     pub requests: u64,
@@ -276,8 +305,8 @@ pub struct ServeStats {
     pub hits: u64,
     /// Requests that performed the compile themselves (or failed trying).
     pub misses: u64,
-    /// Requests that joined another thread's in-flight compile instead of
-    /// recompiling (singleflight dedup).
+    /// Requests that followed another request's in-flight compile instead
+    /// of recompiling.
     pub dedup_joins: u64,
     /// Entries dropped by LRU eviction.
     pub evictions: u64,
@@ -293,7 +322,7 @@ pub struct ServeStats {
 
 impl ServeStats {
     /// Fraction of accepted requests answered without compiling —
-    /// cache hits plus singleflight joins over all requests. 0 before
+    /// cache hits plus followed flights over all requests. 0 before
     /// any traffic.
     pub fn hit_rate(&self) -> f64 {
         if self.requests == 0 {

@@ -1038,6 +1038,29 @@ fn deadlines_no_duration_can_hold_are_refused_and_the_connection_keeps_serving()
 }
 
 #[test]
+fn compile_budgets_over_their_caps_are_refused_and_the_connection_keeps_serving() {
+    // Both requests are small: only the caps refuse them.
+    let long_search = CompileOptions {
+        deadline_s: 10.5,
+        ..CompileOptions::default()
+    };
+    let refusal = refused_then_serves_lnn8(
+        &serve_request("optimal", "lnn:4", long_search),
+        "unsupported-option",
+    );
+    assert!(refusal.error.contains("deadline_s"), "{refusal}");
+    let many_passes = CompileOptions {
+        extra_passes: vec!["check-layout".to_string(); 17],
+        ..CompileOptions::default()
+    };
+    let refusal = refused_then_serves_lnn8(
+        &serve_request("lnn", "lnn:4", many_passes),
+        "unsupported-option",
+    );
+    assert!(refusal.error.contains("extra_passes"), "{refusal}");
+}
+
+#[test]
 fn target_specs_over_the_qubit_cap_are_refused_and_the_connection_keeps_serving() {
     // 10^10 qubits: refused by the spec parser before any device is built.
     let huge = serve_request("lattice", "lattice:100000", CompileOptions::default());

@@ -466,7 +466,7 @@ proptest! {
         // leaving an equal op at the same depth rather than the identical
         // stream).
         prop_assert_eq!(noisy.ops().len(), original.ops().len());
-        prop_assert_eq!(Metrics::of(&noisy), Metrics::of(&original));
+        prop_assert_eq!(Metrics::of(&noisy, |_| 1), Metrics::of(&original, |_| 1));
         prop_assert_eq!(noisy.final_layout(), original.final_layout());
         let graph = qft_kernels::arch::lnn::lnn(n);
         prop_assert!(verify_qft_mapping(&noisy, &graph).is_ok());

@@ -22,8 +22,8 @@ use common::{
 use proptest::prelude::*;
 use qft_kernels::serve::{shared_registry, Reply};
 use qft_kernels::{
-    registry, CompileError, CompileOptions, CompileRequest, CompileResult, CompileService, IeMode,
-    QftCompiler, Registry, ServeError, ServeStats, Target,
+    registry, CompileError, CompileOptions, CompileRequest, CompileResponse, CompileResult,
+    CompileService, IeMode, QftCompiler, Registry, ServeError, ServeStats, Target,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Barrier, Condvar, Mutex};
@@ -170,11 +170,18 @@ fn cache_hit_returns_bytes_identical_to_the_cold_miss() {
 fn batched_duplicates_are_deduplicated_across_the_pool() {
     let service = CompileService::new();
     let req = contended_request();
-    let batch: Vec<CompileRequest> = (0..12).map(|_| req.clone()).collect();
-    let responses = service.compile_batch(&batch);
-    let reference = serde_json::to_string(&responses[0].as_ref().unwrap().result).unwrap();
+    let (tx, rx) = mpsc::channel::<Reply>();
+    for seq in 0..12 {
+        service.submit(seq, req.clone(), &tx).expect("queued");
+    }
+    drop(tx);
+    let responses: Vec<CompileResponse> = rx
+        .iter()
+        .map(|(_, resp)| resp.expect("batched compile"))
+        .collect();
+    assert_eq!(responses.len(), 12);
+    let reference = serde_json::to_string(&responses[0].result).unwrap();
     for resp in &responses {
-        let resp = resp.as_ref().expect("batched compile");
         assert_eq!(
             serde_json::to_string(&resp.result).unwrap(),
             reference,
@@ -182,7 +189,7 @@ fn batched_duplicates_are_deduplicated_across_the_pool() {
         );
     }
     assert!(
-        responses.iter().any(|r| r.as_ref().unwrap().cached),
+        responses.iter().any(|r| r.cached),
         "a 12-duplicate batch must be served from cache or in-flight joins"
     );
     // Singleflight reaches through the pool too: one compile, period.
@@ -282,9 +289,59 @@ fn malformed_requests_are_descriptive_json_errors_not_panics() {
     assert_eq!(stats.cache_entries, 0);
 }
 
-static PANIC_OPEN: Mutex<bool> = Mutex::new(false);
-static PANIC_CV: Condvar = Condvar::new();
-static PANIC_ENTERED: AtomicUsize = AtomicUsize::new(0);
+/// A gate a test compiler parks at until its test opens it.
+struct Gate {
+    open: Mutex<bool>,
+    cv: Condvar,
+    entered: AtomicUsize,
+}
+
+impl Gate {
+    const fn new() -> Self {
+        Gate {
+            open: Mutex::new(false),
+            cv: Condvar::new(),
+            entered: AtomicUsize::new(0),
+        }
+    }
+
+    fn pass(&self) {
+        self.entered.fetch_add(1, Ordering::SeqCst);
+        let mut open = self.open.lock().expect("gate mutex");
+        while !*open {
+            open = self.cv.wait(open).expect("gate condvar");
+        }
+    }
+
+    fn open(&self) {
+        *self.open.lock().expect("gate mutex") = true;
+        self.cv.notify_all();
+    }
+}
+
+/// Opens its gate when dropped, so a failed assertion cannot leave a pool
+/// worker parked while the service's drop joins it.
+struct OpenOnDrop(&'static Gate);
+
+impl Drop for OpenOnDrop {
+    fn drop(&mut self) {
+        self.0.open();
+    }
+}
+
+/// A service whose one pool worker resolves names through the shared
+/// compilers plus `compiler`.
+fn one_worker_service_with(compiler: Box<dyn QftCompiler>) -> Arc<CompileService> {
+    let mut registry = Registry::with_core();
+    registry.register(compiler);
+    let service = CompileService::builder()
+        .registry(Box::leak(Box::new(registry)))
+        .workers(1)
+        .build();
+    Arc::new(service)
+}
+
+static PANIC_GATE: Gate = Gate::new();
 
 /// A compiler with a bug: it blocks until its gate opens, then panics.
 struct PanickingCompiler;
@@ -297,25 +354,15 @@ impl QftCompiler for PanickingCompiler {
         "test compiler that panics once its gate opens"
     }
     fn compile(&self, _: &Target, _: &CompileOptions) -> Result<CompileResult, CompileError> {
-        PANIC_ENTERED.fetch_add(1, Ordering::SeqCst);
-        let mut open = PANIC_OPEN.lock().expect("gate mutex");
-        while !*open {
-            open = PANIC_CV.wait(open).expect("gate condvar");
-        }
-        drop(open);
+        PANIC_GATE.pass();
         panic!("deliberate compiler bug");
     }
 }
 
 #[test]
 fn a_panicking_compile_fails_its_flight_and_keeps_the_worker() {
-    let mut registry = Registry::with_core();
-    registry.register(Box::new(PanickingCompiler));
-    let service = CompileService::builder()
-        .registry(Box::leak(Box::new(registry)))
-        .workers(1)
-        .build();
-    let service = Arc::new(service);
+    let service = one_worker_service_with(Box::new(PanickingCompiler));
+    let _unpark = OpenOnDrop(&PANIC_GATE);
     let req = CompileRequest::new("panics", "lnn:4");
     // Every wait is bounded, so a service that never answers fails the
     // test instead of hanging it.
@@ -326,7 +373,7 @@ fn a_panicking_compile_fails_its_flight_and_keeps_the_worker() {
     // request for the same key on another thread joins its flight.
     service.submit(0, req.clone(), &tx).unwrap();
     wait_until("the leader to enter the compile", || {
-        PANIC_ENTERED.load(Ordering::SeqCst) == 1
+        PANIC_GATE.entered.load(Ordering::SeqCst) == 1
     });
     let follower = {
         let (service, req, tx) = (Arc::clone(&service), req.clone(), tx.clone());
@@ -335,8 +382,7 @@ fn a_panicking_compile_fails_its_flight_and_keeps_the_worker() {
     wait_until("the follower to join the flight", || {
         service.stats().dedup_joins == 1
     });
-    *PANIC_OPEN.lock().unwrap() = true;
-    PANIC_CV.notify_all();
+    PANIC_GATE.open();
     for _ in 0..2 {
         let (seq, outcome) = rx
             .recv_timeout(within)
@@ -360,6 +406,112 @@ fn a_panicking_compile_fails_its_flight_and_keeps_the_worker() {
     let stats = service.stats();
     assert_eq!((stats.misses, stats.dedup_joins, stats.errors), (3, 1, 3));
     assert_eq!((stats.in_flight, stats.cache_entries), (0, 1));
+}
+
+static LNN_GATE: Gate = Gate::new();
+
+/// The `lnn` mapper behind a gate: it blocks until the gate opens, then
+/// really compiles.
+struct GatedLnn;
+
+impl QftCompiler for GatedLnn {
+    fn name(&self) -> &'static str {
+        "gated-lnn"
+    }
+    fn description(&self) -> &'static str {
+        "test compiler that runs the lnn mapper once its gate opens"
+    }
+    fn compile(
+        &self,
+        target: &Target,
+        opts: &CompileOptions,
+    ) -> Result<CompileResult, CompileError> {
+        LNN_GATE.pass();
+        registry().resolve("lnn")?.compile(target, opts)
+    }
+}
+
+#[test]
+fn a_parked_flight_hands_its_followers_the_leaders_artifact() {
+    let service = one_worker_service_with(Box::new(GatedLnn));
+    let _unpark = OpenOnDrop(&LNN_GATE);
+    let req = CompileRequest::new("gated-lnn", "lnn:4");
+    let within = Duration::from_secs(10);
+    let (tx, rx) = mpsc::channel::<Reply>();
+
+    // The leader parks mid-compile on the pool's one worker; three
+    // requests for the same key on other threads follow its flight.
+    service.submit(0, req.clone(), &tx).unwrap();
+    wait_until("the leader to enter the compile", || {
+        LNN_GATE.entered.load(Ordering::SeqCst) == 1
+    });
+    let followers: Vec<_> = (1..4)
+        .map(|seq| {
+            let (service, req, tx) = (Arc::clone(&service), req.clone(), tx.clone());
+            std::thread::spawn(move || drop(tx.send((seq, service.compile(&req)))))
+        })
+        .collect();
+    wait_until("three followers to join the flight", || {
+        service.stats().dedup_joins == 3
+    });
+    assert_eq!(service.stats().in_flight, 1);
+
+    LNN_GATE.open();
+    let mut responses: Vec<(u64, CompileResponse)> = (0..4)
+        .map(|_| {
+            let (seq, outcome) = rx.recv_timeout(within).expect("every request answered");
+            (seq, outcome.expect("the gated compile succeeds"))
+        })
+        .collect();
+    for follower in followers {
+        follower.join().unwrap();
+    }
+    responses.sort_by_key(|&(seq, _)| seq);
+    let leader = &responses[0].1;
+    assert!(!leader.cached && !leader.deduped);
+    for (seq, follower) in &responses[1..] {
+        assert!(follower.cached && follower.deduped, "follower {seq}");
+        assert!(
+            Arc::ptr_eq(&follower.result, &leader.result),
+            "follower {seq}"
+        );
+    }
+    let stats = service.stats();
+    assert_eq!((stats.requests, stats.misses, stats.dedup_joins), (4, 1, 3));
+    assert_eq!((stats.in_flight, stats.cache_entries), (0, 1));
+
+    // The flight left the artifact resident: the next request is a hit.
+    let hit = service.compile(&req).unwrap();
+    assert!(hit.cached && !hit.deduped);
+    assert!(Arc::ptr_eq(&hit.result, &leader.result));
+    assert_eq!(service.stats().hits, 1);
+}
+
+#[test]
+fn served_compile_budgets_are_capped_at_the_defaults() {
+    let service = CompileService::with_config(8, 1);
+    let with = |deadline_s: f64, passes: usize| {
+        let options = CompileOptions {
+            deadline_s,
+            extra_passes: vec!["check-layout".to_string(); passes],
+            ..CompileOptions::default()
+        };
+        service.compile(&serve_request("lnn", "lnn:4", options))
+    };
+    // The default deadline and 16 extra passes are served...
+    assert!(with(10.0, 16).is_ok());
+    // ...half a second more, or one pass more, is refused naming the cap.
+    for (refused, fragments) in [
+        (with(10.5, 0), ["deadline_s 10.5", "at most 10 s"]),
+        (with(10.0, 17), ["extra_passes naming 17", "at most 16"]),
+    ] {
+        let err = refused.expect_err("over the served cap");
+        assert_eq!(err.kind, "unsupported-option", "{err}");
+        for fragment in fragments {
+            assert!(err.error.contains(fragment), "{err} lacks {fragment:?}");
+        }
+    }
+    assert_eq!(service.stats().errors, 2);
 }
 
 #[test]
