@@ -352,16 +352,22 @@ mod tests {
     }
 
     #[test]
-    fn approximate_kernels_cannot_claim_symbolic_verification() {
+    fn approximate_kernels_are_symbolically_verified_as_the_aqft() {
         let t = Target::lnn(6).unwrap();
         let opts = CompileOptions {
             approximation: Some(2),
             ..CompileOptions::verified()
         };
-        assert!(matches!(
-            SabreMapper.compile(&t, &opts),
-            Err(CompileError::UnsupportedOption { .. })
-        ));
+        for c in [
+            &SabreMapper as &dyn QftCompiler,
+            &OptimalMapper,
+            &LnnPathMapper,
+        ] {
+            let r = c
+                .compile(&t, &opts)
+                .unwrap_or_else(|e| panic!("{}: {e}", c.name()));
+            assert_eq!(r.metrics.cphases, 5, "{}", c.name());
+        }
     }
 
     #[test]

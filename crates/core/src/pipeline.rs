@@ -45,8 +45,9 @@ pub enum VerifyLevel {
     #[default]
     None,
     /// Run the scalable symbolic verifier (adjacency, SWAP-replay layout
-    /// consistency, QFT interaction semantics). Works at thousands of
-    /// qubits.
+    /// consistency, QFT interaction semantics — those of the AQFT of the
+    /// requested `approximation` degree, when one is set). Works at
+    /// thousands of qubits.
     Symbolic,
 }
 
@@ -548,14 +549,8 @@ pub fn finish_result(
     match opts.verify {
         VerifyLevel::None => {}
         VerifyLevel::Symbolic => {
-            if opts.approximation.is_some() {
-                return Err(CompileError::UnsupportedOption {
-                    compiler: compiler.to_string(),
-                    option: "symbolic verification of approximate (truncated) QFT kernels"
-                        .to_string(),
-                });
-            }
-            qft_sim::symbolic::verify_qft_mapping(&circuit, target.graph()).map_err(|e| {
+            let degree = opts.approximation.unwrap_or(u32::MAX);
+            qft_sim::symbolic::verify_aqft_mapping(&circuit, graph, degree).map_err(|e| {
                 CompileError::Verification {
                     compiler: compiler.to_string(),
                     report: e.to_string(),

@@ -129,6 +129,20 @@ impl AnnotatedOp {
             p2: self.p2,
         }
     }
+
+    /// The op's gate on the logical state, if it has one: an H, or the
+    /// CPHASE of a plain or fused (`CPHASE+SWAP`) interaction. SWAPs
+    /// (identity on the logical state) and ops on spare qubits have none.
+    #[inline]
+    pub fn logical_gate(&self) -> Option<Gate> {
+        match (self.kind, self.l1, self.l2) {
+            (GateKind::H, Some(l), _) => Some(Gate::one(GateKind::H, l)),
+            (GateKind::Cphase { k } | GateKind::CphaseSwap { k }, Some(a), Some(b)) => {
+                Some(Gate::two(GateKind::Cphase { k }, a, b))
+            }
+            _ => None,
+        }
+    }
 }
 
 /// The SWAP replay of a mapped circuit ([`MappedCircuit::replay`]): an
@@ -234,14 +248,7 @@ impl MappedCircuit {
     /// stream the QFT-order check and every simulator-backed equivalence
     /// check consume.
     pub fn logical_interactions(&self) -> impl Iterator<Item = Gate> + '_ {
-        self.replay()
-            .filter_map(|op| match (op.kind, op.l1, op.l2) {
-                (GateKind::H, Some(l), _) => Some(Gate::one(GateKind::H, l)),
-                (GateKind::Cphase { k } | GateKind::CphaseSwap { k }, Some(a), Some(b)) => {
-                    Some(Gate::two(GateKind::Cphase { k }, a, b))
-                }
-                _ => None,
-            })
+        self.replay().filter_map(|op| op.logical_gate())
     }
 
     /// Number of standalone SWAP gates inserted. A fused
@@ -282,18 +289,11 @@ impl MappedCircuit {
         latency: impl Fn(&PhysOp) -> u64,
         mut place: impl FnMut(&PhysOp, u64),
     ) -> u64 {
-        let mut avail = vec![0u64; self.n_physical];
-        let mut depth = 0;
+        let mut clock = AsapClock::new(self.n_physical);
         for op in &self.ops {
-            let start = op.phys().map(|p| avail[p.index()]).max().unwrap_or(0);
-            let end = start + latency(op);
-            for p in op.phys() {
-                avail[p.index()] = end;
-            }
-            depth = depth.max(end);
-            place(op, start);
+            place(op, clock.place(op, latency(op)));
         }
-        depth
+        clock.depth()
     }
 
     /// Depth counting only layers that contain two-qubit gates (the "cycle"
@@ -343,6 +343,48 @@ impl MappedCircuit {
             },
         );
         layers
+    }
+}
+
+/// The state of an ASAP schedule: when each physical qubit is next free.
+/// [`MappedCircuit::asap`] runs one; a walk that needs two schedules at
+/// once, such as [`crate::metrics::Metrics::of`], steps two side by side.
+#[derive(Debug, Clone)]
+pub(crate) struct AsapClock {
+    ready: Vec<u64>,
+    depth: u64,
+}
+
+impl AsapClock {
+    /// A schedule with every one of `n_physical` qubits free at cycle 0.
+    pub(crate) fn new(n_physical: usize) -> Self {
+        AsapClock {
+            ready: vec![0; n_physical],
+            depth: 0,
+        }
+    }
+
+    /// Starts `op` once every qubit it touches is free, holds them for
+    /// `latency` cycles, and returns the start cycle.
+    #[inline]
+    pub(crate) fn place(&mut self, op: &PhysOp, latency: u64) -> u64 {
+        let p1 = op.p1.index();
+        let start = match op.p2 {
+            Some(p2) => {
+                let start = self.ready[p1].max(self.ready[p2.index()]);
+                self.ready[p2.index()] = start + latency;
+                start
+            }
+            None => self.ready[p1],
+        };
+        self.ready[p1] = start + latency;
+        self.depth = self.depth.max(start + latency);
+        start
+    }
+
+    /// The schedule's depth so far: the cycle its last op ends.
+    pub(crate) fn depth(&self) -> u64 {
+        self.depth
     }
 }
 

@@ -1,6 +1,6 @@
 //! Compilation-quality metrics: the columns of every table and figure.
 
-use crate::circuit::{MappedCircuit, PhysOp};
+use crate::circuit::{AsapClock, MappedCircuit, PhysOp};
 use crate::gate::GateKind;
 use serde::{Deserialize, Serialize};
 
@@ -26,20 +26,27 @@ pub struct Metrics {
 impl Metrics {
     /// Computes metrics with a per-op latency function for the depth
     /// column: `|_| 1` for uniform latencies (NISQ backends), the device's
-    /// link latencies for FT backends. The kind counts ride on the depth's
-    /// ASAP walk; the two-qubit depth takes a second.
+    /// link latencies for FT backends. One walk of the stream steps the
+    /// depth's and the two-qubit depth's ASAP schedules side by side and
+    /// counts the kinds.
     pub fn of(mc: &MappedCircuit, latency: impl Fn(&PhysOp) -> u64) -> Metrics {
         let (mut swaps, mut cphases, mut hadamards) = (0, 0, 0);
-        let depth = mc.asap(latency, |op, _| match op.kind {
-            GateKind::Swap => swaps += 1,
-            GateKind::H => hadamards += 1,
-            GateKind::Cphase { .. } | GateKind::CphaseSwap { .. } => cphases += 1,
-            _ => {}
-        });
+        let mut depth = AsapClock::new(mc.n_physical());
+        let mut two_qubit = AsapClock::new(mc.n_physical());
+        for op in mc.ops() {
+            depth.place(op, latency(op));
+            two_qubit.place(op, u64::from(op.kind.arity() == 2));
+            match op.kind {
+                GateKind::Swap => swaps += 1,
+                GateKind::H => hadamards += 1,
+                GateKind::Cphase { .. } | GateKind::CphaseSwap { .. } => cphases += 1,
+                _ => {}
+            }
+        }
         Metrics {
             n: mc.n_logical(),
-            depth,
-            two_qubit_depth: mc.two_qubit_depth(),
+            depth: depth.depth(),
+            two_qubit_depth: two_qubit.depth(),
             swaps,
             cphases,
             hadamards,

@@ -39,7 +39,7 @@
 //! truncation pass is parameterized and resolves from the form
 //! `aqft-truncate(degree)`, e.g. `aqft-truncate(3)`.
 
-use crate::circuit::{MappedCircuit, PhysOp, Replay};
+use crate::circuit::{AnnotatedOp, AsapClock, MappedCircuit, PhysOp, Replay};
 use crate::gate::{GateKind, PhysicalQubit};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -195,6 +195,12 @@ impl std::error::Error for PassError {}
 /// circuit. Implementations must preserve circuit semantics and layout
 /// bookkeeping — [`CheckLayout`] is the executable statement of that
 /// contract.
+///
+/// A pass that reports zero `rewrites` must leave the circuit exactly as
+/// it found it: the op stream and the final layout. Every named pass
+/// keeps this, and [`PassManager::run`] relies on it to carry a report's
+/// before-columns forward instead of measuring the stream again (debug
+/// builds re-measure and assert the columns agree).
 pub trait Pass: Send + Sync {
     /// Registry name (kebab-case, e.g. `"cancel-adjacent-swaps"`).
     fn name(&self) -> &'static str;
@@ -247,7 +253,9 @@ impl PassManager {
 
     /// Runs every pass in order, aborting on the first failure. Each
     /// report's wall time and before/after columns are measured here so
-    /// individual passes cannot mis-report them.
+    /// individual passes cannot mis-report them. A pass that reports no
+    /// rewrites left the stream as it was (the [`Pass`] contract), so its
+    /// after-columns are its before-columns, measured once.
     pub fn run(
         &self,
         circuit: &mut MappedCircuit,
@@ -257,16 +265,23 @@ impl PassManager {
         // One pass's "after" is the next one's "before".
         let mut before = None;
         for pass in &self.passes {
-            let (ops_before, swaps_before, depth_before) =
-                before.unwrap_or_else(|| measure(circuit));
+            let columns = before.unwrap_or_else(|| measure(circuit));
             let t0 = Instant::now();
             let mut report = pass.run(circuit, ctx)?;
             report.wall_s = t0.elapsed().as_secs_f64();
-            let after = measure(circuit);
+            let after = if report.changed() {
+                measure(circuit)
+            } else {
+                debug_assert_eq!(
+                    measure(circuit),
+                    columns,
+                    "pass '{}' reported no rewrites but changed the stream",
+                    pass.name()
+                );
+                columns
+            };
             report.pass = pass.name().to_string();
-            report.ops_before = ops_before;
-            report.swaps_before = swaps_before;
-            report.depth_before = depth_before;
+            (report.ops_before, report.swaps_before, report.depth_before) = columns;
             (report.ops_after, report.swaps_after, report.depth_after) = after;
             before = Some(after);
             reports.push(report);
@@ -482,7 +497,39 @@ impl Pass for AsapLayering {
     }
 
     fn run(&self, circuit: &mut MappedCircuit, _ctx: &PassCtx) -> Result<PassReport, PassError> {
-        let relaid: Vec<PhysOp> = circuit.layers_uniform().into_iter().flatten().collect();
+        let ops = circuit.ops();
+        // The stable sort by start layer is the identity exactly when the
+        // start layers never decrease along the stream: one walk over
+        // per-qubit ready times decides that without per-op memory.
+        let mut clock = AsapClock::new(circuit.n_physical());
+        let mut last = 0;
+        let ordered = ops.iter().all(|op| {
+            let start = clock.place(op, 1);
+            let ordered = start >= last;
+            last = start;
+            ordered
+        });
+        if ordered {
+            return Ok(PassReport::new(self.name()));
+        }
+        // A stable counting sort: each op's start layer, then each layer's
+        // first output slot, then a scatter in stream order (reads run
+        // in order; writes append to one slot per layer).
+        let mut clock = AsapClock::new(circuit.n_physical());
+        let starts: Vec<u32> = ops.iter().map(|op| clock.place(op, 1) as u32).collect();
+        let mut next = vec![0u32; clock.depth() as usize + 1];
+        for &start in &starts {
+            next[start as usize + 1] += 1;
+        }
+        for layer in 1..next.len() {
+            next[layer] += next[layer - 1];
+        }
+        let mut relaid = ops.to_vec();
+        for (op, &start) in ops.iter().zip(&starts) {
+            let slot = &mut next[start as usize];
+            relaid[*slot as usize] = *op;
+            *slot += 1;
+        }
         // A position counts as moved when its op differs, annotations
         // included: the count is part of the artifact's pass report.
         let moved = Replay::new(circuit.initial_layout(), &relaid)
@@ -643,8 +690,14 @@ pub struct ReplayCounts {
 /// The layout check behind [`CheckLayout`] and the symbolic verifier: one
 /// pass of [`MappedCircuit::replay`] that checks every op's operands
 /// (arity, no self-loops), two-qubit adjacency under the context's oracle,
-/// and that the replay ends at the recorded final layout.
-pub fn replay_layout(circuit: &MappedCircuit, ctx: &PassCtx) -> Result<ReplayCounts, ReplayError> {
+/// and that the replay ends at the recorded final layout. Each op that
+/// passes is handed to `visit`, in stream order, so a caller checks more
+/// in the same walk (the symbolic verifier tallies the QFT order).
+pub fn replay_layout(
+    circuit: &MappedCircuit,
+    ctx: &PassCtx,
+    mut visit: impl FnMut(&AnnotatedOp),
+) -> Result<ReplayCounts, ReplayError> {
     let mut replay = circuit.replay();
     let (mut two_qubit_ops, mut swaps) = (0, 0);
     for (i, op) in replay.by_ref().enumerate() {
@@ -666,6 +719,7 @@ pub fn replay_layout(circuit: &MappedCircuit, ctx: &PassCtx) -> Result<ReplayCou
                 swaps += usize::from(op.kind == GateKind::Swap);
             }
         }
+        visit(&op);
     }
     if &replay.into_final_layout() != circuit.final_layout() {
         return Err(ReplayError::FinalLayoutMismatch);
@@ -693,7 +747,8 @@ impl Pass for CheckLayout {
     }
 
     fn run(&self, circuit: &mut MappedCircuit, ctx: &PassCtx) -> Result<PassReport, PassError> {
-        replay_layout(circuit, ctx).map_err(|e| PassError::new(self.name(), e.to_string()))?;
+        replay_layout(circuit, ctx, |_| {})
+            .map_err(|e| PassError::new(self.name(), e.to_string()))?;
         let note = format!(
             "{} ops checked{}",
             circuit.ops().len(),

@@ -216,7 +216,7 @@ fn emit_ia(c: &mut Circuit, p: &Partition) {
     }
 }
 
-/// Why a gate sequence fails to be a valid QFT realization.
+/// Why a gate sequence fails to be a valid QFT (or AQFT) realization.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum QftOrderError {
     /// A qubit has no H, or more than one.
@@ -226,12 +226,15 @@ pub enum QftOrderError {
         /// How many H gates it received.
         count: usize,
     },
-    /// A pair is missing its CPHASE or has duplicates.
+    /// A pair has the wrong number of CPHASEs: a kept pair needs exactly
+    /// one, a pair the AQFT degree truncates needs none.
     PairCount {
         /// The offending unordered pair (i < j).
         pair: (u32, u32),
         /// How many CPHASEs it received.
         count: usize,
+        /// How many it needs (1 if kept, 0 if truncated).
+        expected: usize,
     },
     /// The CPHASE rotation order is wrong for the pair.
     WrongAngle {
@@ -263,8 +266,12 @@ impl fmt::Display for QftOrderError {
             QftOrderError::PairCount {
                 pair: (i, j),
                 count,
+                expected,
             } => {
-                write!(f, "pair (q{i}, q{j}) has {count} CPHASEs (expected 1)")
+                write!(
+                    f,
+                    "pair (q{i}, q{j}) has {count} CPHASEs (expected {expected})"
+                )
             }
             QftOrderError::WrongAngle {
                 pair: (i, j),
@@ -289,13 +296,14 @@ impl fmt::Display for QftOrderError {
 impl std::error::Error for QftOrderError {}
 
 /// Checks that `gates` (H and CPHASE only, on `n` qubits) is a valid
-/// realization of the QFT interaction pattern:
+/// realization of the degree-`degree` AQFT interaction pattern
+/// (`degree >= n` is the exact QFT):
 ///
 /// 1. exactly one `H` per qubit;
-/// 2. exactly one `CPHASE` per unordered pair, with rotation order
-///    `R_{j-i+1}`;
-/// 3. Type II: for `i < j`, `H(i)` precedes `CPHASE(i,j)` which precedes
-///    `H(j)`.
+/// 2. exactly one `CPHASE` per kept pair `(i, j)`, `j - i < degree`, with
+///    rotation order `R_{j-i+1}`, and none on any other pair;
+/// 3. Type II: for a kept pair `i < j`, `H(i)` precedes `CPHASE(i,j)`
+///    which precedes `H(j)`.
 ///
 /// This is the semantic contract every compiled QFT must satisfy (it is
 /// sufficient for unitary equivalence because all CPHASEs commute — see the
@@ -307,85 +315,204 @@ impl std::error::Error for QftOrderError {}
 /// naming one qubit twice belongs to no pair and is not counted.
 ///
 /// # Panics
-/// Panics if a gate names a qubit `>= n`.
-pub fn check_qft_order<I>(gates: I, n: usize) -> Result<(), QftOrderError>
+/// Panics if a gate names a qubit `>= n`, or on `degree = 0`.
+pub fn check_qft_order<I>(gates: I, n: usize, degree: u32) -> Result<(), QftOrderError>
 where
     I: IntoIterator<Item = Gate>,
 {
-    // How many gates hit one qubit (its H) or one pair (its CPHASE), where
-    // the first sits, and the first CPHASE's order: one flat table per
-    // qubit and one per pair `i < j`, row-major over the upper triangle.
-    #[derive(Clone, Copy, Default)]
-    struct Tally {
-        count: usize,
-        first: usize,
-        k: u32,
-    }
-    impl Tally {
-        fn record(&mut self, t: usize, k: u32) {
-            if self.count == 0 {
-                self.first = t;
-                self.k = k;
-            }
-            self.count += 1;
-        }
-    }
-    let pair_slot = |i: usize, j: usize| i * (2 * n - i - 1) / 2 + (j - i - 1);
-    let mut hadamards = vec![Tally::default(); n];
-    let mut pairs = vec![Tally::default(); n * n.saturating_sub(1) / 2];
-    for (t, g) in gates.into_iter().enumerate() {
+    let mut check = QftOrderCheck::new(n, degree);
+    for (position, g) in gates.into_iter().enumerate() {
         match g.kind {
-            GateKind::H => hadamards[g.a.index()].record(t, 0),
-            GateKind::Cphase { k } => {
-                let (a, b) = (g.a.index(), g.b.expect("2-qubit cphase").index());
-                let (i, j) = if a < b { (a, b) } else { (b, a) };
-                assert!(j < n, "CPHASE on q{j} in a {n}-qubit check");
-                if i != j {
-                    pairs[pair_slot(i, j)].record(t, k);
-                }
-            }
-            _ => return Err(QftOrderError::ForeignGate { position: t }),
+            GateKind::H | GateKind::Cphase { .. } => check.push(g),
+            _ => return Err(QftOrderError::ForeignGate { position }),
         }
     }
-    for (q, h) in hadamards.iter().enumerate() {
-        if h.count != 1 {
-            return Err(QftOrderError::HadamardCount {
-                qubit: q as u32,
-                count: h.count,
-            });
-        }
-    }
-    let mut slot = 0;
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let pair = (i as u32, j as u32);
-            let p = pairs[slot];
-            slot += 1;
-            if p.count != 1 {
-                return Err(QftOrderError::PairCount {
-                    pair,
-                    count: p.count,
-                });
-            }
-            let expected = rotation_order(pair.0, pair.1);
-            if p.k != expected {
-                return Err(QftOrderError::WrongAngle {
-                    pair,
-                    found: p.k,
-                    expected,
-                });
-            }
-            if !(hadamards[i].first < p.first && p.first < hadamards[j].first) {
-                return Err(QftOrderError::TypeII { pair });
-            }
-        }
-    }
-    Ok(())
+    check.finish()
 }
 
-/// Convenience: runs [`check_qft_order`] on a whole circuit.
+/// [`check_qft_order`] fed one gate at a time, so a caller that already
+/// walks a stream checks the order in the same walk (the symbolic
+/// verifier runs it inside its layout replay).
+///
+/// Its state stays in cache at paper scale: one H count per qubit, one bit
+/// per kept pair, and the least pair in `(i, j)` order that is already
+/// wrong. A pair is judged when its first CPHASE arrives: the angle, and
+/// Type II as "H(i) has arrived, H(j) has not", which is exact once every
+/// qubit turns out to have one H (otherwise the H count is reported
+/// first). A wrong pair stays wrong, since its count only grows and its
+/// first CPHASE's verdict never changes, so only the least one can be the
+/// pair [`QftOrderCheck::finish`] reports, ahead of or behind the first
+/// kept pair that never arrived.
+#[derive(Debug, Clone)]
+pub struct QftOrderCheck {
+    /// The widest kept pair distance `j - i`.
+    reach: usize,
+    /// H gates per qubit.
+    hadamards: Vec<usize>,
+    /// One bit per kept pair `(i, j)`, at slot `i * reach + (j - i - 1)`:
+    /// whether a CPHASE on it has arrived.
+    arrived: Vec<u64>,
+    /// Kept pairs whose bit is set.
+    arrivals: usize,
+    /// The least pair that is already wrong.
+    least_wrong: Option<WrongPair>,
+}
+
+/// A pair [`QftOrderCheck`] has found wrong.
+#[derive(Debug, Clone, Copy)]
+struct WrongPair {
+    pair: (u32, u32),
+    /// CPHASEs on the pair so far.
+    count: usize,
+    /// CPHASEs the pair needs: 1 if kept, 0 if truncated.
+    expected: usize,
+    /// The first CPHASE's rotation order.
+    k: u32,
+}
+
+impl QftOrderCheck {
+    /// An empty check of the degree-`degree` AQFT on `n` qubits;
+    /// `degree >= n` is the exact QFT.
+    ///
+    /// # Panics
+    /// Panics on `degree = 0`, like [`aqft_circuit`].
+    pub fn new(n: usize, degree: u32) -> Self {
+        assert!(degree >= 1, "AQFT degree must be >= 1, got 0");
+        let reach = (degree as usize).min(n).saturating_sub(1);
+        QftOrderCheck {
+            reach,
+            hadamards: vec![0; n],
+            arrived: vec![0; (n * reach).div_ceil(64)],
+            arrivals: 0,
+            least_wrong: None,
+        }
+    }
+
+    /// Feeds the next gate of the stream.
+    ///
+    /// # Panics
+    /// Panics if the gate is not H or CPHASE ([`check_qft_order`] reports
+    /// those as [`QftOrderError::ForeignGate`]), or names a qubit `>= n`.
+    pub fn push(&mut self, g: Gate) {
+        let n = self.hadamards.len();
+        let k = match g.kind {
+            GateKind::H => {
+                self.hadamards[g.a.index()] += 1;
+                return;
+            }
+            GateKind::Cphase { k } => k,
+            other => panic!("{other} has no place in a QFT order check"),
+        };
+        let (a, b) = (g.a.index(), g.b.expect("2-qubit cphase").index());
+        let (i, j) = if a < b { (a, b) } else { (b, a) };
+        assert!(j < n, "CPHASE on q{j} in a {n}-qubit check");
+        if i == j {
+            return;
+        }
+        let pair = (i as u32, j as u32);
+        let dist = j - i;
+        if dist > self.reach {
+            return self.wrong(pair, 1, 0, k);
+        }
+        let slot = i * self.reach + dist - 1;
+        let (word, bit) = (&mut self.arrived[slot / 64], 1u64 << (slot % 64));
+        if *word & bit != 0 {
+            // A repeat: the pair's first CPHASE was right, or the pair is
+            // already the least wrong one and only its count moves.
+            return self.wrong(pair, 2, 1, k);
+        }
+        *word |= bit;
+        self.arrivals += 1;
+        let in_order = self.hadamards[i] > 0 && self.hadamards[j] == 0;
+        if k != dist as u32 + 1 || !in_order {
+            self.wrong(pair, 1, 1, k);
+        }
+    }
+
+    /// Records that `pair` is wrong, as its `count`-th CPHASE when the
+    /// pair is not the least wrong one yet.
+    fn wrong(&mut self, pair: (u32, u32), count: usize, expected: usize, k: u32) {
+        match &mut self.least_wrong {
+            Some(least) if least.pair == pair => least.count += 1,
+            Some(least) if least.pair < pair => {}
+            _ => {
+                self.least_wrong = Some(WrongPair {
+                    pair,
+                    count,
+                    expected,
+                    k,
+                })
+            }
+        }
+    }
+
+    /// The verdict on the whole stream, in [`check_qft_order`]'s order.
+    pub fn finish(self) -> Result<(), QftOrderError> {
+        if let Some((q, &count)) = self.hadamards.iter().enumerate().find(|(_, &c)| c != 1) {
+            return Err(QftOrderError::HadamardCount {
+                qubit: q as u32,
+                count,
+            });
+        }
+        let missing = |pair| {
+            Err(QftOrderError::PairCount {
+                pair,
+                count: 0,
+                expected: 1,
+            })
+        };
+        let wrong = match (self.first_missing(), self.least_wrong) {
+            (None, None) => return Ok(()),
+            (Some(pair), None) => return missing(pair),
+            (Some(pair), Some(wrong)) if pair < wrong.pair => return missing(pair),
+            (_, Some(wrong)) => wrong,
+        };
+        // A pair with its one CPHASE at the right angle was recorded for
+        // its Type II order.
+        let WrongPair {
+            pair,
+            count,
+            expected,
+            k,
+        } = wrong;
+        let order = rotation_order(pair.0, pair.1);
+        Err(if count != expected {
+            QftOrderError::PairCount {
+                pair,
+                count,
+                expected,
+            }
+        } else if k != order {
+            QftOrderError::WrongAngle {
+                pair,
+                found: k,
+                expected: order,
+            }
+        } else {
+            QftOrderError::TypeII { pair }
+        })
+    }
+
+    /// The first kept pair in `(i, j)` order no CPHASE arrived on.
+    fn first_missing(&self) -> Option<(u32, u32)> {
+        let n = self.hadamards.len();
+        if self.arrivals == aqft_pair_count(n, self.reach as u32 + 1) {
+            return None;
+        }
+        (0..n)
+            .flat_map(|i| (1..=self.reach.min(n - 1 - i)).map(move |dist| (i, dist)))
+            .find(|&(i, dist)| {
+                let slot = i * self.reach + dist - 1;
+                self.arrived[slot / 64] & (1u64 << (slot % 64)) == 0
+            })
+            .map(|(i, dist)| (i as u32, (i + dist) as u32))
+    }
+}
+
+/// Convenience: runs [`check_qft_order`] for the exact QFT on a whole
+/// circuit.
 pub fn check_qft_circuit(c: &Circuit) -> Result<(), QftOrderError> {
-    check_qft_order(c.gates().iter().copied(), c.n_qubits())
+    check_qft_order(c.gates().iter().copied(), c.n_qubits(), u32::MAX)
 }
 
 /// Number of CPHASE gates in a QFT on `n` qubits: `n(n-1)/2`.
@@ -495,7 +622,7 @@ mod tests {
     }
 
     fn check(n: usize, gates: &[Gate]) -> Result<(), QftOrderError> {
-        check_qft_order(gates.iter().copied(), n)
+        check_qft_order(gates.iter().copied(), n, u32::MAX)
     }
 
     #[test]
@@ -519,7 +646,8 @@ mod tests {
             check(3, &missing),
             Err(QftOrderError::PairCount {
                 pair: (0, 2),
-                count: 0
+                count: 0,
+                expected: 1
             })
         );
         // Both operand orders count towards the same unordered pair.
@@ -533,7 +661,8 @@ mod tests {
             check(2, &doubled),
             Err(QftOrderError::PairCount {
                 pair: (0, 1),
-                count: 2
+                count: 2,
+                expected: 1
             })
         );
     }
@@ -596,6 +725,46 @@ mod tests {
                 pair: (0, 1),
                 found: 7,
                 expected: 2
+            })
+        );
+    }
+
+    #[test]
+    fn checker_takes_the_aqft_degree() {
+        for n in [1usize, 2, 5, 9] {
+            for d in 1..=(n as u32 + 1) {
+                let c = aqft_circuit(n, d);
+                let gates = || c.gates().iter().copied();
+                assert_eq!(check_qft_order(gates(), n, d), Ok(()), "n={n} d={d}");
+                if (d as usize) < n {
+                    // The exact check misses the first truncated pair.
+                    assert_eq!(
+                        check_qft_order(gates(), n, u32::MAX),
+                        Err(QftOrderError::PairCount {
+                            pair: (0, d),
+                            count: 0,
+                            expected: 1
+                        }),
+                        "n={n} d={d}"
+                    );
+                }
+            }
+        }
+        // A truncated pair may not appear at all, in any order.
+        let late = [
+            Gate::h(0),
+            Gate::cphase(2, 0, 1),
+            Gate::h(1),
+            Gate::cphase(2, 1, 2),
+            Gate::h(2),
+            Gate::cphase(3, 2, 0),
+        ];
+        assert_eq!(
+            check_qft_order(late.iter().copied(), 3, 2),
+            Err(QftOrderError::PairCount {
+                pair: (0, 2),
+                count: 1,
+                expected: 0
             })
         );
     }

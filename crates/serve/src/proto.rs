@@ -55,6 +55,11 @@ pub const HEADER_LEN: usize = 10;
 /// sized from it.
 pub const MAX_PAYLOAD: usize = 16 << 20;
 
+/// The fewest JSON bytes one op of an artifact takes in a response:
+/// `{"kind":"Swap","p1":0,"p2":1,"l1":0,"l2":1}`. An artifact's op count
+/// times this bounds its response from below without encoding it.
+pub(crate) const MIN_OP_JSON_BYTES: usize = 43;
+
 /// Cap on the payload of the four kinds a server receives — `request`,
 /// `stats-request`, `goodbye` and `warmup-request` (1 MiB). None is
 /// legitimately more than a few KB (the largest, a warm-up predicate, is
@@ -625,6 +630,38 @@ mod tests {
         let back = read_frame(&mut Cursor::new(&bye.encode().unwrap())).unwrap();
         let wire: WireGoodbye = back.decode().unwrap();
         assert_eq!((wire.reason.as_str(), wire.served), ("server draining", 3));
+    }
+
+    #[test]
+    fn the_lower_bound_op_is_the_shortest_op_encoding() {
+        use qft_ir::{AnnotatedOp, GateKind, LogicalQubit, PhysicalQubit};
+        let kinds = [
+            GateKind::H,
+            GateKind::X,
+            GateKind::Rz { k: 1 },
+            GateKind::Swap,
+            GateKind::Cnot,
+            GateKind::Cphase { k: 1 },
+            GateKind::CphaseSwap { k: 1 },
+        ];
+        let logical = [None, Some(LogicalQubit(0))];
+        let shortest = kinds
+            .into_iter()
+            .flat_map(|kind| {
+                let p2 = (kind.arity() == 2).then_some(PhysicalQubit(1));
+                logical.into_iter().flat_map(move |l1| {
+                    logical.into_iter().map(move |l2| AnnotatedOp {
+                        kind,
+                        p1: PhysicalQubit(0),
+                        p2,
+                        l1,
+                        l2: p2.and(l2),
+                    })
+                })
+            })
+            .map(|op| serde_json::to_string(&op).unwrap().len())
+            .min();
+        assert_eq!(shortest, Some(MIN_OP_JSON_BYTES));
     }
 
     #[test]

@@ -51,7 +51,7 @@
 use crate::metrics::{Metrics, NetCounters};
 use crate::proto::{self, Frame, FrameKind, ProtoError, WireRequest, WireWarmupRequest};
 use crate::service::{CompileService, Reply};
-use crate::types::ServeError;
+use crate::types::{CompileResponse, ServeError};
 use crate::warmup;
 use serde::{Deserialize, Serialize};
 use std::io::{self, Read, Write};
@@ -481,15 +481,43 @@ impl Read for FrameDeadline<'_> {
 /// A compile outcome as the frame bytes its connection's writer puts on
 /// the wire. The conversion runs on the pool worker that served the
 /// request (see [`CompileService::submit`]), so the writer only writes.
-struct Encoded(Result<Vec<u8>, ProtoError>);
+struct Encoded {
+    frame: Result<Vec<u8>, ProtoError>,
+    /// Whether the frame refuses a response too large to send, an error
+    /// the service's counters have not seen.
+    too_large: bool,
+}
 
 impl From<Reply> for Encoded {
     fn from((seq, outcome): Reply) -> Self {
-        let frame = match &outcome {
-            Ok(resp) => Frame::response(seq, resp),
-            Err(e) => Frame::error(Some(seq), e),
+        let (frame, too_large) = match outcome.as_ref().map(|resp| response_frame(seq, resp)) {
+            Ok(Ok(frame)) => (frame, false),
+            Ok(Err(e)) => (Frame::error(Some(seq), &e), true),
+            Err(e) => (Frame::error(Some(seq), e), false),
         };
-        Encoded(frame.encode())
+        Encoded {
+            frame: frame.encode(),
+            too_large,
+        }
+    }
+}
+
+/// The response frame for `resp`, or the `too-large` refusal when it
+/// cannot fit one. An artifact whose op count alone bounds its JSON past
+/// the cap is refused without encoding it.
+fn response_frame(seq: u64, resp: &CompileResponse) -> Result<Frame, ServeError> {
+    let cap = FrameKind::Response.max_payload();
+    let at_least = resp.result.circuit.ops().len() * proto::MIN_OP_JSON_BYTES;
+    if at_least > cap {
+        return Err(ServeError::too_large(
+            format_args!("at least {at_least} bytes"),
+            cap,
+        ));
+    }
+    let frame = Frame::response(seq, resp);
+    match frame.payload.len() {
+        len if len > cap => Err(ServeError::too_large(format_args!("{len} bytes"), cap)),
+        _ => Ok(frame),
     }
 }
 
@@ -515,7 +543,10 @@ fn serve_connection(shared: &Arc<Shared>, link: &Arc<Link>, id: u64) {
         // Wake the writer if it still waits on compiles this connection
         // abandoned. The message itself is dropped: the connection is
         // closed, so the writer returns without writing it.
-        let _ = conn.replies.send(Encoded(Ok(Vec::new())));
+        let _ = conn.replies.send(Encoded {
+            frame: Ok(Vec::new()),
+            too_large: false,
+        });
         let _ = writer.join();
     }
 }
@@ -708,7 +739,10 @@ impl Conn<'_> {
 /// it completes, and the server goodbye once the last admitted response
 /// is delivered after a client goodbye or a drain.
 fn write_replies(shared: &Shared, link: &Link, replies: mpsc::Receiver<Encoded>) {
-    for Encoded(frame) in replies {
+    for Encoded { frame, too_large } in replies {
+        if too_large {
+            shared.service.count_error();
+        }
         let mut st = link.lock();
         if st.closed {
             return;

@@ -325,6 +325,13 @@ impl CompileService {
             .map_err(|_| ServeError::bad_request("service is shutting down"))
     }
 
+    /// Counts a request the server answered with an error after the
+    /// service served it (a response too large to send), so `errors`
+    /// covers every request that ended in a [`ServeError`].
+    pub(crate) fn count_error(&self) {
+        Metrics::bump(&self.inner.metrics.errors);
+    }
+
     /// Exports every cache entry whose key digest the predicate claims,
     /// as verifiable [`WarmupEntry`] records (digests stamped at export,
     /// re-checked at import). Reads only the cache — the worker pool and

@@ -152,11 +152,12 @@ pub struct ServeError {
     /// the client's own goodbye frame, `unavailable` for a routed request
     /// that found no live backend (see [`crate::router`]), `protocol`
     /// for a connection whose byte stream violated the wire framing (see
-    /// [`crate::proto`]), `invalid-config` for a router membership
-    /// operation that can never be correct (empty/duplicate backend
-    /// lists, removing the last member), or `internal` for a compile that
-    /// panicked (a bug in a compiler, caught so the service keeps
-    /// serving; never cached).
+    /// [`crate::proto`]), `too-large` for a compiled artifact whose
+    /// response cannot fit a response frame, `invalid-config` for a
+    /// router membership operation that can never be correct
+    /// (empty/duplicate backend lists, removing the last member), or
+    /// `internal` for a compile that panicked (a bug in a compiler,
+    /// caught so the service keeps serving; never cached).
     pub kind: String,
     /// Human-readable diagnosis (the [`CompileError`] display text).
     pub error: String,
@@ -218,6 +219,21 @@ impl ServeError {
         ServeError {
             kind: "protocol".to_string(),
             error: diagnosis.to_string(),
+        }
+    }
+
+    /// A response the server cannot send: its JSON takes `size` (exact,
+    /// or a lower bound from the artifact's op count), over the `cap` of
+    /// a response frame. Request-shaped: every backend would answer the
+    /// same, so a router passes it through, and the connection keeps
+    /// serving.
+    pub fn too_large(size: impl fmt::Display, cap: usize) -> Self {
+        ServeError {
+            kind: "too-large".to_string(),
+            error: format!(
+                "the response takes {size} of JSON, over the {cap}-byte cap of a response \
+                 frame: the artifact compiled but cannot be sent"
+            ),
         }
     }
 

@@ -52,4 +52,4 @@ pub use naive::NaiveStateVector;
 pub use reference::{bit_reverse, dft, qft_circuit_reference};
 pub use sparse::{SparseProbe, SparseRun};
 pub use state::{phase_angle, StateVector};
-pub use symbolic::{verify_qft_mapping, VerifyError, VerifyReport};
+pub use symbolic::{verify_aqft_mapping, verify_qft_mapping, VerifyError, VerifyReport};

@@ -7,27 +7,31 @@
 //!
 //! 1. **Adjacency** — every two-qubit op acts on a coupling-graph link;
 //! 2. **Layout consistency** — replaying the SWAPs from the initial layout
-//!    ends at the recorded final layout (1 and 2 are one pass of
+//!    ends at the recorded final layout (1 and 2 are
 //!    [`qft_ir::passes::replay_layout`], the check the `check-layout` pass
 //!    runs, which also refuses ops with the wrong operand count for their
 //!    kind);
 //! 3. **QFT semantics** — the logical H/CPHASE stream, whose logical
 //!    qubits the same SWAP replay derives
-//!    ([`MappedCircuit::logical_interactions`]), has exactly one H per
-//!    qubit, one CPHASE per pair with the right rotation order, and
-//!    respects Type II dependences (`H(i) < CP(i,j) < H(j)` for `i < j`).
+//!    ([`qft_ir::AnnotatedOp::logical_gate`]), has exactly one H per
+//!    qubit, one CPHASE per kept pair with the right rotation order and
+//!    none on a pair the AQFT degree truncates, and respects Type II
+//!    dependences (`H(i) < CP(i,j) < H(j)` for `i < j`).
+//!
+//! All three run in one walk of the stream: the layout replay hands each
+//! op to the QFT-order check ([`qft_ir::qft::QftOrderCheck`]).
 //!
 //! Together with the CPHASE commutation theorem (all same-segment diagonal
 //! gates commute — cross-checked against state vectors in this crate's
-//! tests), (3) implies unitary equivalence to the textbook QFT. At small N
-//! the claim is additionally replayed numerically by [`crate::equiv`]
-//! (batched fast engine, differentially pinned against [`crate::naive`]).
+//! tests), (3) implies unitary equivalence to the textbook QFT (or the
+//! AQFT of the given degree). At small N the claim is additionally
+//! replayed numerically by [`crate::equiv`] (batched fast engine,
+//! differentially pinned against [`crate::naive`]).
 
 use qft_arch::graph::CouplingGraph;
 use qft_ir::circuit::MappedCircuit;
-use qft_ir::gate::GateKind;
 use qft_ir::passes::{replay_layout, PassCtx, ReplayError};
-use qft_ir::qft::QftOrderError;
+use qft_ir::qft::{QftOrderCheck, QftOrderError};
 use std::fmt;
 
 /// Everything that can be wrong with a mapped circuit.
@@ -80,6 +84,21 @@ pub fn verify_qft_mapping(
     mc: &MappedCircuit,
     graph: &CouplingGraph,
 ) -> Result<VerifyReport, VerifyError> {
+    verify_aqft_mapping(mc, graph, u32::MAX)
+}
+
+/// Verifies a mapped circuit against a coupling graph and the contract of
+/// the degree-`degree` AQFT: the pairs `(i, j)` with `j - i < degree` each
+/// get their one CPHASE, and no other pair gets any. `degree >= n` is the
+/// exact QFT ([`verify_qft_mapping`]).
+///
+/// # Panics
+/// Panics on `degree = 0`.
+pub fn verify_aqft_mapping(
+    mc: &MappedCircuit,
+    graph: &CouplingGraph,
+    degree: u32,
+) -> Result<VerifyReport, VerifyError> {
     if mc.n_physical() != graph.n_qubits() {
         return Err(VerifyError::Shape(format!(
             "circuit has {} physical qubits, device has {}",
@@ -93,20 +112,24 @@ pub fn verify_qft_mapping(
         ));
     }
 
-    // (1) + (2): adjacency and layout replay, shared with `CheckLayout`.
+    // (1) + (2): adjacency and layout replay, shared with `CheckLayout`,
+    // handing each op's logical gate to (3), the QFT-order check.
+    let mut order = QftOrderCheck::new(mc.n_logical(), degree);
+    let mut pairs = 0;
     let adjacent = |a, b| graph.are_adjacent(a, b);
-    let counts = replay_layout(mc, &PassCtx::with_adjacency(&adjacent)).map_err(|e| match e {
+    let ctx = PassCtx::with_adjacency(&adjacent);
+    let counts = replay_layout(mc, &ctx, |op| {
+        if let Some(g) = op.logical_gate() {
+            pairs += usize::from(g.b.is_some());
+            order.push(g);
+        }
+    })
+    .map_err(|e| match e {
         ReplayError::NonAdjacent(op_index, ..) => VerifyError::NonAdjacent { op_index },
         ReplayError::FinalLayoutMismatch => VerifyError::FinalLayoutMismatch,
         malformed => VerifyError::Shape(malformed.to_string()),
     })?;
-
-    // (3): QFT semantics over the logical interaction stream.
-    let mut pairs = 0;
-    let interactions = mc
-        .logical_interactions()
-        .inspect(|g| pairs += usize::from(matches!(g.kind, GateKind::Cphase { .. })));
-    qft_ir::qft::check_qft_order(interactions, mc.n_logical()).map_err(VerifyError::Semantics)?;
+    order.finish().map_err(VerifyError::Semantics)?;
 
     Ok(VerifyReport {
         ops: mc.ops().len(),

@@ -8,6 +8,9 @@ mod common;
 
 use common::{assert_matches_logical_qft, check_cell};
 use qft_kernels::ir::gate::GateKind;
+use qft_kernels::ir::passes::{CheckLayout, Pass, PassCtx};
+use qft_kernels::ir::qft::{aqft_pair_count, QftOrderError};
+use qft_kernels::sim::{verify_aqft_mapping, verify_qft_mapping, VerifyError};
 use qft_kernels::{registry, CompileError, CompileOptions, Target};
 
 /// The degrees every cell is checked at: the paper's shallow truncations
@@ -127,6 +130,69 @@ fn truncated_kernels_drop_every_high_order_rotation() {
                 );
             }
         }
+    }
+}
+
+#[test]
+fn symbolic_verification_checks_every_truncated_kernel() {
+    for (compiler, target) in matrix() {
+        for degree in degrees(target.n_qubits()) {
+            let opts = CompileOptions::verified().with_approximation(degree);
+            registry()
+                .compile(compiler, &target, &opts)
+                .unwrap_or_else(|e| panic!("{compiler} on {} at {degree}: {e}", target.name()));
+        }
+    }
+}
+
+#[test]
+fn the_aqft_order_check_refuses_right_counts_on_wrong_pairs() {
+    // n = 64, degree 3: delete one kept R_2 and give one SWAP on a pair
+    // the truncation drops a fused R_4. The rotation count, the layout
+    // replay and the depth law all still pass; only the pair-by-pair
+    // order check refuses.
+    let (n, degree) = (64, 3);
+    let t = Target::lnn(n).unwrap();
+    let graph = t.graph();
+    let r = registry()
+        .compile(
+            "lnn",
+            &t,
+            &CompileOptions::default().with_approximation(degree),
+        )
+        .unwrap();
+    verify_aqft_mapping(&r.circuit, graph, degree).expect("the degree-3 AQFT verifies");
+    assert!(verify_qft_mapping(&r.circuit, graph).is_err());
+
+    let replay: Vec<_> = r.circuit.replay().collect();
+    let kept = replay
+        .iter()
+        .position(|op| op.kind == GateKind::Cphase { k: 2 })
+        .expect("a kept R_2");
+    let truncated = replay
+        .iter()
+        .position(|op| match (op.kind, op.l1, op.l2) {
+            (GateKind::Swap, Some(a), Some(b)) => a.0.abs_diff(b.0) + 1 > degree,
+            _ => false,
+        })
+        .expect("a SWAP on a truncated pair");
+    let mut ops = r.circuit.ops().to_vec();
+    ops[truncated].kind = GateKind::CphaseSwap { k: 4 };
+    ops.remove(kept);
+    let mut mutant = r.circuit.clone();
+    mutant.set_ops(ops);
+
+    assert_eq!(mutant.cphase_count(), aqft_pair_count(n, degree));
+    let adjacent = |a, b| graph.are_adjacent(a, b);
+    CheckLayout
+        .run(&mut mutant, &PassCtx::with_adjacency(&adjacent))
+        .expect("the layout replay still passes");
+    assert!(mutant.two_qubit_depth() <= 4 * n as u64 - 6);
+    match verify_aqft_mapping(&mutant, graph, degree) {
+        Err(VerifyError::Semantics(QftOrderError::PairCount {
+            count, expected, ..
+        })) => assert_ne!(count, expected),
+        other => panic!("expected a pair-count refusal, got {other:?}"),
     }
 }
 

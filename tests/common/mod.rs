@@ -16,16 +16,17 @@
 #![allow(dead_code)]
 
 use qft_kernels::baselines::pipeline::logical_qft;
+use qft_kernels::serve::proto::MAX_PAYLOAD;
 use qft_kernels::serve::NetServer;
 use qft_kernels::sim::equiv::{self, ReferenceChecker, SparseChecker, FIDELITY_EPS};
 use qft_kernels::sim::sparse::PEAK_BOUND;
 use qft_kernels::sim::state::StateVector;
 use qft_kernels::{
-    registry, CompileOptions, CompileRequest, CompileResponse, CompileResult, CompileService,
-    IeMode, Target,
+    registry, CompileError, CompileOptions, CompileRequest, CompileResponse, CompileResult,
+    CompileService, IeMode, QftCompiler, Registry, Target,
 };
 use std::net::SocketAddr;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Random probe states per equivalence check (plus `|0…0⟩` and `|1…1⟩`).
@@ -91,6 +92,57 @@ pub fn spawn_fleet(n: usize) -> Vec<NetServer> {
 
 pub fn fleet_addrs(fleet: &[NetServer]) -> Vec<SocketAddr> {
     fleet.iter().map(|s| s.local_addr()).collect()
+}
+
+/// The core compilers plus two test compilers whose artifacts cannot fit
+/// a response frame, whatever the target: `oversize-note` pads an `lnn`
+/// kernel's note to [`MAX_PAYLOAD`], so its response is over the cap
+/// under any op encoding and is refused after encoding; `oversize-ops`
+/// pads its op stream to `MAX_PAYLOAD / 40` ops, which the server
+/// refuses from the op count alone while an op's JSON takes more than 40
+/// bytes (a shorter op encoding must grow the stream).
+pub fn oversize_registry() -> &'static Registry {
+    static OVERSIZE: OnceLock<&'static Registry> = OnceLock::new();
+    OVERSIZE.get_or_init(|| {
+        let mut r = Registry::with_core();
+        r.register(Box::new(Oversize { pad_ops: false }));
+        r.register(Box::new(Oversize { pad_ops: true }));
+        Box::leak(Box::new(r))
+    })
+}
+
+/// See [`oversize_registry`].
+struct Oversize {
+    pad_ops: bool,
+}
+
+impl QftCompiler for Oversize {
+    fn name(&self) -> &'static str {
+        if self.pad_ops {
+            "oversize-ops"
+        } else {
+            "oversize-note"
+        }
+    }
+
+    fn description(&self) -> &'static str {
+        "test compiler whose artifact cannot fit a response frame"
+    }
+
+    fn compile(
+        &self,
+        target: &Target,
+        opts: &CompileOptions,
+    ) -> Result<CompileResult, CompileError> {
+        let mut result = registry().compile("lnn", target, opts)?;
+        if self.pad_ops {
+            let op = result.circuit.ops()[0];
+            result.circuit.set_ops(vec![op; MAX_PAYLOAD / 40]);
+        } else {
+            result.note = "x".repeat(MAX_PAYLOAD);
+        }
+        Ok(result)
+    }
 }
 
 /// Spins until `check` passes or the deadline expires — for counters that

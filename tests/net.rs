@@ -40,12 +40,12 @@
 
 mod common;
 
-use common::{artifact_bytes, contended_request, serve_request, wait_until};
+use common::{artifact_bytes, contended_request, oversize_registry, serve_request, wait_until};
 use proptest::prelude::*;
 use qft_kernels::ir::passes::{CheckLayout, Pass, PassCtx};
 use qft_kernels::serve::proto::{
     self, Frame, FrameKind, ProtoError, WireFault, WireRequest, WireResponse, WireWarmupBatch,
-    HEADER_LEN, MAGIC, MAX_SERVER_BOUND_PAYLOAD, VERSION,
+    HEADER_LEN, MAGIC, MAX_PAYLOAD, MAX_SERVER_BOUND_PAYLOAD, VERSION,
 };
 use qft_kernels::serve::warmup::OwnedPredicate;
 use qft_kernels::serve::{shared_registry, ClientError, NetEvent, NetServer, ServerConfig};
@@ -1005,7 +1005,16 @@ fn stats_round_trips_correlate_after_a_bare_submit_stats() {
 /// timeout makes a server that never answers fail the test instead of
 /// hanging it. Returns the refusal.
 fn refused_then_serves_lnn8(req: &CompileRequest, kind: &str) -> qft_kernels::ServeError {
-    let server = NetServer::bind("127.0.0.1:0", Arc::new(CompileService::new())).unwrap();
+    refused_then_serves_lnn8_by(Arc::new(CompileService::new()), req, kind)
+}
+
+/// [`refused_then_serves_lnn8`] against a server over `service`.
+fn refused_then_serves_lnn8_by(
+    service: Arc<CompileService>,
+    req: &CompileRequest,
+    kind: &str,
+) -> qft_kernels::ServeError {
+    let server = NetServer::bind("127.0.0.1:0", service).unwrap();
     let config = ClientConfig {
         read_timeout: Duration::from_secs(10),
         ..ClientConfig::default()
@@ -1020,6 +1029,29 @@ fn refused_then_serves_lnn8(req: &CompileRequest, kind: &str) -> qft_kernels::Se
     assert_eq!(client.request(&lnn8).unwrap().result.n, 8);
     server.shutdown();
     refusal
+}
+
+#[test]
+fn responses_over_the_frame_cap_are_refused_and_the_connection_keeps_serving() {
+    // The server once closed the connection with no frame and counted a
+    // disconnect, so the client read "stream ended mid-frame".
+    for (compiler, bounded) in [("oversize-ops", true), ("oversize-note", false)] {
+        let service = Arc::new(
+            CompileService::builder()
+                .registry(oversize_registry())
+                .build(),
+        );
+        let req = serve_request(compiler, "lnn:4", CompileOptions::default());
+        let refusal = refused_then_serves_lnn8_by(Arc::clone(&service), &req, "too-large");
+        assert!(
+            refusal.error.contains(&format!("{MAX_PAYLOAD}-byte cap")),
+            "{refusal}"
+        );
+        // The op count alone refuses the padded stream, before encoding.
+        assert_eq!(refusal.error.contains("at least"), bounded, "{refusal}");
+        let stats = service.stats();
+        assert_eq!((stats.requests, stats.errors), (2, 1), "{compiler}");
+    }
 }
 
 #[test]

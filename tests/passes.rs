@@ -1,17 +1,23 @@
 //! Pass-pipeline invariants: byte-identity of the default tail with the
 //! pre-pass-pipeline compilers, semantics preservation of every shared
 //! pass (property-tested against the symbolic verifier and the
-//! state-vector simulator), and the serde contract of the per-pass report.
+//! state-vector simulator), the serde contract of the per-pass report,
+//! and differential tests of the one-walk rewrites (`asap-layering`,
+//! `Metrics::of`) against the walks they replaced.
 
 use proptest::prelude::*;
-use qft_kernels::ir::circuit::MappedCircuit;
+use qft_kernels::ir::circuit::{MappedCircuit, PhysOp};
 use qft_kernels::ir::dag::DagMode;
 use qft_kernels::ir::gate::GateKind;
-use qft_kernels::ir::passes::{CancelAdjacentSwaps, Pass, PassCtx};
-use qft_kernels::ir::{MappedCircuitBuilder, Metrics, PhysicalQubit};
+use qft_kernels::ir::passes::{
+    AsapLayering, CancelAdjacentSwaps, Pass, PassCtx, PassError, PassManager, PassReport,
+};
+use qft_kernels::ir::{Layout, MappedCircuitBuilder, Metrics, PhysicalQubit};
 use qft_kernels::sim::equiv::mapped_equals_qft;
 use qft_kernels::sim::symbolic::verify_qft_mapping;
 use qft_kernels::{registry, CompileError, CompileOptions, CompileResult, Target};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn fnv(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf29ce484222325u64;
@@ -497,4 +503,119 @@ proptest! {
         prop_assert!(relaid.circuit.depth_uniform() <= base.circuit.depth_uniform());
         prop_assert_eq!(relaid.metrics.swaps, base.metrics.swaps);
     }
+}
+
+/// A random well-formed stream on `n` physical qubits (`n >= 2`): single-
+/// and two-qubit gates, SWAPs and fused interactions on random pairs.
+fn random_stream(rng: &mut StdRng, n: u32, len: usize) -> MappedCircuit {
+    let mut b = MappedCircuitBuilder::new(Layout::identity(n as usize, n as usize));
+    for _ in 0..len {
+        let p1 = PhysicalQubit(rng.gen_range(0..n));
+        let p2 = PhysicalQubit((p1.0 + rng.gen_range(1..n)) % n);
+        match rng.gen_range(0u32..5) {
+            0 => b.push_1q_phys(GateKind::H, p1),
+            1 => b.push_2q_phys(
+                GateKind::Cphase {
+                    k: rng.gen_range(2..6),
+                },
+                p1,
+                p2,
+            ),
+            2 => b.push_swap_phys(p1, p2),
+            3 => b.push_cphase_swap_phys(rng.gen_range(2..6), p1, p2),
+            _ => b.push_2q_phys(GateKind::Cnot, p1, p2),
+        }
+    }
+    b.finish()
+}
+
+/// What `asap-layering` did before it became one walk: flatten the
+/// uniform ASAP layers, and count the positions whose annotated op moved.
+fn reference_layering(mc: &MappedCircuit) -> (Vec<PhysOp>, usize) {
+    let mut relaid = mc.clone();
+    relaid.set_ops(mc.layers_uniform().into_iter().flatten().collect());
+    let moved = relaid
+        .replay()
+        .zip(mc.replay())
+        .filter(|(a, b)| a != b)
+        .count();
+    let ops = if moved > 0 { relaid.ops() } else { mc.ops() };
+    (ops.to_vec(), moved)
+}
+
+#[test]
+fn asap_layering_matches_the_flattened_layers_and_their_moved_count() {
+    let mut rng = StdRng::seed_from_u64(0xa5a9);
+    let mut unmoved = 0;
+    for case in 0..400 {
+        let n = rng.gen_range(2u32..9);
+        let len = rng.gen_range(0usize..60);
+        let random = random_stream(&mut rng, n, len);
+        // The same stream already in layer order: a rewrite of nothing.
+        let (layered, _) = reference_layering(&random);
+        let mut ordered = random.clone();
+        ordered.set_ops(layered);
+        for original in [random, ordered] {
+            let (want_ops, want_moved) = reference_layering(&original);
+            let mut mc = original.clone();
+            let report = AsapLayering.run(&mut mc, &PassCtx::new()).unwrap();
+            assert_eq!(mc.ops(), &want_ops[..], "case {case}");
+            assert_eq!(report.rewrites, want_moved, "case {case}");
+            unmoved += usize::from(want_moved == 0);
+        }
+    }
+    assert!(unmoved >= 400, "every layered stream is left alone");
+}
+
+#[test]
+fn metrics_of_matches_the_separate_walks() {
+    let mut rng = StdRng::seed_from_u64(0x3e7c);
+    for case in 0..400 {
+        let n = rng.gen_range(2u32..9);
+        let len = rng.gen_range(0usize..60);
+        let mc = random_stream(&mut rng, n, len);
+        let latency = |op: &PhysOp| match op.kind {
+            GateKind::Swap => 3,
+            GateKind::H => 1,
+            _ => 2 + u64::from(op.p1.0 % 3),
+        };
+        let m = Metrics::of(&mc, latency);
+        let count = |f: fn(GateKind) -> bool| mc.ops().iter().filter(|op| f(op.kind)).count();
+        assert_eq!(m.depth, mc.depth_with(latency), "case {case}");
+        assert_eq!(m.two_qubit_depth, mc.two_qubit_depth(), "case {case}");
+        assert_eq!(m.swaps, mc.swap_count(), "case {case}");
+        assert_eq!(m.cphases, mc.cphase_count(), "case {case}");
+        assert_eq!(m.hadamards, count(|k| k == GateKind::H), "case {case}");
+        assert_eq!(m.total_ops, len, "case {case}");
+    }
+}
+
+/// A pass that breaks the [`Pass`] contract: it drops the last op and
+/// reports no rewrites.
+struct SilentlyDropsTheLastOp;
+
+impl Pass for SilentlyDropsTheLastOp {
+    fn name(&self) -> &'static str {
+        "silently-drops-the-last-op"
+    }
+
+    fn description(&self) -> &'static str {
+        "test pass that edits the stream and reports no rewrites"
+    }
+
+    fn run(&self, circuit: &mut MappedCircuit, _ctx: &PassCtx) -> Result<PassReport, PassError> {
+        let mut ops = circuit.take_ops();
+        ops.pop();
+        circuit.set_ops(ops);
+        Ok(PassReport::new(self.name()))
+    }
+}
+
+#[test]
+#[cfg(debug_assertions)]
+#[should_panic(expected = "reported no rewrites but changed the stream")]
+fn a_pass_that_edits_without_reporting_trips_the_debug_re_measure() {
+    let mut mc = random_stream(&mut StdRng::seed_from_u64(7), 4, 12);
+    let pm = PassManager::new().with_pass(Box::new(SilentlyDropsTheLastOp));
+    let _ = pm.run(&mut mc, &PassCtx::new());
 }

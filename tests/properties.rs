@@ -1,7 +1,9 @@
 //! Property-based tests (proptest) over the core invariants: every kernel
 //! verifies as a QFT or AQFT, any contiguous partition is a valid gate
 //! order (§3.2), layouts stay consistent under SWAP replay, DAG frontiers
-//! drain, and AQFT truncation is monotone and idempotent.
+//! drain, and AQFT truncation is monotone and idempotent. Plus a
+//! differential test of the in-cache QFT-order check against the
+//! tally-table check it replaced.
 
 mod common;
 
@@ -12,11 +14,15 @@ use qft_kernels::baselines::sabre::{sabre_qft, SabreConfig};
 use qft_kernels::core::{compile_heavyhex, compile_lattice, IeMode};
 use qft_kernels::ir::dag::{CircuitDag, DagMode};
 use qft_kernels::ir::gate::PhysicalQubit;
+use qft_kernels::ir::gate::{Gate, GateKind, LogicalQubit};
 use qft_kernels::ir::layout::Layout;
 use qft_kernels::ir::passes::{AqftTruncate, Pass, PassCtx};
 use qft_kernels::ir::qft::{check_qft_circuit, qft_partitioned, Partition};
+use qft_kernels::ir::qft::{check_qft_order, rotation_order, QftOrderError};
 use qft_kernels::sim::symbolic::verify_qft_mapping;
 use qft_kernels::{registry, CompileOptions, Target};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -233,4 +239,169 @@ proptest! {
             prop_assert_eq!(executed, dag.len());
         }
     }
+}
+
+/// The tally-table QFT-order check that the in-cache check replaced: one
+/// count, first position and first rotation order per qubit and per pair,
+/// judged after the whole stream in the canonical order. Extended by the
+/// degree rule: a pair with `j - i >= degree` needs zero CPHASEs and is
+/// judged on nothing else.
+fn reference_order_check(gates: &[Gate], n: usize, degree: u32) -> Result<(), QftOrderError> {
+    #[derive(Clone, Copy, Default)]
+    struct Tally {
+        count: usize,
+        first: usize,
+        k: u32,
+    }
+    let mut hadamards = vec![Tally::default(); n];
+    let mut pairs = vec![vec![Tally::default(); n]; n];
+    for (t, g) in gates.iter().enumerate() {
+        let (slot, k) = match g.kind {
+            GateKind::H => (&mut hadamards[g.a.index()], 0),
+            GateKind::Cphase { k } => {
+                let (a, b) = (g.a.index(), g.b.unwrap().index());
+                if a == b {
+                    continue;
+                }
+                (&mut pairs[a.min(b)][a.max(b)], k)
+            }
+            _ => return Err(QftOrderError::ForeignGate { position: t }),
+        };
+        if slot.count == 0 {
+            (slot.first, slot.k) = (t, k);
+        }
+        slot.count += 1;
+    }
+    if let Some(q) = (0..n).find(|&q| hadamards[q].count != 1) {
+        return Err(QftOrderError::HadamardCount {
+            qubit: q as u32,
+            count: hadamards[q].count,
+        });
+    }
+    for i in 0..n {
+        for j in (i + 1)..n {
+            let (pair, p) = ((i as u32, j as u32), pairs[i][j]);
+            let expected = usize::from(j - i < degree as usize);
+            if p.count != expected {
+                return Err(QftOrderError::PairCount {
+                    pair,
+                    count: p.count,
+                    expected,
+                });
+            }
+            if expected == 0 {
+                continue;
+            }
+            if p.k != rotation_order(pair.0, pair.1) {
+                return Err(QftOrderError::WrongAngle {
+                    pair,
+                    found: p.k,
+                    expected: rotation_order(pair.0, pair.1),
+                });
+            }
+            if !(hadamards[i].first < p.first && p.first < hadamards[j].first) {
+                return Err(QftOrderError::TypeII { pair });
+            }
+        }
+    }
+    Ok(())
+}
+
+/// One random edit of a gate stream: each kind of edit tends to produce
+/// one kind of order error, and some produce none.
+fn mutate(rng: &mut StdRng, gates: &mut Vec<Gate>, n: usize) {
+    let len = gates.len();
+    let at = |rng: &mut StdRng, len: usize| rng.gen_range(0..len.max(1));
+    let q = |rng: &mut StdRng| LogicalQubit(rng.gen_range(0..n as u32));
+    match rng.gen_range(0u32..8) {
+        0 if len > 0 => {
+            gates.remove(at(rng, len));
+        }
+        1 if len > 0 => {
+            let g = gates[at(rng, len)];
+            gates.insert(at(rng, len + 1), g);
+        }
+        2 if len > 0 => {
+            let i = at(rng, len);
+            if let GateKind::Cphase { .. } = gates[i].kind {
+                gates[i].kind = GateKind::Cphase {
+                    k: rng.gen_range(1..n as u32 + 2),
+                };
+            }
+        }
+        3 if len > 0 => {
+            let g = gates.remove(at(rng, len));
+            gates.insert(at(rng, len), g);
+        }
+        4 if len > 1 => {
+            let (i, j) = (at(rng, len), at(rng, len));
+            gates.swap(i, j);
+        }
+        5 => {
+            let foreign = match rng.gen_range(0u32..2) {
+                0 => Gate::one(GateKind::X, q(rng)),
+                _ => Gate {
+                    kind: GateKind::Swap,
+                    a: q(rng),
+                    b: Some(q(rng)),
+                },
+            };
+            gates.insert(at(rng, len + 1), foreign);
+        }
+        6 if len > 0 => {
+            let i = at(rng, len);
+            if gates[i].b.is_some() {
+                gates[i].b = Some(gates[i].a);
+            }
+        }
+        _ => {
+            let (a, b) = (q(rng), q(rng));
+            let k = rng.gen_range(1..n as u32 + 1);
+            gates.insert(
+                at(rng, len + 1),
+                Gate {
+                    kind: GateKind::Cphase { k },
+                    a,
+                    b: Some(b),
+                },
+            );
+        }
+    }
+}
+
+#[test]
+fn the_in_cache_order_check_reports_the_reference_first_error() {
+    let mut rng = StdRng::seed_from_u64(0x0dd5);
+    let mut seen = std::collections::BTreeMap::new();
+    for _ in 0..6_000 {
+        let n = rng.gen_range(1usize..11);
+        let degree = rng.gen_range(1u32..n as u32 + 2);
+        // A valid order of the degree-`degree` AQFT: a random partition
+        // order with the truncated pairs dropped.
+        let parts = rng.gen_range(1u32..n as u32 + 1);
+        let c = qft_partitioned(&Partition::even(n as u32, parts));
+        let mut gates: Vec<Gate> = c
+            .gates()
+            .iter()
+            .copied()
+            .filter(|g| g.kind.cphase_order().is_none_or(|k| k <= degree))
+            .collect();
+        for _ in 0..rng.gen_range(0usize..3) {
+            mutate(&mut rng, &mut gates, n);
+        }
+        let got = check_qft_order(gates.iter().copied(), n, degree);
+        let want = reference_order_check(&gates, n, degree);
+        assert_eq!(got, want, "n={n} degree={degree} gates={gates:?}");
+        let variant = match &got {
+            Ok(()) => "ok",
+            Err(QftOrderError::HadamardCount { .. }) => "hadamard-count",
+            Err(QftOrderError::PairCount { expected: 0, .. }) => "truncated-pair",
+            Err(QftOrderError::PairCount { .. }) => "pair-count",
+            Err(QftOrderError::WrongAngle { .. }) => "wrong-angle",
+            Err(QftOrderError::TypeII { .. }) => "type-ii",
+            Err(QftOrderError::ForeignGate { .. }) => "foreign-gate",
+        };
+        *seen.entry(variant).or_insert(0usize) += 1;
+    }
+    assert_eq!(seen.len(), 7, "every verdict must occur: {seen:?}");
 }

@@ -28,7 +28,8 @@
 mod common;
 
 use common::{
-    artifact_bytes, distinct_requests, fleet_addrs, serve_request, spawn_fleet, wait_until,
+    artifact_bytes, distinct_requests, fleet_addrs, oversize_registry, serve_request, spawn_fleet,
+    wait_until,
 };
 use qft_kernels::serve::router::RouterConfig;
 use qft_kernels::serve::{ClientConfig, ClientError, NetServer, PoolClient, Router};
@@ -94,6 +95,50 @@ fn same_key_requests_show_digest_affinity_to_one_backend() {
     assert_eq!(misses, 12, "every key compiles exactly once fleet-wide");
     assert_eq!(total_requests, 36);
 
+    for server in fleet {
+        server.shutdown();
+    }
+}
+
+// ---------------------------------------------------------------------------
+// A response too large to send is request-shaped: no failover.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn an_oversize_response_passes_through_and_marks_no_backend_down() {
+    // The backend once dropped the connection, which failed over: both
+    // backends compiled, dropped the response and were marked down, and
+    // the caller got `unavailable`.
+    let fleet: Vec<NetServer> = (0..2)
+        .map(|_| {
+            let service = CompileService::builder()
+                .registry(oversize_registry())
+                .workers(2)
+                .build();
+            NetServer::bind("127.0.0.1:0", Arc::new(service)).expect("bind backend")
+        })
+        .collect();
+    let router = Router::new(fleet_addrs(&fleet)).expect("distinct backend addresses");
+    let req = serve_request("oversize-note", "lnn:4", CompileOptions::default());
+    match router.request(&req) {
+        Err(ClientError::Server(e)) => assert_eq!(e.kind, "too-large", "{e}"),
+        other => panic!("expected a too-large refusal, got {other:?}"),
+    }
+    for state in router.backend_states() {
+        assert!(state.healthy, "{state:?}");
+        assert_eq!((state.failovers, state.downs), (0, 0), "{state:?}");
+    }
+    let routed = router
+        .request(&serve_request("lnn", "lnn:8", CompileOptions::default()))
+        .expect("the fleet keeps serving");
+    assert_eq!(routed.failovers, 0);
+    // One backend compiled the oversize request and counted its refusal.
+    let (misses, errors) = router
+        .backend_stats()
+        .into_iter()
+        .map(|s| s.expect("wire stats from a live backend").stats)
+        .fold((0, 0), |(m, e), s| (m + s.misses, e + s.errors));
+    assert_eq!((misses, errors), (2, 1));
     for server in fleet {
         server.shutdown();
     }
