@@ -29,8 +29,10 @@
 //! Plus the serve-layer regression pins: a clean shutdown counts
 //! zero denied connections (the drain's self-wake is not a client), a
 //! request pipelined behind the client's goodbye is refused instead of
-//! admitted, and `NetClient::stats` correlates its round-trip (no stale
-//! snapshot returned, no spurious one left queued).
+//! admitted, `NetClient::stats` correlates its round-trip (no stale
+//! snapshot returned, no spurious one left queued), and a response over
+//! the frame cap is answered with a `too-large` error frame on a
+//! connection that keeps serving.
 //!
 //! And the forward-compatibility pin: a frame with an *unknown
 //! kind byte* (a future protocol revision, or the reserved byte 4) is

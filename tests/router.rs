@@ -24,6 +24,9 @@
 //!   releases its checkout permit every time: cycling failures past the
 //!   pool cap never wedges a checkout, and the pool serves again the
 //!   moment the backend recovers.
+//! * **Request-shaped refusals pass through** — a response too large to
+//!   send comes back as `too-large` with no failover and no backend
+//!   marked down.
 
 mod common;
 
