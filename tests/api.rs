@@ -83,11 +83,128 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// Decoding `json` and encoding the result again must give `json` back.
+/// Decoding `json` and encoding the result again must give `json` back,
+/// both through `T` and through the untyped parse tree (which
+/// `to_string_pretty` lays out).
 fn assert_reencodes<T: serde::Serialize + serde::Deserialize>(json: &str, what: &str) {
     let back: T = serde_json::from_str(json).unwrap_or_else(|e| panic!("{what}: {e}"));
     let again = serde_json::to_string(&back).unwrap();
     assert!(again == json, "{what}: decode + encode changed the bytes");
+    let tree = serde_json::parse(json).unwrap_or_else(|e| panic!("{what}: {e}"));
+    let again = serde_json::to_string(&tree).unwrap();
+    assert!(again == json, "{what}: parse + encode changed the bytes");
+}
+
+#[derive(serde::Serialize)]
+struct Newtype(u64);
+
+#[derive(serde::Serialize)]
+enum Shape {
+    Unit,
+    Struct { id: Newtype, scale: f64 },
+}
+
+#[derive(serde::Serialize)]
+struct Shapes {
+    shapes: Vec<Shape>,
+    label: Option<String>,
+    missing: Option<u8>,
+    pair: (u32, bool),
+    shared: std::sync::Arc<i16>,
+    empty: Vec<u8>,
+}
+
+#[derive(serde::Serialize)]
+struct Empty {}
+
+#[derive(serde::Serialize)]
+struct Nested {
+    name: String,
+    rows: Vec<Empty>,
+    inner: Shapes,
+}
+
+fn compact<T: serde::Serialize + ?Sized>(value: &T) -> String {
+    serde_json::to_string(value).unwrap()
+}
+
+#[test]
+fn every_encoded_shape_and_primitive_has_pinned_text() {
+    let shapes = || Shapes {
+        shapes: vec![
+            Shape::Unit,
+            Shape::Struct {
+                id: Newtype(7),
+                scale: 2.0,
+            },
+        ],
+        label: Some("x".to_string()),
+        missing: None,
+        pair: (3, true),
+        shared: std::sync::Arc::new(-4),
+        empty: vec![],
+    };
+    assert_eq!(
+        compact(&shapes()),
+        concat!(
+            r#"{"shapes":["Unit",{"Struct":{"id":7,"scale":2.0}}],"#,
+            r#""label":"x","missing":null,"pair":[3,true],"shared":-4,"empty":[]}"#,
+        )
+    );
+    assert_eq!(compact(&u64::MAX), "18446744073709551615");
+    assert_eq!(compact(&i64::MIN), "-9223372036854775808");
+    assert_eq!(compact(&[0u8, 255][..]), "[0,255]");
+    for (x, want) in [
+        (0.0, "0.0"),
+        (-0.0, "-0.0"),
+        (1.5, "1.5"),
+        (1e21, "1000000000000000000000.0"),
+        (1e-7, "0.0000001"),
+        (f64::NAN, "null"),
+        (f64::INFINITY, "null"),
+        (f64::NEG_INFINITY, "null"),
+    ] {
+        assert_eq!(compact(&x), want, "{x:?}");
+    }
+    assert_eq!(compact(&0.1f32), "0.10000000149011612");
+    assert_eq!(
+        compact("q\"b\\n\nr\rt\t\u{1}\u{7f}\u{e9}\u{1F600}"),
+        "\"q\\\"b\\\\n\\nr\\rt\\t\\u0001\u{7f}\u{e9}\u{1F600}\""
+    );
+
+    let nested = Nested {
+        name: "n".to_string(),
+        rows: vec![Empty {}],
+        inner: shapes(),
+    };
+    assert_eq!(
+        serde_json::to_string_pretty(&nested).unwrap(),
+        r#"{
+  "name": "n",
+  "rows": [
+    {}
+  ],
+  "inner": {
+    "shapes": [
+      "Unit",
+      {
+        "Struct": {
+          "id": 7,
+          "scale": 2.0
+        }
+      }
+    ],
+    "label": "x",
+    "missing": null,
+    "pair": [
+      3,
+      true
+    ],
+    "shared": -4,
+    "empty": []
+  }
+}"#
+    );
 }
 
 /// One artifact: compiler, target, opt_level, AQFT degree, random initial
