@@ -8,7 +8,7 @@
 //! `serde_json::to_string`; one running FNV-1a 64 covers every JSON
 //! string. Prints one line per cell (its own hash, to find the cell that
 //! moved) and exits 1 unless the running hash and byte count equal the
-//! pinned ones.
+//! pinned ones and the peak resident set is within [`PEAK_RSS_BOUND_MB`].
 //!
 //! ```text
 //! cargo run --release -p qft-bench --bin catalog
@@ -67,6 +67,11 @@ const PINNED_HASH: u64 = 0x0eac_cde3_7477_a15e;
 /// The artifacts' JSON bytes in all.
 const PINNED_BYTES: usize = 551_695_276;
 
+/// The bound on the process's peak resident set (`VmHWM`): writing each
+/// artifact's JSON from its types peaks near 104 MB, while building a
+/// `Value` tree of the 1,048,576-op artifacts first peaked near 950 MB.
+const PEAK_RSS_BOUND_MB: u64 = 256;
+
 /// FNV-1a 64, continued from `hash` over `bytes`.
 fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
@@ -111,6 +116,18 @@ fn main() -> ExitCode {
             "GATE FAILED catalog: expected {PINNED_HASH:#018x} over {PINNED_BYTES} bytes, \
              got {hash:#018x} over {bytes}"
         );
+        return ExitCode::FAILURE;
+    }
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    let vm_hwm = status.lines().find_map(|l| l.strip_prefix("VmHWM:"));
+    let Some(Ok(kb)) = vm_hwm.map(|kb| kb.trim_end_matches("kB").trim().parse::<u64>()) else {
+        println!("catalog: no VmHWM in /proc/self/status; peak RSS bound not checked");
+        return ExitCode::SUCCESS;
+    };
+    let mb = kb / 1024;
+    println!("catalog: peak RSS {mb} MB (bound {PEAK_RSS_BOUND_MB} MB)");
+    if mb > PEAK_RSS_BOUND_MB {
+        eprintln!("GATE FAILED catalog: peak RSS {mb} MB is above {PEAK_RSS_BOUND_MB} MB");
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS

@@ -392,16 +392,18 @@ impl AsapClock {
 /// [`MappedCircuit::replay`], in the field order of the stored-annotation
 /// encoding, so the bytes do not depend on how the ops are held in memory.
 impl Serialize for MappedCircuit {
-    fn to_value(&self) -> Value {
-        let field = |name: &str, v: Value| (name.to_string(), v);
-        let ops = Value::Array(self.replay().map(|op| op.to_value()).collect());
-        Value::Object(vec![
-            field("n_logical", self.n_logical.to_value()),
-            field("n_physical", self.n_physical.to_value()),
-            field("initial", self.initial.to_value()),
-            field("final_layout", self.final_layout.to_value()),
-            field("ops", ops),
-        ])
+    fn write_json(&self, out: &mut String) {
+        out.push_str("{\"n_logical\":");
+        self.n_logical.write_json(out);
+        out.push_str(",\"n_physical\":");
+        self.n_physical.write_json(out);
+        out.push_str(",\"initial\":");
+        self.initial.write_json(out);
+        out.push_str(",\"final_layout\":");
+        self.final_layout.write_json(out);
+        out.push_str(",\"ops\":");
+        serde::write_seq(out, self.replay());
+        out.push('}');
     }
 }
 
