@@ -67,9 +67,9 @@ const PINNED_HASH: u64 = 0x0eac_cde3_7477_a15e;
 /// The artifacts' JSON bytes in all.
 const PINNED_BYTES: usize = 551_695_276;
 
-/// The bound on the process's peak resident set (`VmHWM`): writing each
-/// artifact's JSON from its types peaks near 104 MB, while building a
-/// `Value` tree of the 1,048,576-op artifacts first peaked near 950 MB.
+/// The bound on the peak resident set (`VmHWM`): writing each artifact's
+/// JSON from its types peaks near 104 MB; an encoder that first builds a
+/// `Value` tree of the 1,048,576-op artifacts peaks near 950 MB.
 const PEAK_RSS_BOUND_MB: u64 = 256;
 
 /// FNV-1a 64, continued from `hash` over `bytes`.
