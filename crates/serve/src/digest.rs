@@ -1,7 +1,7 @@
 //! 128-bit cache-key digests.
 //!
 //! The cache used to store and compare full canonical-request JSON
-//! strings per lookup; shards and map entries are now keyed by a 128-bit
+//! strings per lookup; its map entries are now keyed by a 128-bit
 //! FNV-1a digest of that JSON instead, so a probe hashes and compares 16
 //! bytes regardless of how large the option set grows. The JSON pre-image
 //! is retained in the cache entry only for the cache's debug-build
@@ -18,8 +18,9 @@ const FNV128_PRIME: u128 = 0x0000000001000000000000000000013b;
 /// The 128-bit FNV-1a digest of `bytes`.
 ///
 /// Deterministic across platforms and processes (no per-process seed —
-/// cache keys must be stable so a fresh service reproduces the same
-/// shard placement), and cheap: one multiply + xor per byte.
+/// keys must be stable so every router places a key on the same backend
+/// and a warm-up donor's digests verify at the joiner), and cheap: one
+/// multiply + xor per byte.
 pub fn fnv1a_128(bytes: &[u8]) -> u128 {
     let mut hash = FNV128_OFFSET;
     for &b in bytes {
@@ -36,7 +37,8 @@ mod tests {
     #[test]
     fn digest_is_stable_and_separates_neighbors() {
         // Pinned value: the digest is part of the cache's stable identity
-        // (shard placement must not drift across builds).
+        // (ring placement and warm-up digests must not drift across
+        // builds).
         assert_eq!(fnv1a_128(b""), FNV128_OFFSET);
         let a = fnv1a_128(b"{\"compiler\":\"lnn\",\"target\":\"lnn:8\"}");
         let b = fnv1a_128(b"{\"compiler\":\"lnn\",\"target\":\"lnn:9\"}");

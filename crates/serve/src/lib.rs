@@ -5,15 +5,15 @@
 //! request/response types so the whole surface speaks JSON, and built to
 //! stay fast when many threads pile on at once:
 //!
-//! * **Sharded result cache** — N independently-locked LRU shards with
-//!   O(1) recency, keyed by a 128-bit digest of the canonical request
-//!   JSON ([`crate::digest`]), so cached hits scale with threads instead
-//!   of convoying on one global mutex;
-//! * **Miss dedup in the shard** — a shard holds each key's in-flight
-//!   compile beside its resident entry, and one lookup under its lock
-//!   decides hit, follow or lead: a duplicate storm of N identical
-//!   concurrent requests performs exactly **one** compile, and the other
-//!   N−1 follow its flight and share the same `Arc<CompileResult>`;
+//! * **One result cache** — an exact LRU with O(1) recency behind one
+//!   lock, keyed by a 128-bit digest of the canonical request JSON
+//!   ([`crate::digest`]);
+//! * **Miss dedup in the cache** — the cache holds each key's in-flight
+//!   compile beside its resident entries, and one lookup under its lock
+//!   decides, and counts, hit, follow or lead: a duplicate storm of N
+//!   identical concurrent requests performs exactly **one** compile, and
+//!   the other N−1 follow its flight and share the same
+//!   `Arc<CompileResult>`;
 //! * **Persistent worker pool** — `workers` threads spawned once at
 //!   service construction drain a bounded admission queue; a full queue
 //!   blocks the submitter until a worker frees a slot;
@@ -21,10 +21,11 @@
 //!   request on the caller's thread, and [`CompileService::submit`]
 //!   queues one for the pool (the caller's seq and reply channel, so
 //!   one thread can submit while another receives);
-//! * [`ServeStats`] — lock-free admission metrics: hits, misses,
-//!   dedup joins, evictions, queue depth, in-flight compiles, and
-//!   a p50/p99 latency window, serde-able for dashboards, plus a
-//!   [`ServeStats::hit_rate`] helper;
+//! * [`ServeStats`] — admission metrics: hits, misses, dedup joins and
+//!   evictions (read with the occupancy under the cache lock, so
+//!   `requests = hits + misses + dedup_joins` in every snapshot), queue
+//!   depth, in-flight compiles, and a lock-free p50/p99 latency window,
+//!   serde-able for dashboards, plus a [`ServeStats::hit_rate`] helper;
 //! * **Network front end** ([`crate::proto`]/[`crate::server`]/
 //!   [`crate::client`]) — a std-only TCP layer speaking length-prefixed
 //!   JSON frames (spec in `crates/serve/PROTOCOL.md`): [`NetServer`]

@@ -1,13 +1,10 @@
-//! Lock-free admission metrics.
+//! The service's lock-free metrics: the error count, the latency window,
+//! and the network front end's connection counters.
 //!
-//! Every counter the service maintains lives here as an `AtomicU64`, so
-//! recording a hit, miss, dedup join, eviction, or error never
-//! takes a lock — and reading [`crate::ServeStats`] never contends with
-//! the hit path. (The old service already kept its counters atomic, but
-//! eviction counts were derived under the cache lock and stats reads
-//! locked the cache for occupancy; both are lock-free now — occupancy is
-//! summed from per-shard lengths with each shard locked only for its
-//! `len()`.)
+//! The admission counts (hits, misses, dedup joins, evictions) are not
+//! here: the cache counts them under its lock, where each decision is
+//! made (see [`crate::cache`]). What stays here is counted outside that
+//! lock, in an `AtomicU64` each.
 //!
 //! Latency percentiles come from a fixed-size **reservoir**: a ring of
 //! `AtomicU64` slots (f64 seconds as bits) written at a
@@ -90,17 +87,12 @@ impl LatencyReservoir {
     }
 }
 
-/// The service's counter set. Field meanings match [`crate::ServeStats`];
-/// `requests = hits + misses + dedup_joins` always holds (errors are the
-/// subset of misses whose compile failed, plus the followers that
-/// received that failure — followers count as dedup joins either way).
+/// What the service counts outside the cache lock. Field meanings match
+/// [`crate::ServeStats`]: errors are the misses whose compile failed,
+/// the followers that received that failure, and the responses the
+/// server refused to send.
 #[derive(Debug)]
 pub(crate) struct Metrics {
-    pub requests: AtomicU64,
-    pub hits: AtomicU64,
-    pub misses: AtomicU64,
-    pub dedup_joins: AtomicU64,
-    pub evictions: AtomicU64,
     pub errors: AtomicU64,
     pub latency: LatencyReservoir,
 }
@@ -108,11 +100,6 @@ pub(crate) struct Metrics {
 impl Metrics {
     pub fn new() -> Self {
         Metrics {
-            requests: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            dedup_joins: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
             errors: AtomicU64::new(0),
             latency: LatencyReservoir::new(),
         }
@@ -126,7 +113,7 @@ impl Metrics {
 
 /// Connection-level counters for the network front end, one
 /// `AtomicU64` per event class — same lock-free discipline as
-/// [`Metrics`]. The serve-path counters above count *requests*; these
+/// [`Metrics`]. The service's counters count *requests*; these
 /// count *connections and frames*, so a fault-injection storm (garbage
 /// bytes, slowloris stalls, mid-stream disconnects) is visible even
 /// though none of it ever becomes a request.

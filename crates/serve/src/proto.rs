@@ -547,8 +547,9 @@ fn read_error(e: io::Error, context: &str) -> ProtoError {
 /// in-memory fuzzing. Nothing past the header is read unless the length
 /// field passes the kind's cap, and the payload buffer grows
 /// with the bytes received rather than being sized from the declared
-/// length. A clean close *between* frames is a [`ProtoError::Truncated`]
-/// with `have == 0`.
+/// length. An unknown kind's payload is consumed without being
+/// buffered. A clean close *between* frames is a
+/// [`ProtoError::Truncated`] with `have == 0`.
 pub fn read_frame<R: Read>(r: &mut R) -> Result<Frame, ProtoError> {
     let mut header = [0u8; HEADER_LEN];
     let mut have = 0;
@@ -568,17 +569,22 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Frame, ProtoError> {
     }
     let (kind, len) = parse_header(&header)?;
     let mut payload = Vec::new();
-    r.take(len as u64)
-        .read_to_end(&mut payload)
-        .map_err(|e| read_error(e, "frame payload"))?;
-    if payload.len() < len {
+    let mut body = r.take(len as u64);
+    let got = match kind {
+        // The frame is refused whatever its payload holds, so an unknown
+        // kind's bytes are skipped, never held in memory.
+        Err(_) => io::copy(&mut body, &mut io::sink()),
+        Ok(_) => body.read_to_end(&mut payload).map(|k| k as u64),
+    }
+    .map_err(|e| read_error(e, "frame payload"))? as usize;
+    if got < len {
         // Payload truncation reports whole-frame progress.
         return Err(ProtoError::Truncated {
             context: match kind {
                 Ok(kind) => format!("{kind} frame payload"),
                 Err(got) => format!("unknown-kind-{got} frame payload"),
             },
-            have: HEADER_LEN + payload.len(),
+            have: HEADER_LEN + got,
             need: HEADER_LEN + len,
         });
     }
@@ -691,37 +697,35 @@ mod tests {
         }
     }
 
+    /// A stream that records the largest buffer a reader handed it, so a
+    /// test can tell a buffer sized from a declared length.
+    struct Widest(Cursor<Vec<u8>>, usize);
+
+    impl Read for Widest {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.1 = self.1.max(buf.len());
+            self.0.read(buf)
+        }
+    }
+
+    /// A bare frame header: `kind` byte and declared payload length.
+    fn header(kind: u8, len: usize) -> Vec<u8> {
+        let mut bytes = MAGIC.to_vec();
+        bytes.push(VERSION);
+        bytes.push(kind);
+        bytes.extend_from_slice(&(len as u32).to_be_bytes());
+        bytes
+    }
+
     #[test]
     fn payload_buffers_grow_with_the_bytes_received() {
         // A peer that declares the largest legal request payload (1 MiB),
         // sends 100 bytes of it, then ends the stream. The reader records
         // the largest buffer it was handed: the payload buffer must never
         // have been sized from the declared length.
-        struct Stall {
-            bytes: Vec<u8>,
-            at: usize,
-            widest: usize,
-        }
-        impl Read for Stall {
-            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-                self.widest = self.widest.max(buf.len());
-                let k = buf.len().min(self.bytes.len() - self.at);
-                buf[..k].copy_from_slice(&self.bytes[self.at..self.at + k]);
-                self.at += k;
-                Ok(k)
-            }
-        }
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&MAGIC);
-        bytes.push(VERSION);
-        bytes.push(FrameKind::Request as u8);
-        bytes.extend_from_slice(&(MAX_SERVER_BOUND_PAYLOAD as u32).to_be_bytes());
+        let mut bytes = header(FrameKind::Request as u8, MAX_SERVER_BOUND_PAYLOAD);
         bytes.extend_from_slice(&[b' '; 100]);
-        let mut stall = Stall {
-            bytes,
-            at: 0,
-            widest: 0,
-        };
+        let mut stall = Widest(Cursor::new(bytes), 0);
         match read_frame(&mut stall).unwrap_err() {
             ProtoError::Truncated { have, need, .. } => {
                 assert_eq!(
@@ -732,9 +736,9 @@ mod tests {
             other => panic!("expected Truncated, got {other}"),
         }
         assert!(
-            stall.widest <= 64 << 10,
+            stall.1 <= 64 << 10,
             "a {}-byte buffer was sized from the declared length",
-            stall.widest
+            stall.1
         );
 
         // A complete payload of several megabytes still arrives byte-exact.
@@ -742,6 +746,27 @@ mod tests {
         let frame = Frame::new(FrameKind::WarmupBatch, payload);
         let back = read_frame(&mut Cursor::new(frame.encode().unwrap())).unwrap();
         assert_eq!(back, frame);
+    }
+
+    #[test]
+    fn an_unknown_kinds_payload_is_skipped_without_being_buffered() {
+        // A complete 5 MiB frame of a kind this build does not know, then
+        // a frame it does: the first is refused per frame, its payload
+        // read through small buffers only, and the stream stays framed.
+        let mut bytes = header(200, 5 << 20);
+        bytes.resize(bytes.len() + (5 << 20), b' ');
+        bytes.extend_from_slice(&Frame::stats_request().encode().unwrap());
+        let mut stream = Widest(Cursor::new(bytes), 0);
+        match read_frame(&mut stream).unwrap_err() {
+            ProtoError::UnknownKind { got: 200 } => {}
+            other => panic!("expected UnknownKind, got {other}"),
+        }
+        assert!(
+            stream.1 <= 64 << 10,
+            "a {}-byte buffer held an unknown kind's payload",
+            stream.1
+        );
+        assert_eq!(read_frame(&mut stream).unwrap(), Frame::stats_request());
     }
 
     proptest! {

@@ -3,7 +3,7 @@
 //! One [`NetServer`][crate::NetServer] serves one process; the scale-out
 //! story is many backend processes behind one [`Router`]. The router
 //! consistent-hashes [`CompileRequest::key_digest`] — the same 128-bit
-//! FNV-1a digest the result cache shards by, stable across processes —
+//! FNV-1a digest the result cache is keyed by, stable across processes —
 //! onto a ring of virtual points, so:
 //!
 //! * **digest affinity** — a given request key always lands on the same

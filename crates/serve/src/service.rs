@@ -1,7 +1,8 @@
 //! The compile service: shared registry + persistent worker pool +
-//! sharded result cache whose shards deduplicate in-flight misses.
+//! one result cache whose lock decides, deduplicates and counts every
+//! request.
 
-use crate::cache::{self, CacheEntry, Lookup, ShardedCache};
+use crate::cache::{self, Cache, CacheEntry, Lookup};
 use crate::metrics::Metrics;
 use crate::queue::BoundedQueue;
 use crate::types::{CompileRequest, CompileResponse, ServeError, ServeStats};
@@ -10,11 +11,11 @@ use qft_core::Registry;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// Default result-cache capacity (entries, summed across shards).
+/// Default result-cache capacity (entries).
 pub const DEFAULT_CACHE_CAPACITY: usize = 256;
 
 /// Admission-queue capacity (jobs waiting for a worker). A full queue
@@ -72,29 +73,31 @@ impl fmt::Debug for Job {
 #[derive(Debug)]
 struct ServiceInner {
     registry: &'static Registry,
-    cache: ShardedCache,
+    cache: Mutex<Cache>,
     metrics: Metrics,
 }
 
 impl ServiceInner {
-    /// The full serve path: one shard lookup decides hit, follow or lead;
-    /// the leader validates, compiles and publishes. Runs on whichever
-    /// thread calls it — a pool worker for queued traffic, the caller
-    /// for [`CompileService::compile`].
+    /// The cache, locked.
+    fn cache(&self) -> MutexGuard<'_, Cache> {
+        self.cache.lock().expect("cache mutex")
+    }
+
+    /// The full serve path: one counted lookup under the cache lock
+    /// decides hit, follow or lead; the leader validates, compiles,
+    /// publishes and finishes its flight. Runs on whichever thread calls
+    /// it — a pool worker for queued traffic, the caller for
+    /// [`CompileService::compile`].
     fn serve(&self, req: &CompileRequest) -> Result<CompileResponse, ServeError> {
         let t0 = Instant::now();
-        Metrics::bump(&self.metrics.requests);
         let key_json = req.cache_key();
         let key = cache::key_digest(&key_json);
-        let (outcome, cached, deduped) = match self.cache.lookup(key, &key_json) {
-            Lookup::Hit(entry) => {
-                Metrics::bump(&self.metrics.hits);
-                (Ok(entry), true, false)
-            }
-            Lookup::Follow(flight) => {
-                Metrics::bump(&self.metrics.dedup_joins);
-                (flight.wait(), true, true)
-            }
+        // Bound first, so the guard drops before a follower waits or a
+        // leader compiles.
+        let lookup = self.cache().lookup(key, &key_json);
+        let (outcome, cached, deduped) = match lookup {
+            Lookup::Hit(entry) => (Ok(entry), true, false),
+            Lookup::Follow(flight) => (flight.wait(), true, true),
             Lookup::Lead(flight) => {
                 // A compile that panics must still publish, or its
                 // followers wait forever and the pool loses a worker.
@@ -117,9 +120,8 @@ impl ServiceInner {
                         key_json: Arc::from(key_json.as_str()),
                     }
                 });
-                Metrics::bump(&self.metrics.misses);
-                let evicted = self.cache.publish(key, &flight, outcome.clone());
-                self.metrics.evictions.fetch_add(evicted, Ordering::Relaxed);
+                self.cache().publish(key, &outcome);
+                flight.finish(outcome.clone());
                 (outcome, false, false)
             }
         };
@@ -146,13 +148,13 @@ impl ServiceInner {
 ///
 /// Two tiers of admission, from hottest to coldest:
 ///
-/// 1. **Sharded cache** — results live in N independently-locked LRU
-///    shards keyed by the 128-bit digest of the canonical request JSON,
-///    so cached hits from M threads convoy only on same-shard keys
-///    instead of one global mutex. The same shard lock decides a miss:
-///    concurrent misses on one key perform exactly one compile — the
-///    first request leads its flight, duplicates follow it and receive
-///    the same `Arc<CompileResult>`.
+/// 1. **One cache lock** — results live in one LRU keyed by the 128-bit
+///    digest of the canonical request JSON, behind one mutex. One
+///    lookup under it decides, and counts, each request: a hit, a
+///    follower of the key's in-flight compile, or the leader of a new
+///    one. Concurrent misses on one key perform exactly one compile —
+///    the first request leads its flight, duplicates follow it and
+///    receive the same `Arc<CompileResult>`.
 /// 2. **Persistent worker pool** — `workers` threads spawned once at
 ///    construction drain a bounded admission queue fed by
 ///    [`CompileService::submit`]; a full queue blocks the submitter
@@ -163,7 +165,8 @@ impl ServiceInner {
 /// cache hit, or joined flight, on any thread, from any service —
 /// serializes identically. [`ServeStats`] surfaces the admission
 /// metrics (hits/misses/dedup-joins/evictions, queue depth, p50/p99
-/// latency) from lock-free counters.
+/// latency); the admission counts are read in the same critical
+/// section as the occupancy they describe.
 #[derive(Debug)]
 pub struct CompileService {
     inner: Arc<ServiceInner>,
@@ -199,7 +202,7 @@ impl ServiceBuilder {
         self
     }
 
-    /// Total result-cache entries across all shards (clamped to ≥ 1).
+    /// Result-cache entries (clamped to ≥ 1).
     pub fn cache_capacity(mut self, capacity: usize) -> Self {
         self.cache_capacity = capacity;
         self
@@ -215,7 +218,7 @@ impl ServiceBuilder {
     pub fn build(self) -> CompileService {
         let inner = Arc::new(ServiceInner {
             registry: self.registry,
-            cache: ShardedCache::new(self.cache_capacity),
+            cache: Mutex::new(Cache::new(self.cache_capacity)),
             metrics: Metrics::new(),
         });
         let queue = Arc::new(BoundedQueue::<Job>::new(QUEUE_CAPACITY));
@@ -282,7 +285,7 @@ impl CompileService {
     /// Serves one request synchronously **on the caller's thread** —
     /// the lowest-latency path, bypassing the admission queue (the
     /// caller's thread *is* the capacity being spent). Still goes
-    /// through the sharded cache and its flights, so concurrent callers
+    /// through the cache and its flights, so concurrent callers
     /// deduplicate exactly like queued traffic.
     pub fn compile(&self, req: &CompileRequest) -> Result<CompileResponse, ServeError> {
         self.inner.serve(req)
@@ -336,17 +339,13 @@ impl CompileService {
     /// as verifiable [`WarmupEntry`] records (digests stamped at export,
     /// re-checked at import). Reads only the cache — the worker pool and
     /// admission queue are never touched, so a donor answers warm-up
-    /// traffic at zero compile cost. Shards are locked one at a time;
-    /// the export is a best-effort snapshot, not a consistent cut, which
-    /// is exactly what a warm-up wants (entries compiled mid-export just
-    /// arrive on the next probe or recompile).
+    /// traffic at zero compile cost. The lock is held only to clone the
+    /// claimed entries (`Arc` bumps); they are serialized and digested
+    /// after it is released. Entries compiled mid-export arrive on the
+    /// next probe or recompile.
     pub fn export_warmup(&self, predicate: &OwnedPredicate) -> Vec<WarmupEntry> {
-        self.inner
-            .cache
-            .export_if(&|key| predicate.owns(key))
-            .into_iter()
-            .map(|(_, entry)| WarmupEntry::from_cache(&entry))
-            .collect()
+        let entries = self.inner.cache().export_if(&|key| predicate.owns(key));
+        entries.iter().map(WarmupEntry::from_cache).collect()
     }
 
     /// Bulk-imports replayed entries from a donor, idempotently.
@@ -377,39 +376,37 @@ impl CompileService {
                 cold_compile_s: entry.cold_compile_s,
                 key_json: Arc::from(entry.key_json.as_str()),
             };
-            match self.inner.cache.insert_if_absent(key, cached) {
-                None => report.already_present += 1,
-                Some(evicted) => {
-                    report.imported += 1;
-                    self.inner
-                        .metrics
-                        .evictions
-                        .fetch_add(evicted, Ordering::Relaxed);
-                }
+            if self.inner.cache().insert_if_absent(key, cached) {
+                report.imported += 1;
+            } else {
+                report.already_present += 1;
             }
         }
         report
     }
 
-    /// A snapshot of the admission metrics. Lock-free: counters are
-    /// atomics and the latency window is a reservoir — only the cache
-    /// occupancy and in-flight sums briefly take each shard lock in turn.
+    /// A snapshot of the admission metrics. Occupancy, flights and the
+    /// four admission counts are read in one critical section of the
+    /// cache lock, so `requests = hits + misses + dedup_joins` holds in
+    /// every snapshot; `errors` is an atomic and the latency window a
+    /// lock-free reservoir, both read outside it.
     pub fn stats(&self) -> ServeStats {
         let m = &self.inner.metrics;
         let (p50_s, p99_s) = m.latency.percentiles();
+        let queue_depth = self.queue.len() as u64;
+        let cache = self.inner.cache();
         ServeStats {
             workers: self.workers,
-            cache_capacity: self.inner.cache.capacity(),
-            cache_entries: self.inner.cache.len(),
-            cache_shards: self.inner.cache.shard_count(),
+            cache_capacity: cache.capacity(),
+            cache_entries: cache.len(),
             queue_capacity: self.queue.capacity(),
-            queue_depth: self.queue.len() as u64,
-            in_flight: self.inner.cache.in_flight() as u64,
-            requests: m.requests.load(Ordering::Relaxed),
-            hits: m.hits.load(Ordering::Relaxed),
-            misses: m.misses.load(Ordering::Relaxed),
-            dedup_joins: m.dedup_joins.load(Ordering::Relaxed),
-            evictions: m.evictions.load(Ordering::Relaxed),
+            queue_depth,
+            in_flight: cache.in_flight() as u64,
+            requests: cache.hits + cache.misses + cache.dedup_joins,
+            hits: cache.hits,
+            misses: cache.misses,
+            dedup_joins: cache.dedup_joins,
+            evictions: cache.evictions,
             errors: m.errors.load(Ordering::Relaxed),
             p50_ms: p50_s * 1e3,
             p99_ms: p99_s * 1e3,
@@ -419,7 +416,8 @@ impl CompileService {
     /// Whether a request is currently resident in the cache (no recency
     /// bump — a pure inspection for tests and dashboards).
     pub fn is_cached(&self, req: &CompileRequest) -> bool {
-        self.inner.cache.contains(req.key_digest())
+        let key = req.key_digest();
+        self.inner.cache().contains(key)
     }
 }
 
@@ -495,7 +493,6 @@ mod tests {
                 .unwrap();
         }
         let stats = service.stats();
-        assert_eq!(stats.cache_shards, 1, "tiny caches stay single-shard");
         assert_eq!(stats.cache_entries, 3);
         assert_eq!(stats.evictions, 2);
         // The two oldest entries are gone; the three newest are resident.

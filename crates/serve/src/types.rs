@@ -58,7 +58,8 @@ impl CompileRequest {
     }
 
     /// The 128-bit FNV-1a digest of [`CompileRequest::cache_key`] — what
-    /// the cache actually shards and indexes by. The JSON string is the
+    /// the cache actually indexes by, and what the router places on its
+    /// ring. The JSON string is the
     /// canonical pre-image; the digest is its fixed-width stand-in, so
     /// lookups hash and compare 16 bytes however large the option set
     /// grows (debug builds audit every hit against the retained
@@ -293,33 +294,35 @@ impl std::error::Error for ServeError {}
 
 /// A serde-able snapshot of the service's admission metrics.
 ///
-/// Every counter is maintained lock-free (`AtomicU64`), so taking this
-/// snapshot never contends with the hit path. The accounting identity:
-/// `requests == hits + misses + dedup_joins` — a request is answered from
-/// the cache, answered by joining another thread's in-flight compile, or
-/// compiles itself (`misses`, which includes failed compiles).
+/// The cache counts each admission decision under its lock, and the
+/// snapshot reads those counts with the occupancy in one critical
+/// section, so the accounting identity holds in every snapshot, even
+/// while compiles are in flight: `requests == hits + misses +
+/// dedup_joins` — a request is answered from the cache, answered by
+/// joining another thread's in-flight compile, or compiles itself
+/// (`misses`, which includes failed compiles and compiles still
+/// running).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ServeStats {
     /// Persistent worker threads draining the admission queue.
     pub workers: usize,
-    /// Result-cache capacity (total entries across all shards).
+    /// Result-cache capacity (entries).
     pub cache_capacity: usize,
-    /// Result-cache occupancy right now (summed across shards).
+    /// Result-cache occupancy right now.
     pub cache_entries: usize,
-    /// Independently-locked cache shards.
-    pub cache_shards: usize,
     /// Admission-queue capacity (jobs).
     pub queue_capacity: usize,
     /// Jobs waiting in the admission queue right now.
     pub queue_depth: u64,
     /// Distinct keys being compiled right now: the flights held in the
-    /// cache shards, one per leader.
+    /// cache, one per leader.
     pub in_flight: u64,
     /// Requests accepted (`hits + misses + dedup_joins`).
     pub requests: u64,
     /// Requests answered from the cache.
     pub hits: u64,
-    /// Requests that performed the compile themselves (or failed trying).
+    /// Requests that lead a compile themselves: counted when they lead,
+    /// so a compile still running (or one that failed) is a miss.
     pub misses: u64,
     /// Requests that followed another request's in-flight compile instead
     /// of recompiling.

@@ -31,6 +31,7 @@
 use crate::cache::{key_digest, CacheEntry};
 use crate::client::{ClientConfig, ClientError, NetClient};
 use crate::digest::fnv1a_128;
+use crate::proto::MAX_PAYLOAD;
 use crate::router::fold;
 use crate::service::CompileService;
 use qft_core::CompileResult;
@@ -42,8 +43,14 @@ use std::time::Duration;
 /// Soft byte budget for one `warmup-batch` frame's entry list (2 MiB —
 /// comfortably under the wire layer's 16 MiB hard cap even after JSON
 /// envelope overhead). Chunking is greedy by serialized entry size; an
-/// oversized single entry still travels alone rather than being dropped.
+/// entry over the budget still travels alone, if it fits a frame.
 pub const WARMUP_CHUNK_BUDGET: usize = 2 << 20;
+
+/// Payload bytes a `warmup-batch` frame spends around its entries: the
+/// `seq`/`index`/`done` envelope at its longest (two 20-digit numbers
+/// and `false`) and the list's brackets take 83, rounded up. An entry
+/// whose JSON is longer than [`MAX_PAYLOAD`] less this cannot travel.
+pub const BATCH_ENVELOPE_BYTES: usize = 128;
 
 /// Fetch attempts against one donor before its keys are left cold.
 const WARMUP_ATTEMPTS: u32 = 3;
@@ -218,7 +225,9 @@ pub struct WarmupReport {
 /// serialized entry size against `budget` bytes. Always returns at
 /// least one chunk (an empty final chunk carries `done = true` when the
 /// donor had nothing to ship); a single entry larger than the budget
-/// still travels, alone in its chunk.
+/// still travels, alone in its chunk. An entry too large for a batch
+/// frame even alone (see [`BATCH_ENVELOPE_BYTES`]) is left out: it stays
+/// with its donor, and the joiner compiles its key on first use.
 pub fn chunk_entries(entries: Vec<WarmupEntry>, budget: usize) -> Vec<Vec<WarmupEntry>> {
     let budget = budget.max(1);
     let mut chunks: Vec<Vec<WarmupEntry>> = Vec::new();
@@ -228,6 +237,9 @@ pub fn chunk_entries(entries: Vec<WarmupEntry>, budget: usize) -> Vec<Vec<Warmup
         let cost = serde_json::to_string(&entry)
             .map(|s| s.len())
             .unwrap_or(budget);
+        if cost > MAX_PAYLOAD - BATCH_ENVELOPE_BYTES {
+            continue;
+        }
         if !current.is_empty() && current_bytes + cost > budget {
             chunks.push(std::mem::take(&mut current));
             current_bytes = 0;

@@ -188,8 +188,8 @@ fn wire_stats_keep_the_invariant_and_match_in_process_stats() {
         (local.workers, local.cache_capacity, local.cache_entries),
     );
     assert_eq!(
-        (wire.cache_shards, wire.queue_capacity, wire.in_flight),
-        (local.cache_shards, local.queue_capacity, local.in_flight),
+        (wire.queue_capacity, wire.in_flight),
+        (local.queue_capacity, local.in_flight),
     );
     assert!((wire.p50_ms - local.p50_ms).abs() < 1e-6, "p50 drifted");
     assert!((wire.p99_ms - local.p99_ms).abs() < 1e-6, "p99 drifted");

@@ -1,4 +1,4 @@
-//! The serving suite: concurrency determinism, sharded-cache semantics,
+//! The serving suite: concurrency determinism, cache semantics,
 //! singleflight dedup, and the negative paths of the compile service.
 //!
 //! The determinism contract under test: because the service caches
@@ -455,6 +455,13 @@ fn a_parked_flight_hands_its_followers_the_leaders_artifact() {
         service.stats().dedup_joins == 3
     });
     assert_eq!(service.stats().in_flight, 1);
+    // The parked leader already counts as the miss it leads, so the
+    // identity holds mid-flight.
+    let parked = service.stats();
+    assert_eq!(
+        (parked.requests, parked.misses, parked.dedup_joins),
+        (4, 1, 3)
+    );
 
     LNN_GATE.open();
     let mut responses: Vec<(u64, CompileResponse)> = (0..4)
@@ -554,10 +561,9 @@ fn request_roundtrips_and_key_is_canonical() {
 
 #[test]
 fn lru_eviction_respects_capacity_and_recency() {
-    // Tiny capacities degenerate to a single shard, so global LRU order
-    // is exact — this pins the O(1) recency structure's behavior.
+    // The cache is one exact LRU — this pins the O(1) recency
+    // structure's behavior.
     let service = CompileService::with_config(4, 1);
-    assert_eq!(service.stats().cache_shards, 1);
     let req_for = |n: usize| serve_request("lnn", &format!("lnn:{n}"), CompileOptions::default());
     for n in 4..12 {
         service.compile(&req_for(n)).expect("fill the cache");
@@ -581,13 +587,12 @@ fn lru_eviction_respects_capacity_and_recency() {
 }
 
 #[test]
-fn sharded_cache_spreads_and_bounds_occupancy() {
+fn a_serving_size_cache_bounds_occupancy() {
     let service = CompileService::builder()
         .cache_capacity(64)
         .workers(2)
         .build();
     let stats = service.stats();
-    assert!(stats.cache_shards > 1, "serving capacities shard");
     assert_eq!(stats.cache_capacity, 64);
     for n in 4..40 {
         service
@@ -602,7 +607,7 @@ fn sharded_cache_spreads_and_bounds_occupancy() {
     assert_eq!(stats.misses, 36);
     assert!(
         stats.cache_entries <= 64,
-        "sharded occupancy stays bounded: {}",
+        "occupancy stays bounded: {}",
         stats.cache_entries
     );
     // Everything resident still round-trips through the digest path.
@@ -667,14 +672,13 @@ proptest! {
     // 8 threads still hammers every interleaving class that matters.
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Concurrent cache discipline on one shard: 8 threads interleave
-    /// get/insert traffic over a small key space through a single-shard
-    /// service. Afterwards the shard must respect capacity, serve
-    /// byte-identical artifacts per key, reuse the resident `Arc` on
-    /// consecutive hits, and preserve exact LRU recency under a
-    /// deterministic sequential tail.
+    /// Concurrent cache discipline: 8 threads interleave get/insert
+    /// traffic over a small key space through one service. Afterwards
+    /// the cache must respect capacity, serve byte-identical artifacts
+    /// per key, reuse the resident `Arc` on consecutive hits, and
+    /// preserve exact LRU recency under a deterministic sequential tail.
     #[test]
-    fn one_shard_survives_an_8_thread_hammer(
+    fn the_cache_survives_an_8_thread_hammer(
         per_thread in proptest::collection::vec(
             proptest::collection::vec(0usize..10, 4..12),
             8..9,
@@ -685,7 +689,6 @@ proptest! {
             .cache_capacity(capacity)
             .workers(1)
             .build();
-        prop_assert_eq!(service.stats().cache_shards, 1);
         let req_for =
             |k: usize| serve_request("lnn", &format!("lnn:{}", 4 + k), CompileOptions::default());
         let total_ops: usize = per_thread.iter().map(Vec::len).sum();

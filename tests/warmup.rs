@@ -16,6 +16,9 @@
 //!   rejected entry-by-entry by the re-digest integrity check; the rest
 //!   of the batch imports, and rejected keys recompile to the honest
 //!   bytes.
+//! * **Oversize entries stay home** — an artifact too large for a batch
+//!   frame is left out of the transfer; the rest of the donor's entries
+//!   still arrive in one attempt.
 //! * **Resize under traffic** — growing and shrinking the ring while 4
 //!   threads hammer it loses zero accepted requests and never changes a
 //!   key's bytes; the ring version records both membership changes.
@@ -25,12 +28,14 @@
 
 mod common;
 
-use common::{artifact_bytes, distinct_requests, fleet_addrs, spawn_fleet, wait_until};
+use common::{
+    artifact_bytes, distinct_requests, fleet_addrs, oversize_registry, spawn_fleet, wait_until,
+};
 use proptest::prelude::*;
 use qft_kernels::serve::proto::{self, Frame, WireWarmupBatch};
 use qft_kernels::serve::router::RouterConfig;
 use qft_kernels::serve::warmup::{self, OwnedPredicate, WarmupEntry};
-use qft_kernels::serve::{ClientConfig, Router};
+use qft_kernels::serve::{ClientConfig, NetServer, Router};
 use qft_kernels::{CompileRequest, CompileService};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -284,18 +289,27 @@ fn complete_batch_then_cut_imports_nothing_partial() {
 #[test]
 fn corrupt_batch_entries_are_rejected_per_entry_and_never_poison_the_cache() {
     let mut entries = honest_entries(6);
+    let requests = distinct_requests(6);
 
-    // Three distinct corruptions among six entries:
-    // a bit-flipped artifact, a tampered key pre-image, and a truncated
-    // digest field.
-    {
-        let mut result = (*entries[1].result).clone();
-        result.metrics.swaps += 1;
-        entries[1].result = Arc::new(result);
-    }
-    entries[3].key_json.push(' ');
-    entries[4].artifact_digest.truncate(16);
+    // Three distinct corruptions among six entries, of the keys lnn:5,
+    // lnn:7 and lnn:8: a bit-flipped artifact, a tampered key pre-image,
+    // and a truncated digest field. Export order is the cache's, so each
+    // entry is found by its key.
     let corrupted = [1usize, 3, 4];
+    let [flipped, tampered, truncated] = corrupted.map(|k| {
+        let key_json = requests[k].cache_key();
+        entries
+            .iter()
+            .position(|e| e.key_json == key_json)
+            .expect("every key is exported")
+    });
+    {
+        let mut result = (*entries[flipped].result).clone();
+        result.metrics.swaps += 1;
+        entries[flipped].result = Arc::new(result);
+    }
+    entries[tampered].key_json.push(' ');
+    entries[truncated].artifact_digest.truncate(16);
 
     // The donor ships the mixed batch over a real socket.
     let wire_entries = entries.clone();
@@ -323,7 +337,7 @@ fn corrupt_batch_entries_are_rejected_per_entry_and_never_poison_the_cache() {
     // Honest entries serve warm; corrupted keys stayed cold and
     // recompile to honest bytes — the tampered artifact never surfaces.
     let reference = CompileService::builder().workers(1).build();
-    for (k, req) in distinct_requests(6).iter().enumerate() {
+    for (k, req) in requests.iter().enumerate() {
         let resp = joiner.compile(req).expect("serve after mixed import");
         assert_eq!(
             resp.cached,
@@ -336,6 +350,43 @@ fn corrupt_batch_entries_are_rejected_per_entry_and_never_poison_the_cache() {
             "key {k} must serve honest bytes"
         );
     }
+}
+
+#[test]
+fn an_entry_too_large_for_a_batch_frame_stays_with_its_donor() {
+    // A donor holds three small entries and one whose artifact cannot fit
+    // a frame (it stays cached after its `too-large` refusal). The other
+    // three must still transfer, in one attempt.
+    let service = CompileService::builder()
+        .registry(oversize_registry())
+        .workers(1)
+        .build();
+    let small = distinct_requests(3);
+    for req in &small {
+        service.compile(req).expect("donor compile");
+    }
+    let oversize = CompileRequest::new("oversize-note", "lnn:4");
+    service
+        .compile(&oversize)
+        .expect("an over-cap artifact compiles");
+    assert_eq!(service.stats().cache_entries, 4);
+    let donor = NetServer::bind("127.0.0.1:0", Arc::new(service)).expect("bind donor");
+
+    let (attempts, fetched) = warmup::fetch_from_donor(
+        donor.local_addr(),
+        &chaos_client_config(),
+        &own_everything(),
+    );
+    let mut keys: Vec<String> = fetched
+        .expect("the donor's other entries transfer")
+        .into_iter()
+        .map(|e| e.key_json)
+        .collect();
+    keys.sort();
+    let mut want: Vec<String> = small.iter().map(CompileRequest::cache_key).collect();
+    want.sort();
+    assert_eq!((attempts, keys), (1, want));
+    donor.shutdown();
 }
 
 // ---------------------------------------------------------------------------
