@@ -59,11 +59,10 @@ impl CompileRequest {
 
     /// The 128-bit FNV-1a digest of [`CompileRequest::cache_key`] — what
     /// the cache actually indexes by, and what the router places on its
-    /// ring. The JSON string is the
-    /// canonical pre-image; the digest is its fixed-width stand-in, so
-    /// lookups hash and compare 16 bytes however large the option set
-    /// grows (debug builds audit every hit against the retained
-    /// pre-image; see [`crate::digest`]).
+    /// ring. The JSON string is the canonical pre-image; the digest is
+    /// its fixed-width stand-in, so lookups hash and compare 16 bytes
+    /// however large the option set grows (debug builds audit every hit
+    /// against the retained pre-image; see [`crate::digest`]).
     pub fn key_digest(&self) -> u128 {
         crate::digest::fnv1a_128(self.cache_key().as_bytes())
     }

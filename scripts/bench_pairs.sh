@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
 # Runs the repository benchmark on two revisions in alternating pairs.
 #
-#   scripts/bench_pairs.sh PARENT CHANGE WORKLOAD SEED...
+#   scripts/bench_pairs.sh PARENT CHANGE WORKLOAD[,WORKLOAD...] SEED...
 #
 # Each revision is exported with `git archive` into a fresh directory of
 # its own (`parent` and `change` under one new work directory, so the two
 # paths have equal length), built once with its BENCHMARK.json `command`,
-# and then run once per seed for `run_seconds`. The side that runs first
-# alternates from pair to pair. The script prints:
+# and then run once per workload and seed for `run_seconds`. The side
+# that runs first alternates from pair to pair. The script prints:
 #
 #   - each build's `core::str::converts::from_utf8` address and its value
 #     mod 64 (at 0 mod 64 the wire workloads run much slower with
@@ -17,16 +17,16 @@
 #
 # It reads only BENCHMARK.json and perfbench/ from the checkouts. Each
 # run's whole output, `#` lines included, stays in the work directory
-# (under $TMPDIR, default /tmp) as logs/<side>-<seed>.out.
+# (under $TMPDIR, default /tmp) as logs/<workload>-<side>-<seed>.out.
 set -euo pipefail
 
 if [ $# -lt 4 ]; then
-  echo "usage: $0 PARENT CHANGE WORKLOAD SEED..." >&2
+  echo "usage: $0 PARENT CHANGE WORKLOAD[,WORKLOAD...] SEED..." >&2
   exit 2
 fi
 parent_rev=$1
 change_rev=$2
-workload=$3
+IFS=, read -ra workloads <<<"$3"
 shift 3
 seeds=("$@")
 
@@ -63,39 +63,42 @@ for side in parent change; do
   done
   (cd "$work/$side" && "${build[@]}")
   bin="$work/$side/perfbench/target/release/qft-perfbench"
-  addr=$(nm -C "$bin" | awk '$3 == "core::str::converts::from_utf8" { print $1; exit }')
+  addr=$(nm -C "$bin" | awk '$3 == "core::str::converts::from_utf8" { print $1 }')
   echo "# $side $(git -C "$repo" rev-parse --short "$rev"): from_utf8 at 0x$addr ($((16#$addr % 64)) mod 64)"
 done
 
 mapfile -t cmd < <(field parent 'b["command"]')
 seconds=$(field parent 'b["run_seconds"]')
 run() {
-  local side=$1 seed=$2
+  local side=$1 seed=$2 log="$work/logs/$workload-$1-$2"
   if ! (cd "$work/$side" && "${cmd[@]}" --workload "$workload" --seed "$seed" \
-      --seconds "$seconds" --trace 0) >"$work/logs/$side-$seed.out" 2>"$work/logs/$side-$seed.err"; then
-    echo "# $side seed $seed failed; see $work/logs/$side-$seed.err"
+      --seconds "$seconds" --trace 0) >"$log.out" 2>"$log.err"; then
+    echo "# $workload $side seed $seed failed; see $log.err"
   fi
 }
-for i in "${!seeds[@]}"; do
-  seed=${seeds[$i]}
-  if [ $((i % 2)) -eq 0 ]; then
-    run parent "$seed"
-    run change "$seed"
-  else
-    run change "$seed"
-    run parent "$seed"
-  fi
-  echo "# pair $((i + 1)) done (seed $seed)"
+for workload in "${workloads[@]}"; do
+  for i in "${!seeds[@]}"; do
+    seed=${seeds[$i]}
+    if [ $((i % 2)) -eq 0 ]; then
+      run parent "$seed"
+      run change "$seed"
+    else
+      run change "$seed"
+      run parent "$seed"
+    fi
+    echo "# $workload pair $((i + 1)) done (seed $seed)"
+  done
 done
 
-python3 - "$work" "$workload" "${seeds[@]}" <<'EOF'
+for workload in "${workloads[@]}"; do
+  python3 - "$work" "$workload" "${seeds[@]}" <<'EOF'
 import json, statistics, sys
 work, workload, seeds = sys.argv[1], sys.argv[2], sys.argv[3:]
 names = [m["name"] for m in json.load(open(f"{work}/parent/BENCHMARK.json"))["end_to_end"]]
 
 def result(side, seed):
     try:
-        lines = open(f"{work}/logs/{side}-{seed}.out").read().splitlines()
+        lines = open(f"{work}/logs/{workload}-{side}-{seed}.out").read().splitlines()
         return json.loads(lines[-1])
     except (OSError, IndexError, ValueError):
         return None
@@ -130,3 +133,4 @@ for n in shown:
         cells.append("-" if not vals else "{:g} [{:g}, {:g}]".format(*spread(vals)))
     print(f"  {n:16} {cells[0]}  /  {cells[1]}")
 EOF
+done
